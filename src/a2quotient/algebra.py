@@ -12,10 +12,9 @@ The valuation is the one attached to the place at infinity of F_q(t),
 so that the absolute value is q^(-nu).  The local ring O consists of the
 rational functions with nu >= 0 (power series in 1/t).
 
-Besides ring arithmetic the module provides the degree-one continued-fraction
-step ``gauss_map`` (f -> 1/(f - [f]), with [f] the polynomial part) and exact
-perfect-power roots of monic polynomials by top-down coefficient matching,
-used by the projective group-membership tests.
+Besides ring arithmetic the module provides exact perfect-power roots of
+monic polynomials by top-down coefficient matching, used by the projective
+group-membership tests.
 """
 
 from __future__ import annotations
@@ -114,9 +113,6 @@ class Poly:
             raise DegenerateInput("zero polynomial has no monic form")
         inv = _inv_mod(self.lc(), self.q)
         return Poly(self.q, [c * inv for c in self.coeffs])
-
-    def constant_term(self) -> int:
-        return self.coeff(0)
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "Poly") -> None:
@@ -337,18 +333,6 @@ class RatFunc:
             return math.inf
         return self.den.degree - self.num.degree
 
-    def unit_power(self) -> tuple[int, int]:
-        """(c, k) with self = c * t^k * (1 + lower order), c in F_q^x.
-
-        k is the t-degree (-valuation) and c the ratio of leading
-        coefficients; the cofactor is a unit of the local ring at infinity
-        congruent to 1.
-        """
-        if self.is_zero:
-            raise DegenerateInput("zero has no leading unit")
-        c = (self.num.lc() * _inv_mod(self.den.lc(), self.q)) % self.q
-        return c, self.num.degree - self.den.degree
-
     # -- arithmetic ---------------------------------------------------------
     def _check(self, other: "RatFunc") -> None:
         if self.q != other.q:
@@ -392,33 +376,6 @@ class RatFunc:
 
     def __bool__(self) -> bool:
         return not self.is_zero
-
-    # -- the maps used by the normal-form reduction ------------------------
-    def polynomial_part(self) -> Poly:
-        """Quotient [f] of num by den; f - [f] always has valuation >= 1."""
-        return self.num // self.den
-
-    def fractional_part(self) -> "RatFunc":
-        return RatFunc(self.num % self.den, self.den)
-
-    def gauss_map(self) -> "RatFunc":
-        """Continued-fraction step 1/(f - [f]).
-
-        Strictly decreases the denominator degree, so iteration reaches a
-        polynomial in finitely many steps.  Undefined on polynomials.
-        """
-        frac = self.fractional_part()
-        if frac.is_zero:
-            raise DegenerateInput("gauss_map of a polynomial")
-        return frac.inverse()
-
-    def o_part(self) -> "RatFunc":
-        """Component in the local ring O (terms of the 1/t-expansion with
-        valuation >= 0); the remainder self - o_part() is a Laurent
-        polynomial in t with zero constant term."""
-        p = self.polynomial_part()
-        head = Poly.const(self.q, p.constant_term())
-        return self.fractional_part() + RatFunc(head)
 
     # -- text -----------------------------------------------------------
     def __str__(self) -> str:

@@ -240,17 +240,13 @@ class QuotientComplex:
     def color(self, v: Vertex) -> int:
         return color(v)
 
-    @lru_cache(maxsize=None)
-    def _row(self, v: Vertex, sign: int) -> CoeffRow:
+    def row(self, v: Vertex, sign: int) -> CoeffRow:
+        if v.m > self.depth:
+            raise ValueError("vertex beyond truncation depth")
         inside, outside = [], []
         for tgt, c in coeffs(self.q, v, sign):
             (inside if tgt.m <= self.depth else outside).append((tgt, c))
         return CoeffRow(terms=tuple(inside), masked=tuple(outside))
-
-    def row(self, v: Vertex, sign: int) -> CoeffRow:
-        if v.m > self.depth:
-            raise ValueError("vertex beyond truncation depth")
-        return self._row(v, sign)
 
     def is_masked(self, v: Vertex, sign: int) -> bool:
         return bool(self.row(v, sign).masked)

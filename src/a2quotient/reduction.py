@@ -7,33 +7,34 @@ Every invertible 2x2 or 3x3 matrix class g over F_q(t) factors as
 with gamma in the modular group PGL(d, F_q[t]), w in the maximal compact
 PGL(d, O) (entries of valuation >= 0, determinant of valuation 0), and a
 unique exponent pair m >= n >= 0 (a single exponent for d = 2).  The
-reduction is constructive: row operations over F_q[t] act on the left,
-column operations over the local ring O on the right, and the two witness
-factors are accumulated exactly, so results carry a certificate that
-``verify_witness`` checks independently.
+reduction is constructive and returns both witness factors exactly, so
+results carry a certificate that ``verify_witness`` checks independently.
 
-The engine is a column echelon pass over O (minimal-valuation pivoting,
-lowest-index tie break) followed by alternating 2x2 block reductions.  A
-block whose diagonal t-exponents are out of order is handled by the
-swap-and-invert chain built on the continued-fraction step ``gauss_map``;
-the exponent gap shrinks by at least two per step, which gives termination.
+The exponents are the row degrees k_0 >= ... >= k_{d-1} of a row-reduced
+basis R of the F_q[t]-lattice spanned by the rows of g (A. K. Lenstra,
+JCSS 30, 1985), shifted so the last is 0.  ``reduce_matrix`` clears
+denominators once and runs the pivot loop of Mulders and Storjohann
+(J. Symbolic Comput. 35, 2003) on the polynomial rows.  The pivot of a row
+is the rightmost column that attains its degree.  While some row has, in the
+pivot column of another row, an entry of at least that row's degree, it
+loses c t^k times the other row, which cancels the entry's top term.  A
+step on a shared pivot lowers the row degree or moves the pivot left; any
+other step keeps both and trades the entry's top term for smaller terms, so
+the loop ends, in Popov form.  The rows then have distinct pivots, so their
+leading coefficients form an invertible matrix and w = diag(t^-k_i) R lies
+in PGL(d, O).  gamma is the inverse of the row transform, built up by the
+matching column updates.  A singular input shows up as a zero row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, RatFunc, nth_root
-
-MAX_BLOCK_STEPS = 10 ** 4
+from .algebra import Poly, RatFunc, nth_root, poly_gcd
 
 
 class Singular(ValueError):
     """Input matrix has determinant zero."""
-
-
-class ReductionStalled(RuntimeError):
-    """Iteration guard tripped; indicates an implementation bug."""
 
 
 @dataclass(frozen=True)
@@ -192,177 +193,58 @@ def in_maximal_compact(g: ProjMat) -> bool:
 # the reduction engine
 # ---------------------------------------------------------------------------
 
-class _Reducer:
-    """Mutable state (X, gamma, w) with invariant  input = gamma . X . w.
+def _pivot(row: list[Poly]) -> tuple[int, int]:
+    """(degree, pivot) of a polynomial row; the pivot is the rightmost column
+    that attains the row degree."""
+    k = max(p.degree for p in row)
+    if k < 0:
+        raise Singular("determinant is zero: the rows are linearly dependent")
+    return k, max(j for j, p in enumerate(row) if p.degree == k)
 
-    Row operations multiply X on the left by modular-group elementaries and
-    fold the inverse into gamma; column operations multiply on the right by
-    compact-group elementaries and fold the inverse into w.
-    """
 
-    def __init__(self, g: ProjMat):
-        self.q = g.q
-        self.d = g.dim
-        self.X = [list(row) for row in g.entries]
-        ident = ProjMat.identity(self.q, self.d).entries
-        self.gamma = [list(row) for row in ident]
-        self.w = [list(row) for row in ident]
-
-    # row ops (left, modular group)
-    def row_add(self, i: int, j: int, p: Poly) -> None:
-        """row_i += p * row_j with p polynomial."""
-        rp = RatFunc(p)
-        self.X[i] = [self.X[i][k] + rp * self.X[j][k] for k in range(self.d)]
-        for a in range(self.d):  # gamma <- gamma . E_ij(-p): col j -= p * col i
-            self.gamma[a][j] = self.gamma[a][j] - rp * self.gamma[a][i]
-
-    def row_swap(self, i: int, j: int) -> None:
-        self.X[i], self.X[j] = self.X[j], self.X[i]
-        for a in range(self.d):
-            self.gamma[a][i], self.gamma[a][j] = self.gamma[a][j], self.gamma[a][i]
-
-    # column ops (right, maximal compact)
-    def col_add(self, j: int, i: int, c: RatFunc) -> None:
-        """col_j += c * col_i with val(c) >= 0."""
-        for a in range(self.d):
-            self.X[a][j] = self.X[a][j] + c * self.X[a][i]
-        for b in range(self.d):  # w <- E_ij(-c) . w: row i -= c * row j
-            self.w[i][b] = self.w[i][b] - c * self.w[j][b]
-
-    def col_swap(self, i: int, j: int) -> None:
-        for a in range(self.d):
-            self.X[a][i], self.X[a][j] = self.X[a][j], self.X[a][i]
-        self.w[i], self.w[j] = self.w[j], self.w[i]
-
-    def col_scale(self, j: int, u: RatFunc) -> None:
-        """col_j *= u with val(u) = 0."""
-        inv = u.inverse()
-        for a in range(self.d):
-            self.X[a][j] = self.X[a][j] * u
-        self.w[j] = [inv * e for e in self.w[j]]
-
-    # -- echelon pass over the local ring --------------------------------
-    def triangularize(self) -> None:
-        """Column-reduce to upper triangular, pivoting on the minimal
-        valuation in each row from the bottom up."""
-        for r in range(self.d - 1, 0, -1):
-            pivot, best = None, None
-            for c in range(r + 1):
-                v = self.X[r][c].valuation()
-                if not self.X[r][c].is_zero and (best is None or v < best):
-                    pivot, best = c, v
-            if pivot is None:
-                raise Singular("zero row during reduction")
-            if pivot != r:
-                self.col_swap(pivot, r)
-            for c in range(r):
-                if not self.X[r][c].is_zero:
-                    self.col_add(c, r, -(self.X[r][c] / self.X[r][r]))
-
-    def normalize_diag(self, j: int) -> int:
-        """Scale column j by a unit so X[j][j] is exactly t^k; returns k."""
-        piv = self.X[j][j]
-        if piv.is_zero:
-            raise Singular("zero diagonal during reduction")
-        _, k = piv.unit_power()
-        self.col_scale(j, RatFunc.t_power(self.q, k) / piv)
-        return k
-
-    # -- 2x2 block pass ---------------------------------------------------
-    def block_reduce(self, i: int, j: int) -> None:
-        """Clear X[i][j] and order the (i, j) diagonal exponents, keeping X
-        upper triangular at loop boundaries."""
-        for _ in range(MAX_BLOCK_STEPS):
-            ki = self.normalize_diag(i)
-            kj = self.normalize_diag(j)
-            a = self.X[i][j]
-            if not a.is_zero:
-                # drop the part divisible by t^ki over O (column op) ...
-                c = (a / RatFunc.t_power(self.q, ki)).o_part()
-                if not c.is_zero:
-                    self.col_add(j, i, -c)
-                a = self.X[i][j]
-            if not a.is_zero:
-                # ... and the polynomial multiples of t^kj (row op)
-                p = (a / RatFunc.t_power(self.q, kj)).polynomial_part()
-                if not p.is_zero:
-                    self.row_add(i, j, -p)
-                a = self.X[i][j]
-            if a.is_zero:
-                if ki >= kj:
-                    return
-                self.row_swap(i, j)
-                self.col_swap(i, j)
-                continue
-            # leftover coupling forces ki < kj; swap-and-invert step
-            c = self.X[i][i] / a  # valuation >= 1 by the degree window
-            self.col_add(i, j, -c)
-            self.row_swap(i, j)
-        raise ReductionStalled("block reduction exceeded the step guard")
-
-    def clear_upper_right(self) -> None:
-        """With sorted exponents and zero couplings, X[0][2] reduces away."""
-        k0 = self.normalize_diag(0)
-        k2 = self.normalize_diag(2)
-        a = self.X[0][2]
-        if not a.is_zero:
-            c = (a / RatFunc.t_power(self.q, k0)).o_part()
-            if not c.is_zero:
-                self.col_add(2, 0, -c)
-            a = self.X[0][2]
-        if not a.is_zero:
-            p = (a / RatFunc.t_power(self.q, k2)).polynomial_part()
-            if not p.is_zero:
-                self.row_add(0, 2, -p)
-
-    def exponents(self) -> list[int]:
-        return [self.normalize_diag(j) for j in range(self.d)]
+def reduce_matrix(g: ProjMat) -> ReductionResult:
+    """Normal form diag(t^m, t^n, 1), m >= n >= 0, of an invertible 3x3
+    class, or diag(t^m, 1) of a 2x2 class, with witnesses."""
+    q, d = g.q, g.dim
+    den = Poly.one(q)
+    for row in g.entries:
+        for e in row:
+            den = den // poly_gcd(den, e.den) * e.den
+    rows = [[e.num * (den // e.den) for e in row] for row in g.entries]
+    gamma = [[Poly.one(q) if i == j else Poly.zero(q) for j in range(d)]
+             for i in range(d)]
+    piv = [_pivot(row) for row in rows]
+    while red := [(a, b) for a in range(d) for b in range(d)
+                  if a != b and rows[a][piv[b][1]].degree >= piv[b][0]]:
+        a, b = red[0]
+        kb, j = piv[b]
+        top = rows[a][j]
+        s = Poly.monomial(q, top.degree - kb, top.lc() * pow(rows[b][j].lc(), -1, q))
+        rows[a] = [x - s * y for x, y in zip(rows[a], rows[b])]
+        for row in gamma:  # gamma <- gamma . E_ab(s): col b += s * col a
+            row[b] = row[b] + s * row[a]
+        piv[a] = _pivot(rows[a])
+    order = sorted(range(d), key=lambda i: -piv[i][0])
+    k = [piv[i][0] for i in order]
+    return ReductionResult(
+        m=k[0] - k[-1], n=k[1] - k[-1] if d == 3 else None,
+        gamma=ProjMat.from_rows([[RatFunc(row[i]) for i in order] for row in gamma]),
+        w=ProjMat.from_rows([[RatFunc(p, Poly.monomial(q, ki)) for p in rows[i]]
+                             for i, ki in zip(order, k)]))
 
 
 def reduce2(g: ProjMat) -> ReductionResult:
     """Normal form diag(t^m, 1) of an invertible 2x2 class, with witnesses."""
     if g.dim != 2:
         raise ValueError("reduce2 expects a 2x2 matrix")
-    if g.det().is_zero:
-        raise Singular("determinant is zero")
-    r = _Reducer(g)
-    r.triangularize()
-    r.block_reduce(0, 1)
-    k0, k1 = r.exponents()
-    if not r.X[0][1].is_zero or k0 < k1:
-        raise ReductionStalled("2x2 reduction left a coupling")
-    return ReductionResult(m=k0 - k1, n=None,
-                           gamma=ProjMat.from_rows(r.gamma),
-                           w=ProjMat.from_rows(r.w))
+    return reduce_matrix(g)
 
 
 def reduce3(g: ProjMat) -> ReductionResult:
     """Normal form diag(t^m, t^n, 1), m >= n >= 0, of an invertible 3x3 class."""
     if g.dim != 3:
         raise ValueError("reduce3 expects a 3x3 matrix")
-    if g.det().is_zero:
-        raise Singular("determinant is zero")
-    r = _Reducer(g)
-    r.triangularize()
-    for _ in range(MAX_BLOCK_STEPS):
-        r.block_reduce(0, 1)
-        r.block_reduce(1, 2)
-        k0, k1, k2 = r.exponents()
-        if r.X[0][1].is_zero and r.X[1][2].is_zero and k0 >= k1 >= k2:
-            break
-    else:
-        raise ReductionStalled("block alternation exceeded the step guard")
-    r.clear_upper_right()
-    if any(not r.X[i][j].is_zero for i in range(3) for j in range(3) if i != j):
-        raise ReductionStalled("reduction left an off-diagonal entry")
-    k0, k1, k2 = r.exponents()
-    return ReductionResult(m=k0 - k2, n=k1 - k2,
-                           gamma=ProjMat.from_rows(r.gamma),
-                           w=ProjMat.from_rows(r.w))
-
-
-def reduce_matrix(g: ProjMat) -> ReductionResult:
-    return reduce2(g) if g.dim == 2 else reduce3(g)
+    return reduce_matrix(g)
 
 
 def verify_witness(result: ReductionResult, g: ProjMat) -> bool:
@@ -385,36 +267,38 @@ def random_poly(q: int, rng, max_deg: int = 2) -> Poly:
 
 def random_modular(q: int, dim: int, rng, steps: int = 6, max_deg: int = 2) -> ProjMat:
     """Random product of elementary matrices over F_q[t]."""
-    r = _Reducer(ProjMat.identity(q, dim))
+    g = [[Poly.one(q) if i == j else Poly.zero(q) for j in range(dim)]
+         for i in range(dim)]
     for _ in range(steps):
         kind = rng.randrange(3)
         i, j = rng.sample(range(dim), 2)
-        if kind == 0:
-            r.row_add(i, j, random_poly(q, rng, max_deg))
-        elif kind == 1:
-            r.row_swap(i, j)
-        else:
-            r.row_add(i, j, Poly.const(q, rng.randrange(1, q)))
-    return ProjMat.from_rows(r.gamma)
+        if kind == 1:
+            for row in g:
+                row[i], row[j] = row[j], row[i]
+            continue
+        p = (random_poly(q, rng, max_deg) if kind == 0
+             else Poly.const(q, rng.randrange(1, q)))
+        for row in g:
+            row[j] = row[j] - p * row[i]
+    return ProjMat.from_rows([[RatFunc(e) for e in row] for row in g])
 
 
 def random_compact(q: int, dim: int, rng, steps: int = 6, max_deg: int = 2) -> ProjMat:
     """Random product of elementaries with valuations >= 0 and unit diagonal."""
-    r = _Reducer(ProjMat.identity(q, dim))
+    w = [list(row) for row in ProjMat.identity(q, dim).entries]
     for _ in range(steps):
         kind = rng.randrange(3)
         i, j = rng.sample(range(dim), 2)
         if kind == 0:
             p = random_poly(q, rng, max_deg)
-            extra = rng.randrange(3)
-            c = RatFunc(p) / RatFunc.t_power(q, max(p.degree, 0) + extra)
-            r.col_add(i, j, c)
+            c = RatFunc(p) / RatFunc.t_power(q, max(p.degree, 0) + rng.randrange(3))
+            w[j] = [a - c * b for a, b in zip(w[j], w[i])]
         elif kind == 1:
-            r.col_swap(i, j)
+            w[i], w[j] = w[j], w[i]
         else:
             p = random_poly(q, rng, max_deg)
             if p.is_zero:
                 p = Poly.one(q)
-            u = RatFunc(p) / RatFunc.t_power(q, p.degree)
-            r.col_scale(i, u)
-    return ProjMat.from_rows(r.w)
+            u = RatFunc.t_power(q, p.degree) / RatFunc(p)
+            w[i] = [u * e for e in w[i]]
+    return ProjMat.from_rows(w)

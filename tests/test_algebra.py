@@ -4,8 +4,8 @@ import random
 import pytest
 
 from a2quotient.algebra import (
-    DegenerateInput, Poly, RatFunc, cube_root, nth_root, parse_poly,
-    parse_ratfunc, poly_gcd, validate_q,
+    Poly, RatFunc, cube_root, nth_root, parse_poly, parse_ratfunc, poly_gcd,
+    validate_q,
 )
 from oracles import brute_expand_power
 
@@ -88,49 +88,25 @@ class TestValuation:
 
 
 class TestPolynomialPart:
+    """The polynomial part of num/den is the Euclidean quotient num // den."""
+
     def test_examples(self):
         q = 5
         f = parse_ratfunc(q, "(t^2+1)/(t)")
-        assert f.polynomial_part() == Poly.t(q)
+        assert f.num // f.den == Poly.t(q)
         p = parse_poly(q, "t^3+2*t+1")
-        assert RatFunc(p).polynomial_part() == p
-        assert RatFunc.t_power(q, -1).polynomial_part().is_zero
+        assert p // Poly.one(q) == p
+        assert (Poly.one(q) // Poly.t(q)).is_zero
 
     @pytest.mark.parametrize("q", QS)
     def test_remainder_valuation(self, q):
         rng = random.Random(7 * q)
         for _ in range(100):
             f = rr(q, rng)
-            frac = f - RatFunc(f.polynomial_part())
+            quo, rem = divmod(f.num, f.den)
+            frac = f - RatFunc(quo)
+            assert frac == RatFunc(rem, f.den)
             assert frac.is_zero or frac.valuation() >= 1
-            # idempotent on polynomials
-            p = RatFunc(f.polynomial_part())
-            assert p.polynomial_part() == f.polynomial_part()
-
-
-class TestGaussMap:
-    def test_examples(self):
-        q = 2
-        t = RatFunc(Poly.t(q))
-        assert RatFunc.t_power(q, -1).gauss_map() == t
-        assert parse_ratfunc(q, "(t^2+1)/(t)").gauss_map() == t
-
-    def test_polynomial_rejected(self):
-        with pytest.raises(DegenerateInput):
-            RatFunc(Poly.t(3)).gauss_map()
-
-    @pytest.mark.parametrize("q", QS)
-    def test_termination(self, q):
-        rng = random.Random(13 * q)
-        for _ in range(100):
-            f = rr(q, rng)
-            steps = 0
-            while not f.is_polynomial:
-                d = f.den.degree
-                f = f.gauss_map()
-                assert f.den.degree < d
-                steps += 1
-                assert steps < 100
 
 
 class TestRoots:
@@ -187,22 +163,6 @@ class TestCanonicalForm:
                 assert poly_gcd(f.num, f.den).degree == 0
             lam = RatFunc.const(q, rng.randrange(1, q))
             assert (f * lam) / lam == f
-
-    def test_unit_power(self):
-        q = 3
-        f = parse_ratfunc(q, "(2*t^3+t)/(t)")
-        c, k = f.unit_power()
-        assert (c, k) == (2, 2)
-        rem = f - RatFunc.t_power(q, 2) * RatFunc.const(q, c)
-        assert rem.is_zero or rem.valuation() > -2
-
-    def test_o_part(self):
-        q = 5
-        f = parse_ratfunc(q, "(t^3+2*t^2+3*t+4)/(t^2+1)")
-        o = f.o_part()
-        assert o.valuation() >= 0
-        lp = f - o  # Laurent tail: pure positive powers of t
-        assert lp.is_polynomial and lp.polynomial_part().constant_term() == 0
 
 
 class TestParsing:

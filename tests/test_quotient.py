@@ -1,3 +1,5 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -192,3 +194,13 @@ class TestQuotientComplex:
         vs = cx.vertices()
         assert len(vs) == 10
         assert vs[0] == Vertex(0, 0) and vs[-1] == Vertex(3, 3)
+
+    def test_rows_do_not_pin_the_complex(self):
+        cx = QuotientComplex(2, 5)
+        for v in cx.vertices():
+            cx.row(v, +1)
+            cx.row(v, -1)
+        ref = weakref.ref(cx)
+        del cx
+        gc.collect()
+        assert ref() is None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -57,6 +58,19 @@ class TestMembership:
         assert in_modular_group(g) and not in_maximal_compact(g)
 
 
+def test_samplers_pinned():
+    # the samplers must keep returning these exact matrices: criterion 9,
+    # the round-trip tests and demo 01 draw their inputs from them
+    lines = []
+    for seed in range(30):
+        for q in (2, 3, 5):
+            for d in (2, 3):
+                rng = random.Random(seed)
+                lines.append(f"{random_modular(q, d, rng)}|{random_compact(q, d, rng)}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "29e3a02c81dde2a41cf27ff52143e87eefeaf171aa8fa72b1287584583cd107a"
+
+
 class TestReduce2:
     def test_identity_and_normal_forms(self):
         q = 2
@@ -80,6 +94,9 @@ class TestReduce2:
             reduce2(ProjMat.from_rows([[one, one], [one, one]]))
         with pytest.raises(Singular):
             reduce2(ProjMat.from_rows([[z, z], [one, one]]))
+        # second row is (t^2+t) times the first: no zero row until reduced
+        with pytest.raises(Singular):
+            reduce2(ProjMat.from_strings(3, [["1/t", "1/(t+1)"], ["t+1", "t"]]))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_roundtrip_200(self, q):
@@ -119,6 +136,10 @@ class TestReduce3:
         one = RatFunc.one(q)
         with pytest.raises(Singular):
             reduce3(ProjMat.from_rows([[one] * 3, [one] * 3, [one] * 3]))
+        # rank 2 (row 2 = row 0 + t * row 1) with no zero row
+        with pytest.raises(Singular):
+            reduce3(ProjMat.from_strings(3, [["1", "t", "0"], ["0", "1", "t"],
+                                             ["1", "2*t", "t^2"]]))
 
     def test_scalar_invariance(self):
         q = 3
