@@ -422,7 +422,10 @@ def parse_ratfunc(q: int, text: str) -> RatFunc:
     cut = _top_level_slash(s)
     if cut is None:
         return RatFunc(parse_poly(q, s))
-    return RatFunc(parse_poly(q, s[:cut])) / RatFunc(parse_poly(q, s[cut + 1:]))
+    den = parse_poly(q, s[cut + 1:])
+    if den.is_zero:
+        raise ValueError(f"zero denominator in {text!r}")
+    return RatFunc(parse_poly(q, s[:cut])) / RatFunc(den)
 
 
 def _balanced(s: str) -> bool:

@@ -132,6 +132,7 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
     rows = [cell.split(",") for cell in args.matrix.split(";")]
     g = ProjMat.from_strings(cfg.q, rows)
     result = reduce_matrix(g)
+    verified = verify_witness(result, g)
     _emit_json({
         "seed": cfg.seed,
         "q": cfg.q,
@@ -139,9 +140,9 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
         "n": result.n,
         "gamma": str(result.gamma),
         "w": str(result.w),
-        "verified": verify_witness(result, g),
+        "verified": verified,
     })
-    return 0
+    return 0 if verified else 2
 
 
 def cmd_complex(cfg: RunConfig, args) -> int:

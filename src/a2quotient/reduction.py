@@ -24,13 +24,21 @@ the loop ends, in Popov form.  The rows then have distinct pivots, so their
 leading coefficients form an invertible matrix and w = diag(t^-k_i) R lies
 in PGL(d, O).  gamma is the inverse of the row transform, built up by the
 matching column updates.  A singular input shows up as a zero row.
+
+The checks clear denominators once and then test degrees over F_q[t].  With
+P the cleared matrix, D = det P and c the gcd of P's entries, the class lies
+in PGL(d, F_q[t]) iff D != 0 and deg D = d deg c (P/c is its only polynomial
+representative up to a constant), and in PGL(d, O) iff D != 0 and
+deg D = d max deg P_ij.  ``verify_witness`` compares the polynomial product
+of the witnesses with P projectively, cross-multiplying against one pivot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
-from .algebra import Poly, RatFunc, nth_root, poly_gcd
+from .algebra import Poly, RatFunc, poly_gcd
 
 
 class Singular(ValueError):
@@ -88,27 +96,6 @@ class ProjMat:
     def det(self) -> RatFunc:
         return _det(self.entries)
 
-    def min_valuation(self):
-        return min(e.valuation() for row in self.entries for e in row)
-
-    def proj_eq(self, other: "ProjMat") -> bool:
-        """Equality as projective classes: other = lambda * self."""
-        if self.dim != other.dim:
-            return False
-        lam = None
-        for i in range(self.dim):
-            for j in range(self.dim):
-                a, b = self.entries[i][j], other.entries[i][j]
-                if a.is_zero != b.is_zero:
-                    return False
-                if not a.is_zero:
-                    r = b / a
-                    if lam is None:
-                        lam = r
-                    elif r != lam:
-                        return False
-        return lam is not None
-
     def __str__(self) -> str:
         return ";".join(",".join(str(e) for e in row) for row in self.entries)
 
@@ -119,7 +106,7 @@ def _matmul(A, B):
                  start=A[i][0] * B[0][j]) for j in range(d)] for i in range(d)]
 
 
-def _det(E) -> RatFunc:
+def _det(E):
     if len(E) == 2:
         return E[0][0] * E[1][1] - E[0][1] * E[1][0]
     a, b, c = E[0]
@@ -152,41 +139,48 @@ class ReductionResult:
 # group membership tests
 # ---------------------------------------------------------------------------
 
-def in_modular_group(g: ProjMat) -> bool:
-    """Does the class contain a matrix over F_q[t] with unit determinant?
+def _cleared(entries) -> list[list[Poly]]:
+    """The entries times the lcm of their denominators: a matrix over F_q[t]
+    in the same projective class."""
+    den = Poly.one(entries[0][0].q)
+    for row in entries:
+        for e in row:
+            if e.den.degree and den % e.den:
+                den = den // poly_gcd(den, e.den) * e.den
+    return [[e.num * (den // e.den if e.den.degree else den) for e in row]
+            for row in entries]
 
-    Any qualifying rescaling lambda satisfies lambda^d = det(g) up to a
-    constant, so the reduced determinant's numerator and denominator must
-    both be d-th powers; the candidate lambda is then unique up to constants
-    and the rescaled entries are checked directly.
-    """
-    d = g.det()
-    if d.is_zero:
-        return False
-    r = g.dim
-    a, b = d.num.monic(), d.den  # den already monic
-    a1, b1 = nth_root(a, r), nth_root(b, r)
-    if a1 is None or b1 is None:
-        return False
-    lam = RatFunc(b1, a1)  # rescale by b1/a1, i.e. divide by a1/b1
-    h = g.scaled(lam)
-    if any(not e.is_polynomial for row in h.entries for e in row):
-        return False
-    return h.det().is_constant and not h.det().is_zero
+
+def _modular(P: list[list[Poly]]) -> bool:
+    k = _det(P).degree
+    if k <= 0:  # deg det(P/c) = k - d deg c >= 0, so k = 0 forces deg c = 0
+        return k == 0
+    return k == len(P) * reduce(poly_gcd, (p for row in P for p in row)).degree
+
+
+def _compact(P: list[list[Poly]]) -> bool:
+    k = _det(P).degree
+    return k >= 0 and k == len(P) * max(p.degree for row in P for p in row)
+
+
+def in_modular_group(g: ProjMat) -> bool:
+    """Does the class contain a matrix over F_q[t] with unit determinant?"""
+    return _modular(_cleared(g.entries))
 
 
 def in_maximal_compact(g: ProjMat) -> bool:
     """Does the class contain a matrix with all valuations >= 0 and
-    determinant of valuation 0?
+    determinant of valuation 0?"""
+    return _compact(_cleared(g.entries))
 
-    Normalizing the minimal entry valuation to 0 is the only scalar freedom,
-    so a single candidate decides membership.
-    """
-    if g.det().is_zero:
+
+def _proj_eq(A: list[list[Poly]], B: list[list[Poly]]) -> bool:
+    """Is B = lambda A for a nonzero scalar lambda (and A nonzero)?"""
+    pairs = [(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb) if a or b]
+    if not pairs or not all(a and b for a, b in pairs):  # zero patterns differ
         return False
-    mu = g.min_valuation()
-    h = g.scaled(RatFunc.t_power(g.q, int(mu)))
-    return h.det().valuation() == 0
+    pa, pb = pairs[0]
+    return all(a * pb == b * pa for a, b in pairs[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +200,7 @@ def reduce_matrix(g: ProjMat) -> ReductionResult:
     """Normal form diag(t^m, t^n, 1), m >= n >= 0, of an invertible 3x3
     class, or diag(t^m, 1) of a 2x2 class, with witnesses."""
     q, d = g.q, g.dim
-    den = Poly.one(q)
-    for row in g.entries:
-        for e in row:
-            den = den // poly_gcd(den, e.den) * e.den
-    rows = [[e.num * (den // e.den) for e in row] for row in g.entries]
+    rows = _cleared(g.entries)
     gamma = [[Poly.one(q) if i == j else Poly.zero(q) for j in range(d)]
              for i in range(d)]
     piv = [_pivot(row) for row in rows]
@@ -249,12 +239,15 @@ def reduce3(g: ProjMat) -> ReductionResult:
 
 def verify_witness(result: ReductionResult, g: ProjMat) -> bool:
     """Certificate check: witnesses lie in their groups and reassemble g."""
-    if not in_modular_group(result.gamma):
+    gamma, w = _cleared(result.gamma.entries), _cleared(result.w.entries)
+    powers = [result.m, 0] if result.n is None else [result.m, result.n, 0]
+    if not (len(gamma) == len(w) == len(powers) == g.dim):
         return False
-    if not in_maximal_compact(result.w):
+    if not (_modular(gamma) and _compact(w)):
         return False
-    product = result.gamma @ result.normal_form(g.q) @ result.w
-    return product.proj_eq(g)
+    low = min(powers)  # diag(t^k) is taken modulo scalars
+    tw = [[Poly.monomial(g.q, k - low) * p for p in row] for k, row in zip(powers, w)]
+    return _proj_eq(_matmul(gamma, tw), _cleared(g.entries))
 
 
 # ---------------------------------------------------------------------------

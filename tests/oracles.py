@@ -4,10 +4,14 @@ These deliberately do not import coefficient tables or closed-form
 evaluators from the package: the recurrence solver below is written
 directly from the eigenfunction equations and steps shell by shell from
 f(v00) = 1, so it can cross-check both the operator rows and the closed
-forms.
+forms.  The group-membership references decide membership from the
+determinant over F_q(t) by exact d-th roots, independently of the degree
+tests in the package.
 """
 
 from fractions import Fraction
+
+from a2quotient.algebra import RatFunc, nth_root
 
 
 def forward_solve(q, lam_plus, lam_minus, depth):
@@ -60,3 +64,30 @@ def trivial_norm_sq_limit(q):
     # sum_{m>=1} x^m = x/(1-x); sum_{m>=1} (m-1)x^m = x^2/(1-x)^2, x = q^-2
     x = Fraction(1, q * q)
     return a + 2 * x / (1 - x) + (q + 1) * x * x / (1 - x) ** 2
+
+
+def in_modular_group_ref(g):
+    """Is the ProjMat class in PGL(d, F_q[t])?  Any polynomial representative
+    with unit determinant is lambda g with lambda^d = det(g) up to a
+    constant, so numerator and denominator of det(g) must be d-th powers;
+    the candidate lambda is then unique up to constants and checked."""
+    det = g.det()
+    if det.is_zero:
+        return False
+    a, b = nth_root(det.num.monic(), g.dim), nth_root(det.den, g.dim)
+    if a is None or b is None:
+        return False
+    h = g.scaled(RatFunc(b, a))
+    if any(not e.is_polynomial for row in h.entries for e in row):
+        return False
+    return h.det().is_constant and not h.det().is_zero
+
+
+def in_maximal_compact_ref(g):
+    """Is the ProjMat class in PGL(d, O)?  Scaling the least entry valuation
+    to 0 is the only freedom, so one candidate decides."""
+    if g.det().is_zero:
+        return False
+    mu = min(e.valuation() for row in g.entries for e in row)
+    h = g.scaled(RatFunc.t_power(g.q, int(mu)))
+    return h.det().valuation() == 0

@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark harness: one short exact-reduce run must
+produce a correct result with the end-to-end metrics BENCHMARK.json declares.
+No timing is checked."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_exact_reduce_run(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "exact-reduce",
+         "--seed", "1", "--seconds", "1", "--trace", "0",
+         "--results", str(tmp_path / "results.jsonl")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["attempted"] > 0 and result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert {k: v["unit"] for k, v in result["metrics"].items()} == {
+        m["name"]: m["unit"] for m in declared}

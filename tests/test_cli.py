@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from a2quotient import cli
 from a2quotient.cli import main
 
 
@@ -41,6 +42,20 @@ class TestReduceCommand:
                                "--matrix", "2*t,0;0,1")
         assert code == 1
         assert "reduced mod q" in err
+
+    def test_zero_denominator_is_domain_error(self, capsys):
+        code, out, err = run_cli(capsys, "--q", "2", "reduce",
+                                 "--matrix", "1/0,0;0,1")
+        assert code == 1
+        assert out == ""
+        assert "error: zero denominator in '1/0'" in err
+
+    def test_unverified_witness_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "verify_witness", lambda result, g: False)
+        code, out, _ = run_cli(capsys, "--q", "2", "reduce",
+                               "--matrix", "t^2,0,0;0,t,0;0,0,1")
+        assert code == 2
+        assert json.loads(out)["verified"] is False
 
 
 class TestValidation:

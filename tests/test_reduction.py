@@ -8,6 +8,7 @@ from a2quotient.reduction import (
     ProjMat, Singular, in_maximal_compact, in_modular_group, random_compact,
     random_modular, reduce2, reduce3, verify_witness,
 )
+from oracles import in_maximal_compact_ref, in_modular_group_ref
 
 
 def diag(q, *powers):
@@ -56,6 +57,27 @@ class TestMembership:
         assert in_maximal_compact(w) and not in_modular_group(w)
         g = ProjMat.from_strings(q, [["1", "t"], ["0", "1"]])
         assert in_modular_group(g) and not in_maximal_compact(g)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_membership_matches_reference(q):
+    # the degree tests against the determinant-root definitions, on members,
+    # their products with diag(t^k) and scalings by a non-constant lambda
+    rng = random.Random(40 + q)
+    seen = set()
+    for d in (2, 3):
+        for _ in range(6):
+            gamma, w = random_modular(q, d, rng), random_compact(q, d, rng)
+            t = ProjMat.diagonal(q, [rng.randrange(1, 4)] + [rng.randrange(2)
+                                                             for _ in range(d - 1)])
+            lam = RatFunc(Poly(q, [rng.randrange(q), 1]),
+                          Poly(q, [rng.randrange(q) for _ in range(2)] + [1]))
+            for g in (gamma, w, gamma @ t, t @ w, gamma @ t @ w):
+                for h in (g, g.scaled(lam)):
+                    got = (in_modular_group(h), in_maximal_compact(h))
+                    assert got == (in_modular_group_ref(h), in_maximal_compact_ref(h))
+                    seen.add(got)
+    assert len(seen) >= 3
 
 
 def test_samplers_pinned():
@@ -247,3 +269,56 @@ class TestVerifyWitness:
         r = reduce3(g)
         bad = type(r)(m=r.m + 1, n=r.n, gamma=r.gamma, w=r.w)
         assert not verify_witness(bad, g)
+        # a 2x2 normal form cannot certify a 3x3 class
+        assert not verify_witness(type(r)(m=r.m, n=None, gamma=r.gamma, w=r.w), g)
+
+    @staticmethod
+    def reduced(q=3, seed=11):
+        rng = random.Random(seed)
+        g = random_modular(q, 3, rng) @ diag(q, 3, 1, 0) @ random_compact(q, 3, rng)
+        r = reduce3(g)
+        assert verify_witness(r, g)
+        return q, g, r
+
+    def test_w_entry_raised_by_t(self):
+        q, g, r = self.reduced()
+        t = RatFunc.t_power(q, 1)
+        for i in range(3):
+            for j in range(3):
+                if r.w.entries[i][j].is_zero:
+                    continue
+                rows = [list(row) for row in r.w.entries]
+                rows[i][j] = rows[i][j] * t
+                bad = type(r)(m=r.m, n=r.n, gamma=r.gamma, w=ProjMat.from_rows(rows))
+                assert not verify_witness(bad, g), (i, j)
+
+    def test_factor_times_diag_t(self):
+        # w loses det valuation 0; gamma stays polynomial but loses its unit det
+        q, g, r = self.reduced()
+        t = diag(q, 1, 0, 0)
+        assert not verify_witness(type(r)(m=r.m, n=r.n, gamma=r.gamma, w=r.w @ t), g)
+        assert not verify_witness(type(r)(m=r.m, n=r.n, gamma=r.gamma @ t, w=r.w), g)
+
+    def test_projective_scaling_accepted(self):
+        q, g, r = self.reduced()
+        lam = RatFunc(Poly(q, [1, 1]), Poly(q, [2, 0, 1]))  # (t+1)/(t^2+2)
+        assert verify_witness(type(r)(m=r.m, n=r.n, gamma=r.gamma,
+                                      w=r.w.scaled(lam)), g)
+        assert verify_witness(type(r)(m=r.m, n=r.n, gamma=r.gamma.scaled(lam),
+                                      w=r.w), g.scaled(lam))
+
+    def test_factor_moved_out_of_its_group(self):
+        # gamma A and N^-1 A^-1 N w reassemble g for any A, so only the
+        # membership checks can reject these (g has m, n = 3, 1)
+        q, g, r = self.reduced()
+        n_inv = diag(q, -r.m, -r.n, 0)
+
+        def unipotent(x):
+            return ProjMat.from_strings(q, [["1", x, "0"], ["0", "1", "0"],
+                                            ["0", "0", "1"]])
+
+        for a, gamma_ok, w_ok in (("1/t", False, True), ("t^3", True, False)):
+            gamma = r.gamma @ unipotent(a)
+            w = n_inv @ unipotent("-" + a) @ r.normal_form(q) @ r.w
+            assert (in_modular_group(gamma), in_maximal_compact(w)) == (gamma_ok, w_ok)
+            assert not verify_witness(type(r)(m=r.m, n=r.n, gamma=gamma, w=w), g)
