@@ -25,11 +25,11 @@ from pathlib import Path
 
 from .algebra import fraction_str, validate_q
 from .eigen import (
-    NotInS, SpectralParam, eigenvalue_pair, params_from_eigenvalue,
-    recurrence_residual, TOL_S, TOL_SING,
+    NotInS, SpectralParam, eigenfunction_grid, eigenvalue_pair,
+    params_from_eigenvalue, recurrence_residual, TOL_S, TOL_SING,
 )
 from .operator import L2Space
-from .quotient import QuotientComplex
+from .quotient import QuotientComplex, stabilizer_order
 from .reduction import ProjMat, Singular, reduce_matrix, verify_witness
 from .spectra import (
     InvalidEpsilon, TruncationTooCoarse, is_decreasing,
@@ -156,7 +156,7 @@ def cmd_complex(cfg: RunConfig, args) -> int:
         for v in cx.vertices():
             w = cx.weight(v)
             fh.write(f"{v.m},{v.n},{cx.color(v)},{w.numerator},"
-                     f"{w.denominator},{_stab(cfg.q, v)}\n")
+                     f"{w.denominator},{stabilizer_order(cfg.q, v.m, v.n)}\n")
     rpath = _open_out(cfg, "complex_rows.csv")
     with open(rpath, "w", encoding="utf-8") as fh:
         fh.write(_header(cfg))
@@ -174,11 +174,6 @@ def cmd_complex(cfg: RunConfig, args) -> int:
     return 0
 
 
-def _stab(q, v):
-    from .quotient import stabilizer_order
-    return stabilizer_order(q, v.m, v.n)
-
-
 def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
     vertices = []
     for v in cx.vertices():
@@ -194,7 +189,7 @@ def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
         vertices.append({
             "m": v.m, "n": v.n, "color": cx.color(v),
             "weight": fraction_str(cx.weight(v)),  # exact, never a float
-            "stabilizer_order": _stab(cfg.q, v),
+            "stabilizer_order": stabilizer_order(cfg.q, v.m, v.n),
             "rows": rows,
         })
     path = _open_out(cfg, "complex.json")
@@ -220,7 +215,6 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         param = params_from_eigenvalue(cfg.q, _parse_complex(args.lam),
                                        tol_sing=cfg.tol_sing)
     pair = eigenvalue_pair(cfg.q, param)
-    from .eigen import eigenfunction_grid
     grid = eigenfunction_grid(cfg.q, param, cfg.depth)
     path = _open_out(cfg, "eigen_values.csv")
     with open(path, "w", encoding="utf-8") as fh:
@@ -272,10 +266,13 @@ def _spectra_samples(q: int, count: int):
 
 
 def cmd_spectra(cfg: RunConfig, args) -> int:
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     code = 0
     outputs = []
     if cfg.fmt == "svg":
-        outputs.append(render_spectra(cfg.q, _open_out(cfg, "spectra.svg")))
+        outputs.append(render_spectra(cfg.q, _open_out(cfg, "spectra.svg"),
+                                      args.samples))
     elif cfg.fmt == "csv":
         path = _open_out(cfg, "spectra_points.csv")
         with open(path, "w", encoding="utf-8") as fh:

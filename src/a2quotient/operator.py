@@ -1,28 +1,38 @@
 """Matrix-free application of the weighted adjacency operators.
 
+Both paths read the one coefficient table, ``quotient.table``, and the
+vertex-type switch ``quotient.stratum``.
+
 The float path packs the triangle {0 <= n <= m <= M} into flat numpy
 arrays indexed by m(m+1)/2 + n and gathers each operator row from at most
-three neighbor slots; rows that reference depth M+1 are flagged in a
-boundary mask and evaluate the missing neighbor as zero (the compression
-to the truncated space).  Inner products carry the vertex weights; sums
-are taken over pre-scaled values f * sqrt(w) so no intermediate overflows
-for unimodular spectral data at any practical depth.
+three neighbor slots, filled stratum by stratum from the table; rows that
+reference depth M+1 are flagged in a boundary mask and evaluate the
+missing neighbor as zero (the compression to the truncated space).  Inner
+products carry the vertex weights; sums are taken over pre-scaled values
+f * sqrt(w) so no intermediate overflows for unimodular spectral data at
+any practical depth.
 
-The exact path works on plain {Vertex: value} mappings with the integer
-coefficient rows from :mod:`a2quotient.quotient` and supports any value
-ring with +, * and scalar integer multiples (Fractions, complex, the
+A- is built from its own table rows, not as the weighted transpose
+w(u)/w(v) of A+: the float weights underflow to exactly 0 from m = 538 at
+q = 2 (m = 340 at q = 3), where that ratio is 0/0, and the exact
+adjointness check would compare A+ with itself.
+
+The exact path works on plain {Vertex: value} mappings with the truncated
+rows of :class:`a2quotient.quotient.QuotientComplex` and supports any
+value ring with +, * and scalar integer multiples (Fractions, complex, the
 Eisenstein rationals from :mod:`a2quotient.eigen`).
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .algebra import validate_q
-from .quotient import Vertex, coeffs, vertex_weight
+from .quotient import QuotientComplex, Vertex, stratum, table, vertex_weight
 
 
 class DimensionMismatch(ValueError):
@@ -96,50 +106,23 @@ class GridFunction:
 
 @lru_cache(maxsize=None)
 def _kernel(q: int, depth: int, sign: int):
-    """Neighbor indices and coefficients for one direction.
+    """Neighbor indices and coefficients for one direction, filled from
+    ``quotient.table``: one slot per step of the vertex's stratum row.
 
     Returns (idx[T,3], coef[T,3], mask[T]): idx -1 marks an absent slot,
     mask flags vertices whose row references depth+1.
     """
     m, n = _grid_mn(depth)
-    T = m.size
-    idx = np.full((T, 3), -1, dtype=np.int64)
-    coef = np.zeros((T, 3), dtype=np.float64)
-
-    origin = m == 0
-    bottom = (n == 0) & (m > 0)
-    diag = (n == m) & (m > 0)
-    inner = (m > n) & (n > 0)
-
-    def tgt(sel, slot, dm, dn, c):
-        mm, nn = m[sel] + dm, n[sel] + dn
-        ok = mm <= depth
-        rows = np.nonzero(sel)[0][ok]
-        idx[rows, slot] = vertex_index(mm[ok], nn[ok])
-        coef[rows, slot] = c
-        # slots falling beyond the depth keep idx -1 and coefficient 0
-
-    k = q * q + q + 1
-    if sign == +1:
-        tgt(origin, 0, 1, 0, k)
-        tgt(bottom, 0, 1, 0, 1)
-        tgt(bottom, 1, 0, 1, q * q + q)
-        tgt(diag, 0, -1, -1, q * q)
-        tgt(diag, 1, 1, 0, q + 1)
-        tgt(inner, 0, -1, -1, q * q)
-        tgt(inner, 1, 0, 1, q)
-        tgt(inner, 2, 1, 0, 1)
-    elif sign == -1:
-        tgt(origin, 0, 1, 1, k)
-        tgt(bottom, 0, -1, 0, q * q)
-        tgt(bottom, 1, 1, 1, q + 1)
-        tgt(diag, 0, 0, -1, q * q + q)
-        tgt(diag, 1, 1, 1, 1)
-        tgt(inner, 0, -1, 0, q * q)
-        tgt(inner, 1, 0, -1, q)
-        tgt(inner, 2, 1, 1, 1)
-    else:
-        raise ValueError("sign must be +1 or -1")
+    strata = stratum(m, n).astype(np.int8)
+    idx = np.full((m.size, 3), -1, dtype=np.int64)
+    coef = np.zeros((m.size, 3), dtype=np.float64)
+    for s, row in enumerate(table(q, sign)):
+        sel = strata == s
+        for slot, (dm, dn, c) in enumerate(row):
+            # slots falling beyond the depth keep idx -1 and coefficient 0
+            hit = np.flatnonzero(sel & (m <= depth - dm))
+            idx[hit, slot] = vertex_index(m[hit] + dm, n[hit] + dn)
+            coef[hit, slot] = c
 
     mask = m == depth  # every row at the last shell references depth+1
     idx.setflags(write=False)
@@ -151,10 +134,10 @@ def _kernel(q: int, depth: int, sign: int):
 @lru_cache(maxsize=None)
 def _weights(q: int, depth: int):
     m, n = _grid_mn(depth)
-    # negative exponents underflow gracefully (and stay exact for q = 2)
-    core = np.power(float(q), -2.0 * m.astype(np.float64))
-    w = np.where((m == 0) & (n == 0), 1.0 / (q * q + q + 1),
-                 np.where((n > 0) & (n < m), float(q + 1), 1.0) * core)
+    # per-stratum factor times q^(-2m); negative exponents underflow
+    # gracefully (and stay exact for q = 2)
+    factor = np.array([1.0 / (q * q + q + 1), 1.0, 1.0, float(q + 1)])
+    w = factor[stratum(m, n)] * np.power(float(q), -2.0 * m.astype(np.float64))
     w.setflags(write=False)
     sw = np.sqrt(w)
     sw.setflags(write=False)
@@ -226,15 +209,16 @@ class L2Space:
         """
         if trials < 1:
             raise ValueError("need at least one trial")
-        import random as _random
-        rng = rng or _random.Random(0)
+        rng = rng or random.Random(0)
         worst = Fraction(0) if exact else 0.0
+        if exact:  # the rows of apply_exact, built once for all trials
+            plus, minus = (_exact_rows(self.q, self.depth, s) for s in (+1, -1))
         for _ in range(trials):
             if exact:
                 f = self._random_interior_exact(rng)
                 g = self._random_interior_exact(rng)
-                lhs = inner_exact(self.q, apply_exact(self.q, self.depth, +1, f)[0], g)
-                rhs = inner_exact(self.q, f, apply_exact(self.q, self.depth, -1, g)[0])
+                lhs = inner_exact(self.q, _apply_rows(plus, f)[0], g)
+                rhs = inner_exact(self.q, f, _apply_rows(minus, g)[0])
                 worst = max(worst, abs(lhs - rhs))
             else:
                 f = self._random_interior_float(rng)
@@ -288,18 +272,6 @@ class L2Space:
 # exact path on vertex dictionaries
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _rows_cached(q: int, depth: int, sign: int):
-    rows = []
-    for m in range(depth + 1):
-        for n in range(m + 1):
-            v = Vertex(m, n)
-            inside = tuple((t, c) for t, c in coeffs(q, v, sign) if t.m <= depth)
-            beyond = any(t.m > depth for t, _ in coeffs(q, v, sign))
-            rows.append((v, inside, beyond))
-    return tuple(rows)
-
-
 def apply_exact(q: int, depth: int, sign: int, values: dict):
     """Exact operator application on a {Vertex: value} mapping.
 
@@ -307,13 +279,22 @@ def apply_exact(q: int, depth: int, sign: int, values: dict):
     integer scalar multiples.  Returns (image dict on the depth triangle,
     set of masked vertices whose row referenced depth+1).
     """
+    return _apply_rows(_exact_rows(q, depth, sign), values)
+
+
+def _exact_rows(q: int, depth: int, sign: int):
+    cx = QuotientComplex(q, depth)
+    return [(v, cx.row(v, sign)) for v in cx.vertices()]
+
+
+def _apply_rows(rows, values):
     out = {}
     masked = set()
-    for v, row, beyond in _rows_cached(q, depth, sign):
-        if beyond:
+    for v, row in rows:
+        if row.masked:
             masked.add(v)
         acc = None
-        for tgt, c in row:
+        for tgt, c in row.terms:
             val = values.get(tgt)
             if val is None:
                 continue

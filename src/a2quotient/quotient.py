@@ -9,7 +9,12 @@ the adjacency rule, and the coefficient rows of the two colored operators
 where the coefficient on an edge is the entering degree w(edge)/w(source).
 Rows always sum to q^2 + q + 1 in both directions.
 
-Coefficient tables (integers):
+Each vertex falls in one of four strata (``stratum``): the origin v00,
+the bottom row n = 0, the diagonal n = m, and the interior.  A row depends
+only on the stratum.  ``table(q, sign)`` is the one copy of the integer
+coefficients in the package: the exact rows here and the float kernel in
+:mod:`a2quotient.operator` both read it, and the float weights index their
+factors by stratum.  Displayed:
 
     A+ : v00 -> (v10, q^2+q+1)
          v_m0 -> (v_{m+1,0}, 1), (v_m1, q^2+q)
@@ -64,16 +69,22 @@ def color(v: Vertex) -> int:
     return (v.m + v.n) % 3
 
 
+def stratum(m, n):
+    """Vertex type: 0 the origin v00, 1 the bottom row n = 0, 2 the
+    diagonal n = m, 3 the interior.  Only comparisons and integer
+    arithmetic, so it evaluates ints and numpy index arrays alike."""
+    return 2 * (n > 0) + (m > n)
+
+
 def stabilizer_order(q: int, m: int, n: int) -> int:
-    """Exact order of the stabilizer of diag(t^m, t^n, 1), by case."""
+    """Exact order of the stabilizer of diag(t^m, t^n, 1), by stratum."""
     validate_q(q)
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m")
-    if m == 0:
+    s = stratum(m, n)
+    if s == 0:
         return q ** 3 * (q + 1) * (q * q + q + 1) * (q - 1) ** 2
-    if n == 0 or n == m:
-        return q ** (2 * m + 3) * (q + 1) * (q - 1) ** 2
-    return q ** (2 * m + 3) * (q - 1) ** 2
+    return q ** (2 * m + 3) * (q + 1 if s < 3 else 1) * (q - 1) ** 2
 
 
 @lru_cache(maxsize=None)
@@ -82,54 +93,53 @@ def vertex_weight(q: int, m: int, n: int) -> Fraction:
     return Fraction(q ** 3 * (q + 1) * (q - 1) ** 2, stabilizer_order(q, m, n))
 
 
+@lru_cache(maxsize=64)
+def table(q: int, sign: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """The coefficient rows of A+ (sign +1) or A- (sign -1), one per
+    stratum, each a tuple of steps (dm, dn, coefficient) in slot order:
+    the row at v_mn has the term c on v_{m+dm, n+dn}.  This is the only
+    copy of the table in the package; the steps do not depend on q."""
+    k = q * q + q + 1
+    if sign == +1:
+        return (((1, 0, k),),
+                ((1, 0, 1), (0, 1, q * q + q)),
+                ((-1, -1, q * q), (1, 0, q + 1)),
+                ((-1, -1, q * q), (0, 1, q), (1, 0, 1)))
+    if sign == -1:
+        return (((1, 1, k),),
+                ((-1, 0, q * q), (1, 1, q + 1)),
+                ((0, -1, q * q + q), (1, 1, 1)),
+                ((-1, 0, q * q), (0, -1, q), (1, 1, 1)))
+    raise ValueError("sign must be +1 or -1")
+
+
 def neighbors(v: Vertex) -> list[Vertex]:
-    """All vertices joined to v by an edge (no truncation)."""
+    """All vertices joined to v by an edge (no truncation): the targets of
+    the two operator rows at v, whose steps are the same for every q."""
     m, n = v
-    if m == 0:
-        deltas = [(1, 0), (1, 1)]
-    elif n == 0:
-        deltas = [(1, 0), (-1, 0), (0, 1), (1, 1)]
-    elif n == m:
-        deltas = [(1, 0), (0, -1), (1, 1), (-1, -1)]
-    else:
-        deltas = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
-    return [Vertex(m + dm, n + dn) for dm, dn in deltas]
+    s = stratum(m, n)
+    return [Vertex(m + dm, n + dn)
+            for sign in (+1, -1) for dm, dn, _ in table(2, sign)[s]]
 
 
 def is_adjacent(u: Vertex, v: Vertex) -> bool:
     return v in neighbors(u)
 
 
+def coeffs(q: int, v: Vertex, sign: int) -> list[tuple[Vertex, int]]:
+    """Row of the color-raising (+1) or color-lowering (-1) operator at v
+    (untruncated)."""
+    m, n = v.m, v.n
+    return [(Vertex(m + dm, n + dn), c)
+            for dm, dn, c in table(q, sign)[stratum(m, n)]]
+
+
 def coeffs_plus(q: int, v: Vertex) -> list[tuple[Vertex, int]]:
-    """Row of the color-raising operator at v (untruncated)."""
-    m, n = v
-    if m == 0:
-        return [(Vertex(1, 0), q * q + q + 1)]
-    if n == 0:
-        return [(Vertex(m + 1, 0), 1), (Vertex(m, 1), q * q + q)]
-    if n == m:
-        return [(Vertex(m - 1, m - 1), q * q), (Vertex(m + 1, m), q + 1)]
-    return [(Vertex(m - 1, n - 1), q * q), (Vertex(m, n + 1), q),
-            (Vertex(m + 1, n), 1)]
+    return coeffs(q, v, +1)
 
 
 def coeffs_minus(q: int, v: Vertex) -> list[tuple[Vertex, int]]:
-    """Row of the color-lowering operator at v (untruncated)."""
-    m, n = v
-    if m == 0:
-        return [(Vertex(1, 1), q * q + q + 1)]
-    if n == 0:
-        return [(Vertex(m - 1, 0), q * q), (Vertex(m + 1, 1), q + 1)]
-    if n == m:
-        return [(Vertex(m, m - 1), q * q + q), (Vertex(m + 1, m + 1), 1)]
-    return [(Vertex(m - 1, n), q * q), (Vertex(m, n - 1), q),
-            (Vertex(m + 1, n + 1), 1)]
-
-
-def coeffs(q: int, v: Vertex, sign: int) -> list[tuple[Vertex, int]]:
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return coeffs_plus(q, v) if sign == +1 else coeffs_minus(q, v)
+    return coeffs(q, v, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +254,8 @@ class QuotientComplex:
         if v.m > self.depth:
             raise ValueError("vertex beyond truncation depth")
         inside, outside = [], []
-        for tgt, c in coeffs(self.q, v, sign):
-            (inside if tgt.m <= self.depth else outside).append((tgt, c))
+        for term in coeffs(self.q, v, sign):
+            (inside if term[0].m <= self.depth else outside).append(term)
         return CoeffRow(terms=tuple(inside), masked=tuple(outside))
 
     def is_masked(self, v: Vertex, sign: int) -> bool:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, eigenfunction_grid, eigenvalue_pair,
+    SpectralParam, Stratum, damped_grid, eigenfunction_grid, eigenvalue_pair,
     solve_unit_cubic,
 )
 from .operator import GridFunction, L2Space, _grid_mn
@@ -154,10 +154,7 @@ TRUNC_LIMIT = 0.01
 
 def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> ResidualReport:
     space = L2Space(q, depth)
-    f = eigenfunction_grid(q, param, depth)
-    if eps > 0:
-        m, _ = _grid_mn(depth)
-        f = GridFunction(depth, f.values * np.power(1.0 - eps, m))
+    f = damped_grid(q, param, eps, depth)
     pair = eigenvalue_pair(q, param)
     keep = ~space.boundary_mask
     total_sq = space.norm(f) ** 2

@@ -1,12 +1,13 @@
 """Independent oracles used by the test suite.
 
 These deliberately do not import coefficient tables or closed-form
-evaluators from the package: the recurrence solver below is written
-directly from the eigenfunction equations and steps shell by shell from
-f(v00) = 1, so it can cross-check both the operator rows and the closed
-forms.  The group-membership references decide membership from the
-determinant over F_q(t) by exact d-th roots, independently of the degree
-tests in the package.
+evaluators from the package: ``expected_rows`` restates the two operator
+tables literally, and the recurrence solver below is written directly
+from the eigenfunction equations and steps shell by shell from f(v00) = 1,
+so it can cross-check both the operator rows and the closed forms.  The
+group-membership references decide membership from the determinant over
+F_q(t) by exact d-th roots, independently of the degree tests in the
+package.
 """
 
 from fractions import Fraction
@@ -46,6 +47,24 @@ def brute_expand_power(coeffs, r, q):
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def expected_rows(q, v):
+    """The recurrence coefficient tables, restated literally."""
+    m, n = v.m, v.n
+    if m == 0:
+        plus = {(1, 0): q * q + q + 1}
+        minus = {(1, 1): q * q + q + 1}
+    elif n == 0:
+        plus = {(m + 1, 0): 1, (m, 1): q * q + q}
+        minus = {(m - 1, 0): q * q, (m + 1, 1): q + 1}
+    elif n == m:
+        plus = {(m - 1, m - 1): q * q, (m + 1, m): q + 1}
+        minus = {(m, m - 1): q * q + q, (m + 1, m + 1): 1}
+    else:
+        plus = {(m - 1, n - 1): q * q, (m, n + 1): q, (m + 1, n): 1}
+        minus = {(m - 1, n): q * q, (m, n - 1): q, (m + 1, n + 1): 1}
+    return plus, minus
 
 
 def weight_of(q, m, n):

@@ -28,6 +28,7 @@ from a2quotient.spectra import (
     is_decreasing, non_ramanujan_witness, norm_divergence, residual_sweep,
     sigma2_contains,
 )
+from oracles import expected_rows
 
 QS = (2, 3, 5)
 EPS_SWEEP = (0.2, 0.1, 0.05, 0.025)
@@ -41,24 +42,6 @@ def _report(num, text, t0, budget):
 
 def triangle(M):
     return [Vertex(m, n) for m in range(M + 1) for n in range(m + 1)]
-
-
-def expected_rows(q, v):
-    """The recurrence coefficient tables, restated literally."""
-    m, n = v.m, v.n
-    if m == 0:
-        plus = {(1, 0): q * q + q + 1}
-        minus = {(1, 1): q * q + q + 1}
-    elif n == 0:
-        plus = {(m + 1, 0): 1, (m, 1): q * q + q}
-        minus = {(m - 1, 0): q * q, (m + 1, 1): q + 1}
-    elif n == m:
-        plus = {(m - 1, m - 1): q * q, (m + 1, m): q + 1}
-        minus = {(m, m - 1): q * q + q, (m + 1, m + 1): 1}
-    else:
-        plus = {(m - 1, n - 1): q * q, (m, n + 1): q, (m + 1, n): 1}
-        minus = {(m - 1, n): q * q, (m, n - 1): q, (m + 1, n + 1): 1}
-    return plus, minus
 
 
 def unimodular_generic(rng, min_gap=5e-3):

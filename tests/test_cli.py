@@ -1,11 +1,22 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from a2quotient import cli
 from a2quotient.cli import main
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, "-m", "a2quotient.cli", *argv],
+                          env=env, capture_output=True, text=True)
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +192,22 @@ class TestSpectraCommand:
         assert payload["sweep_decreasing"] is True
         assert (tmp_path / "spectra_sweep.csv").exists()
 
+    def test_svg_samples(self, capsys, tmp_path):
+        code, _, _ = run_cli(capsys, "--q", "2", "--emit", "svg",
+                             "--out", str(tmp_path), "spectra",
+                             "--samples", "8")
+        assert code == 0
+        svg = (tmp_path / "spectra.svg").read_text()
+        assert svg.count(" L ") == 2 * 7  # two closed paths of 8 points
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_rejected(self, capsys, tmp_path, samples):
+        code, _, err = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
+                               "spectra", "--samples", samples)
+        assert code == 1
+        assert "--samples" in err
+        assert not (tmp_path / "spectra_points.csv").exists()
+
     def test_witness_flag(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "--q", "2", "--emit", "json",
                                "--out", str(tmp_path), "spectra",
@@ -220,23 +247,16 @@ class TestWitnessCommand:
 
 class TestEntryPoint:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "a2quotient.cli", "--q", "2", "reduce",
-             "--matrix", "1,0;0,1"],
-            capture_output=True, text=True)
+        proc = run_module("--q", "2", "reduce", "--matrix", "1,0;0,1")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["m"] == 0
 
     def test_usage_error_prints_help(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "a2quotient.cli"],
-            capture_output=True, text=True)
+        proc = run_module()
         assert proc.returncode == 1  # exit 2 is reserved for verification
         assert "usage" in proc.stderr
 
     def test_help_exits_zero(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "a2quotient.cli", "--help"],
-            capture_output=True, text=True)
+        proc = run_module("--help")
         assert proc.returncode == 0
         assert "usage" in proc.stdout

@@ -9,7 +9,7 @@ from a2quotient.operator import (
     inner_exact, tri_size, vertex_index,
 )
 from a2quotient.quotient import Vertex, vertex_weight
-from oracles import trivial_norm_sq_limit, weight_of
+from oracles import expected_rows, trivial_norm_sq_limit, weight_of
 
 
 class TestGridFunction:
@@ -92,6 +92,26 @@ class TestApply:
             want, _ = apply_exact(q, M, sign, fd)
             for v, val in want.items():
                 assert got[(v.m, v.n)] == pytest.approx(val)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_indicator_columns_match_literal_table(self, q, sign):
+        # (A e_u)(v) is the coefficient of u in the row at v, so the images
+        # of all indicators are the columns of the truncated table
+        M = 6
+        space = L2Space(q, M)
+        verts = [Vertex(m, n) for m in range(M + 1) for n in range(m + 1)]
+        table = np.zeros((len(verts), len(verts)))
+        for i, v in enumerate(verts):
+            row = expected_rows(q, v)[0 if sign == +1 else 1]
+            for (m, n), c in row.items():
+                if m <= M:
+                    table[i, vertex_index(m, n)] = c
+        for j, u in enumerate(verts):
+            image, mask = space.apply(sign, GridFunction.indicator(M, u))
+            assert np.array_equal(image.values, table[:, j]), u
+            assert np.array_equal(np.nonzero(mask)[0],
+                                  np.arange(vertex_index(M, 0), len(verts)))
 
 
 class TestInner:
