@@ -4,7 +4,7 @@
 # An independent stabilizer-index count reproduces every coefficient.
 
 from a2quotient import (
-    QuotientComplex, Vertex, coeffs_minus, coeffs_plus, color,
+    QuotientComplex, Vertex, coeffs, color,
     edge_coeff_from_stabilizers, stabilizer_order, vertex_weight,
 )
 
@@ -19,24 +19,24 @@ for m in range(4):
 
 print("\noperator rows at a few vertices (target, coefficient):")
 for v in (Vertex(0, 0), Vertex(1, 0), Vertex(2, 1), Vertex(3, 3)):
-    print(f"  raising  at {v}: {[(str(t), c) for t, c in coeffs_plus(q, v)]}")
-    print(f"  lowering at {v}: {[(str(t), c) for t, c in coeffs_minus(q, v)]}")
+    print(f"  raising  at {v}: {[(str(t), c) for t, c in coeffs(q, v, +1)]}")
+    print(f"  lowering at {v}: {[(str(t), c) for t, c in coeffs(q, v, -1)]}")
 
 print("\nevery coefficient is a stabilizer index |G_u| / |G_u ∩ G_v|:")
 checked = 0
 for m in range(8):
     for n in range(m + 1):
         u = Vertex(m, n)
-        for sign, table in ((+1, coeffs_plus), (-1, coeffs_minus)):
-            for v, c in table(q, u):
+        for sign in (+1, -1):
+            for v, c in coeffs(q, u, sign):
                 assert edge_coeff_from_stabilizers(q, u, v) == c
                 checked += 1
 print(f"  {checked} coefficients cross-checked, all equal")
 
 print("\nadjointness data: c+(u,v) w(u) == c-(v,u) w(v) on every raising edge")
 u = Vertex(2, 0)
-for v, cuv in coeffs_plus(q, u):
-    back = dict(coeffs_minus(q, v))[u]
+for v, cuv in coeffs(q, u, +1):
+    back = dict(coeffs(q, v, -1))[u]
     lhs = cuv * vertex_weight(q, u.m, u.n)
     rhs = back * vertex_weight(q, v.m, v.n)
     print(f"  {u} -> {v}: {cuv} * {vertex_weight(q, u.m, u.n)} "

@@ -11,7 +11,7 @@ from .eigen import (
 )
 from .operator import GridFunction, L2Space, apply_exact, inner_exact
 from .quotient import (
-    QuotientComplex, Vertex, coeffs_minus, coeffs_plus, color,
+    QuotientComplex, Vertex, coeffs, color,
     edge_coeff_from_stabilizers, is_adjacent, stabilizer_order, vertex_weight,
 )
 from .reduction import (

@@ -29,7 +29,7 @@ from .eigen import (
     params_from_eigenvalue, recurrence_residual, TOL_S, TOL_SING,
 )
 from .operator import L2Space
-from .quotient import QuotientComplex, stabilizer_order
+from .quotient import QuotientComplex, color, stabilizer_order
 from .reduction import ProjMat, Singular, reduce_matrix, verify_witness
 from .spectra import (
     InvalidEpsilon, TruncationTooCoarse, is_decreasing,
@@ -155,7 +155,7 @@ def cmd_complex(cfg: RunConfig, args) -> int:
         fh.write("m,n,color,weight_num,weight_den,stabilizer_order\n")
         for v in cx.vertices():
             w = cx.weight(v)
-            fh.write(f"{v.m},{v.n},{cx.color(v)},{w.numerator},"
+            fh.write(f"{v.m},{v.n},{color(v)},{w.numerator},"
                      f"{w.denominator},{stabilizer_order(cfg.q, v.m, v.n)}\n")
     rpath = _open_out(cfg, "complex_rows.csv")
     with open(rpath, "w", encoding="utf-8") as fh:
@@ -187,7 +187,7 @@ def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
                            for t, c in row.masked],
             }
         vertices.append({
-            "m": v.m, "n": v.n, "color": cx.color(v),
+            "m": v.m, "n": v.n, "color": color(v),
             "weight": fraction_str(cx.weight(v)),  # exact, never a float
             "stabilizer_order": stabilizer_order(cfg.q, v.m, v.n),
             "rows": rows,

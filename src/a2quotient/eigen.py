@@ -433,8 +433,9 @@ class Eisenstein:
         return out
 
 
-def trivial_eigenfunction_exact(k: int, depth: int) -> dict:
-    """The k-th trivial eigenfunction w^(k (m+n)) as exact Eisenstein values."""
-    from .quotient import Vertex
-    return {Vertex(m, n): Eisenstein.omega_power(k * (m + n))
-            for m in range(depth + 1) for n in range(m + 1)}
+def trivial_eigenfunction_exact(k: int, depth: int) -> np.ndarray:
+    """The k-th trivial eigenfunction w^(k (m+n)) as exact Eisenstein
+    values, packed in ``vertex_index`` order in an object array."""
+    m, n = _grid_mn(depth)
+    return np.array([Eisenstein.omega_power(k * s) for s in (m + n).tolist()],
+                    dtype=object)

@@ -1,26 +1,27 @@
 """Matrix-free application of the weighted adjacency operators.
 
-Both paths read the one coefficient table, ``quotient.table``, and the
-vertex-type switch ``quotient.stratum``.
+The triangle {0 <= n <= m <= M} is packed into flat arrays indexed by
+m(m+1)/2 + n.  ``_kernel`` fills, from the one coefficient table
+``quotient.table`` and the vertex-type switch ``quotient.stratum``, at most
+three neighbor slots per row: an index array and integer coefficients.
+Rows that reference depth M+1 are flagged in a boundary mask and evaluate
+the missing neighbor as zero (the compression to the truncated space).
 
-The float path packs the triangle {0 <= n <= m <= M} into flat numpy
-arrays indexed by m(m+1)/2 + n and gathers each operator row from at most
-three neighbor slots, filled stratum by stratum from the table; rows that
-reference depth M+1 are flagged in a boundary mask and evaluate the
-missing neighbor as zero (the compression to the truncated space).  Inner
-products carry the vertex weights; sums are taken over pre-scaled values
-f * sqrt(w) so no intermediate overflows for unimodular spectral data at
-any practical depth.
+One gather runs both operators in two arithmetics: ``L2Space.apply`` on
+complex128 grid functions, ``apply_exact`` on object arrays of ints,
+Fractions or Eisenstein rationals.  The exact adjointness check therefore
+gates the very kernel the float work multiplies, at any depth.
+
+Float inner products carry the vertex weights as pre-scaled values
+f * sqrt(w), so no intermediate overflows for unimodular spectral data at
+any practical depth.  ``inner_exact`` scales by L = (q^2+q+1) q^(2M),
+which makes every L w(v) an integer: it sums integer-scaled products per
+shell and reassembles the shells with one Horner pass in q^2.
 
 A- is built from its own table rows, not as the weighted transpose
 w(u)/w(v) of A+: the float weights underflow to exactly 0 from m = 538 at
 q = 2 (m = 340 at q = 3), where that ratio is 0/0, and the exact
 adjointness check would compare A+ with itself.
-
-The exact path works on plain {Vertex: value} mappings with the truncated
-rows of :class:`a2quotient.quotient.QuotientComplex` and supports any
-value ring with +, * and scalar integer multiples (Fractions, complex, the
-Eisenstein rationals from :mod:`a2quotient.eigen`).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .algebra import validate_q
-from .quotient import QuotientComplex, Vertex, stratum, table, vertex_weight
+from .quotient import stratum, table, weight_factors
 
 
 class DimensionMismatch(ValueError):
@@ -62,34 +63,37 @@ def _grid_mn(depth: int):
     return ms, ns
 
 
+def _packed(depth: int, values, dtype):
+    values = np.asarray(values, dtype=dtype)
+    if values.shape != (tri_size(depth),):
+        raise DimensionMismatch(
+            f"expected {tri_size(depth)} values for depth {depth}")
+    return values
+
+
+def _check_space(q: int, depth: int):
+    validate_q(q)
+    if depth < 2:
+        raise ValueError("depth must be >= 2")
+
+
 class GridFunction:
     """Complex-valued function on the depth-M triangle, flat-packed."""
 
     __slots__ = ("depth", "values")
 
     def __init__(self, depth: int, values):
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != (tri_size(depth),):
-            raise DimensionMismatch(
-                f"expected {tri_size(depth)} values for depth {depth}")
         self.depth = depth
-        self.values = values
+        self.values = _packed(depth, values, np.complex128)
 
     @classmethod
     def zeros(cls, depth: int) -> "GridFunction":
         return cls(depth, np.zeros(tri_size(depth), dtype=np.complex128))
 
     @classmethod
-    def indicator(cls, depth: int, v: Vertex) -> "GridFunction":
+    def indicator(cls, depth: int, v) -> "GridFunction":
         data = np.zeros(tri_size(depth), dtype=np.complex128)
-        data[vertex_index(v.m, v.n)] = 1.0
-        return cls(depth, data)
-
-    @classmethod
-    def from_dict(cls, depth: int, mapping) -> "GridFunction":
-        data = np.zeros(tri_size(depth), dtype=np.complex128)
-        for v, val in mapping.items():
-            data[vertex_index(v.m, v.n)] = val
+        data[vertex_index(*v)] = 1.0
         return cls(depth, data)
 
     def __getitem__(self, v) -> complex:
@@ -98,11 +102,6 @@ class GridFunction:
             raise KeyError(v)
         return complex(self.values[vertex_index(m, n)])
 
-    def to_dict(self) -> dict[Vertex, complex]:
-        ms, ns = _grid_mn(self.depth)
-        return {Vertex(int(m), int(n)): complex(z)
-                for m, n, z in zip(ms, ns, self.values)}
-
 
 @lru_cache(maxsize=None)
 def _kernel(q: int, depth: int, sign: int):
@@ -110,12 +109,13 @@ def _kernel(q: int, depth: int, sign: int):
     ``quotient.table``: one slot per step of the vertex's stratum row.
 
     Returns (idx[T,3], coef[T,3], mask[T]): idx -1 marks an absent slot,
-    mask flags vertices whose row references depth+1.
+    the coefficients are int64 so both arithmetics read them unrounded,
+    and mask flags vertices whose row references depth+1.
     """
     m, n = _grid_mn(depth)
     strata = stratum(m, n).astype(np.int8)
     idx = np.full((m.size, 3), -1, dtype=np.int64)
-    coef = np.zeros((m.size, 3), dtype=np.float64)
+    coef = np.zeros((m.size, 3), dtype=np.int64)
     for s, row in enumerate(table(q, sign)):
         sel = strata == s
         for slot, (dm, dn, c) in enumerate(row):
@@ -131,12 +131,24 @@ def _kernel(q: int, depth: int, sign: int):
     return idx, coef, mask
 
 
+def _gather(q: int, depth: int, sign: int, values: np.ndarray):
+    """Apply one operator to packed values of any dtype: per row the sum
+    of coef * values[idx] over the slots, absent slots counting zero.
+
+    Returns (image, mask).
+    """
+    idx, coef, mask = _kernel(q, depth, sign)
+    padded = values[idx]
+    padded[idx < 0] = 0
+    return (coef * padded).sum(axis=1), mask
+
+
 @lru_cache(maxsize=None)
 def _weights(q: int, depth: int):
     m, n = _grid_mn(depth)
     # per-stratum factor times q^(-2m); negative exponents underflow
     # gracefully (and stay exact for q = 2)
-    factor = np.array([1.0 / (q * q + q + 1), 1.0, 1.0, float(q + 1)])
+    factor = np.array([float(c) for c in weight_factors(q)])
     w = factor[stratum(m, n)] * np.power(float(q), -2.0 * m.astype(np.float64))
     w.setflags(write=False)
     sw = np.sqrt(w)
@@ -148,9 +160,7 @@ class L2Space:
     """Weighted L2 machinery on the depth-M triangle at prime q."""
 
     def __init__(self, q: int, depth: int):
-        validate_q(q)
-        if depth < 2:
-            raise ValueError("depth must be >= 2")
+        _check_space(q, depth)
         self.q = q
         self.depth = depth
         self.weights, self.sqrt_weights = _weights(q, depth)
@@ -164,10 +174,8 @@ class L2Space:
         the missing neighbor counted as zero.
         """
         self._check(f)
-        idx, coef, mask = _kernel(self.q, self.depth, sign)
-        padded = f.values[idx]
-        padded[idx < 0] = 0.0
-        return GridFunction(self.depth, (coef * padded).sum(axis=1)), mask
+        image, mask = _gather(self.q, self.depth, sign, f.values)
+        return GridFunction(self.depth, image), mask
 
     def _check(self, f: GridFunction):
         if f.depth != self.depth:
@@ -211,14 +219,13 @@ class L2Space:
             raise ValueError("need at least one trial")
         rng = rng or random.Random(0)
         worst = Fraction(0) if exact else 0.0
-        if exact:  # the rows of apply_exact, built once for all trials
-            plus, minus = (_exact_rows(self.q, self.depth, s) for s in (+1, -1))
+        q, depth = self.q, self.depth
         for _ in range(trials):
             if exact:
                 f = self._random_interior_exact(rng)
                 g = self._random_interior_exact(rng)
-                lhs = inner_exact(self.q, _apply_rows(plus, f)[0], g)
-                rhs = inner_exact(self.q, f, _apply_rows(minus, g)[0])
+                lhs = inner_exact(q, depth, apply_exact(q, depth, +1, f)[0], g)
+                rhs = inner_exact(q, depth, f, apply_exact(q, depth, -1, g)[0])
                 worst = max(worst, abs(lhs - rhs))
             else:
                 f = self._random_interior_float(rng)
@@ -229,11 +236,10 @@ class L2Space:
         return worst
 
     def _random_interior_exact(self, rng):
-        out = {}
-        for m in range(self.depth):
-            for n in range(m + 1):
-                out[Vertex(m, n)] = rng.randrange(-9, 10)
-        return out
+        data = np.zeros(tri_size(self.depth), dtype=object)
+        interior = tri_size(self.depth - 1)
+        data[:interior] = [rng.randrange(-9, 10) for _ in range(interior)]
+        return data
 
     def _random_interior_float(self, rng):
         data = np.zeros(tri_size(self.depth), dtype=np.complex128)
@@ -269,61 +275,37 @@ class L2Space:
 
 
 # ---------------------------------------------------------------------------
-# exact path on vertex dictionaries
+# exact path on packed object arrays
 # ---------------------------------------------------------------------------
 
-def apply_exact(q: int, depth: int, sign: int, values: dict):
-    """Exact operator application on a {Vertex: value} mapping.
+def apply_exact(q: int, depth: int, sign: int, values):
+    """Exact operator application on values packed in ``vertex_index``
+    order: ints, Fractions, or any ring element supporting integer scalar
+    multiples (the Eisenstein rationals from :mod:`a2quotient.eigen`).
 
-    Values may be Fractions, ints, complex, or any ring element supporting
-    integer scalar multiples.  Returns (image dict on the depth triangle,
-    set of masked vertices whose row referenced depth+1).
+    Returns (image, mask) as for ``L2Space.apply``, the image an object
+    array; at masked vertices the row referenced depth+1.
     """
-    return _apply_rows(_exact_rows(q, depth, sign), values)
+    _check_space(q, depth)
+    return _gather(q, depth, sign, _packed(depth, values, object))
 
 
-def _exact_rows(q: int, depth: int, sign: int):
-    cx = QuotientComplex(q, depth)
-    return [(v, cx.row(v, sign)) for v in cx.vertices()]
+def inner_exact(q: int, depth: int, f, g):
+    """Weighted pairing sum f(v) conj(g(v)) w(v) in exact arithmetic, on
+    values packed in ``vertex_index`` order.
 
-
-def _apply_rows(rows, values):
-    out = {}
-    masked = set()
-    for v, row in rows:
-        if row.masked:
-            masked.add(v)
-        acc = None
-        for tgt, c in row.terms:
-            val = values.get(tgt)
-            if val is None:
-                continue
-            term = c * val
-            acc = term if acc is None else acc + term
-        if acc is not None:
-            out[v] = acc
-    return out, masked
-
-
-def inner_exact(q: int, f: dict, g: dict):
-    """Weighted pairing sum f(v) conj(g(v)) w(v) in exact arithmetic.
-
-    Values with a ``conjugate`` method are conjugated; Fractions and ints
-    pass through unchanged.  Terms are grouped by weight first, so the
-    expensive rational multiplications happen once per weight value.
+    Values are conjugated through their ``conjugate`` method (ints and
+    Fractions return themselves).  With L = (q^2+q+1) q^(2M) every L w(v)
+    is an integer, so the integer-scaled products are summed per shell and
+    one Horner pass in q^2 gives L <f, g>.
     """
-    groups = {}
-    for v, fv in f.items():
-        gv = g.get(v)
-        if gv is None:
-            continue
-        gc = gv.conjugate() if hasattr(gv, "conjugate") else gv
-        term = fv * gc
-        w = vertex_weight(q, v.m, v.n)
-        prev = groups.get(w)
-        groups[w] = term if prev is None else prev + term
-    total = None
-    for w, s in groups.items():
-        term = s * w
-        total = term if total is None else total + term
-    return 0 if total is None else total
+    _check_space(q, depth)
+    f, g = _packed(depth, f, object), _packed(depth, g, object)
+    k = q * q + q + 1
+    scale = np.array([int(k * c) for c in weight_factors(q)])
+    m, n = _grid_mn(depth)
+    terms = scale[stratum(m, n)] * f * np.conjugate(g)
+    total = 0
+    for shell in np.add.reduceat(terms, vertex_index(np.arange(depth + 1), 0)):
+        total = total * q * q + shell
+    return total * Fraction(1, k * q ** (2 * depth))

@@ -12,9 +12,9 @@ Rows always sum to q^2 + q + 1 in both directions.
 Each vertex falls in one of four strata (``stratum``): the origin v00,
 the bottom row n = 0, the diagonal n = m, and the interior.  A row depends
 only on the stratum.  ``table(q, sign)`` is the one copy of the integer
-coefficients in the package: the exact rows here and the float kernel in
-:mod:`a2quotient.operator` both read it, and the float weights index their
-factors by stratum.  Displayed:
+coefficients in the package: the rows here and the operator kernel in
+:mod:`a2quotient.operator` both read it, and ``weight_factors(q)`` holds
+the per-stratum weight factors that both inner products use.  Displayed:
 
     A+ : v00 -> (v10, q^2+q+1)
          v_m0 -> (v_{m+1,0}, 1), (v_m1, q^2+q)
@@ -113,6 +113,14 @@ def table(q: int, sign: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
     raise ValueError("sign must be +1 or -1")
 
 
+def weight_factors(q: int) -> tuple[Fraction, ...]:
+    """Per stratum the factor F of the vertex weight w(v_mn) = F q^(-2m).
+    The float weights and the exact inner product both read it;
+    ``vertex_weight`` derives the same values from the stabilizers."""
+    return (Fraction(1, q * q + q + 1), Fraction(1), Fraction(1),
+            Fraction(q + 1))
+
+
 def neighbors(v: Vertex) -> list[Vertex]:
     """All vertices joined to v by an edge (no truncation): the targets of
     the two operator rows at v, whose steps are the same for every q."""
@@ -132,14 +140,6 @@ def coeffs(q: int, v: Vertex, sign: int) -> list[tuple[Vertex, int]]:
     m, n = v.m, v.n
     return [(Vertex(m + dm, n + dn), c)
             for dm, dn, c in table(q, sign)[stratum(m, n)]]
-
-
-def coeffs_plus(q: int, v: Vertex) -> list[tuple[Vertex, int]]:
-    return coeffs(q, v, +1)
-
-
-def coeffs_minus(q: int, v: Vertex) -> list[tuple[Vertex, int]]:
-    return coeffs(q, v, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +247,6 @@ class QuotientComplex:
     def weight(self, v: Vertex) -> Fraction:
         return vertex_weight(self.q, v.m, v.n)
 
-    def color(self, v: Vertex) -> int:
-        return color(v)
-
     def row(self, v: Vertex, sign: int) -> CoeffRow:
         if v.m > self.depth:
             raise ValueError("vertex beyond truncation depth")
@@ -257,6 +254,3 @@ class QuotientComplex:
         for term in coeffs(self.q, v, sign):
             (inside if term[0].m <= self.depth else outside).append(term)
         return CoeffRow(terms=tuple(inside), masked=tuple(outside))
-
-    def is_masked(self, v: Vertex, sign: int) -> bool:
-        return bool(self.row(v, sign).masked)

@@ -253,6 +253,8 @@ def render_spectra(q: int, path, samples: int = 256) -> str:
     """Write an SVG of the three sets: filled inner region, outer cusped
     curve, three point markers, with the axis-scale annotations."""
     validate_q(q)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
     size = 640.0
     half = size / 2
     scale = 280.0 / (q * q + q + 1)

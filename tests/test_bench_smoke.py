@@ -1,9 +1,15 @@
 """Smoke test of the benchmark harness: one short exact-reduce run must
 produce a correct result with the end-to-end metrics BENCHMARK.json declares.
-No timing is checked."""
+No timing is checked.
+
+The harness writes its records under its own directory, so the test runs a
+copy of ``perfbench/`` and ``BENCHMARK.json`` next to a link to ``src/`` in
+``tmp_path``: nothing is written under the checkout, and concurrent runs do
+not share record paths."""
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +18,16 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_exact_reduce_run(tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
+                    ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src", target_is_directory=True)
+    env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "exact-reduce",
-         "--seed", "1", "--seconds", "1", "--trace", "0",
-         "--results", str(tmp_path / "results.jsonl")],
-        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+         "--seed", "1", "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True

@@ -4,6 +4,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from a2quotient import operator
+from a2quotient.eigen import Eisenstein
 from a2quotient.operator import (
     DimensionMismatch, GridFunction, L2Space, ZeroFunction, apply_exact,
     inner_exact, tri_size, vertex_index,
@@ -30,14 +32,6 @@ class TestGridFunction:
         assert vertex_index(1, 1) == 2
         assert vertex_index(3, 2) == 8
         assert tri_size(3) == 10
-
-    def test_dict_roundtrip(self):
-        f = GridFunction.indicator(3, Vertex(2, 1))
-        d = f.to_dict()
-        assert len(d) == tri_size(3)
-        assert d[Vertex(2, 1)] == 1.0
-        g = GridFunction.from_dict(3, d)
-        assert np.array_equal(f.values, g.values)
 
 
 class TestApply:
@@ -84,14 +78,15 @@ class TestApply:
         q, M = 3, 7
         space = L2Space(q, M)
         rng = random.Random(11)
-        fd = {Vertex(m, n): rng.randrange(-5, 6)
-              for m in range(M + 1) for n in range(m + 1)}
-        f = GridFunction.from_dict(M, fd)
+        fd = np.array([rng.randrange(-5, 6) for _ in range(tri_size(M))],
+                      dtype=object)
+        f = GridFunction(M, fd)
         for sign in (+1, -1):
-            got, _ = space.apply(sign, f)
-            want, _ = apply_exact(q, M, sign, fd)
-            for v, val in want.items():
-                assert got[(v.m, v.n)] == pytest.approx(val)
+            got, mask = space.apply(sign, f)
+            want, want_mask = apply_exact(q, M, sign, fd)
+            assert np.array_equal(mask, want_mask)
+            for i, val in enumerate(want):
+                assert got.values[i] == pytest.approx(val)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -158,6 +153,25 @@ class TestAdjointness:
         space3 = L2Space(3, 10)
         assert space3.adjoint_defect(trials=20, rng=random.Random(2)) == 0
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_exact_zero_at_depth_400(self, q):
+        assert L2Space(q, 400).adjoint_defect(trials=2, rng=random.Random(q)) == 0
+
+    def test_exact_check_reads_the_kernel(self, monkeypatch):
+        # one coefficient of the A+ kernel off by one must show as a defect
+        real = operator._kernel
+
+        def bent(q, depth, sign):
+            idx, coef, mask = real(q, depth, sign)
+            if sign == +1:
+                coef = coef.copy()
+                coef[vertex_index(3, 1), 0] += 1
+            return idx, coef, mask
+
+        real.cache_clear()
+        monkeypatch.setattr(operator, "_kernel", bent)
+        assert L2Space(2, 12).adjoint_defect(trials=3, rng=random.Random(5)) != 0
+
     def test_float_small(self):
         space = L2Space(2, 20)
         d = space.adjoint_defect(trials=25, rng=random.Random(3), exact=False)
@@ -189,12 +203,12 @@ class TestNormBoundAndCommutation:
         q, M = 2, 14
         space = L2Space(q, M)
         rng = random.Random(23)
-        fd = {Vertex(m, n): Fraction(rng.randrange(-9, 10))
-              for m in range(M - 1) for n in range(m + 1)}
+        fd = np.full(tri_size(M), Fraction(0), dtype=object)
+        fd[:tri_size(M - 2)] = [Fraction(rng.randrange(-9, 10))
+                                for _ in range(tri_size(M - 2))]
         pm, _ = apply_exact(q, M, -1, apply_exact(q, M, +1, fd)[0])
         mp, _ = apply_exact(q, M, +1, apply_exact(q, M, -1, fd)[0])
-        for v in set(pm) | set(mp):
-            assert pm.get(v, Fraction(0)) == mp.get(v, Fraction(0))
+        assert list(pm) == list(mp)
 
 
 class TestNormEstimate:
@@ -245,14 +259,49 @@ class TestRayleigh:
             space.rayleigh(+1, GridFunction.zeros(4))
 
 
+def exact_indicator(depth, v):
+    f = np.full(tri_size(depth), Fraction(0), dtype=object)
+    f[vertex_index(*v)] = Fraction(1)
+    return f
+
+
 class TestExactHelpers:
     def test_inner_exact_weights(self):
-        f = {Vertex(0, 0): Fraction(1)}
-        assert inner_exact(2, f, f) == Fraction(1, 7)
+        f = exact_indicator(2, (0, 0))
+        assert inner_exact(2, 2, f, f) == Fraction(1, 7)
 
     def test_apply_exact_masks(self):
         q, M = 2, 3
-        f = {Vertex(3, 1): Fraction(1)}
+        f = exact_indicator(M, (3, 1))
         out, masked = apply_exact(q, M, +1, f)
-        assert all(v.m <= M for v in out)
-        assert all(v.m == M for v in masked)
+        assert out.shape == (tri_size(M),)
+        assert np.array_equal(np.flatnonzero(masked),
+                              np.arange(vertex_index(M, 0), tri_size(M)))
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_inner_exact_matches_vertex_weights(self, q):
+        M = 9
+        rng = random.Random(q)
+        verts = [(m, n) for m in range(M + 1) for n in range(m + 1)]
+
+        def frac():
+            return Fraction(rng.randrange(-20, 21), rng.randrange(1, 8))
+
+        def eis():
+            return Eisenstein(frac(), frac())
+
+        for draw in (frac, eis):
+            f = np.array([draw() for _ in verts], dtype=object)
+            g = np.array([draw() for _ in verts], dtype=object)
+            want = sum((f[i] * g[i].conjugate() * vertex_weight(q, m, n)
+                        for i, (m, n) in enumerate(verts)), Fraction(0))
+            assert inner_exact(q, M, f, g) == want
+
+    def test_wrong_length_rejected(self):
+        f = exact_indicator(4, (1, 0))
+        with pytest.raises(DimensionMismatch):
+            apply_exact(2, 5, +1, f)
+        with pytest.raises(DimensionMismatch):
+            inner_exact(2, 5, f, f)
+        with pytest.raises(DimensionMismatch):
+            inner_exact(2, 4, f, f[:-1])

@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from a2quotient.quotient import (
-    CoeffRow, NotAdjacent, QuotientComplex, Vertex, coeffs, coeffs_minus,
-    coeffs_plus, color, edge_coeff_from_stabilizers, is_adjacent, neighbors,
-    stabilizer_order, stabilizer_order_counted, vertex_weight,
+    CoeffRow, NotAdjacent, QuotientComplex, Vertex, coeffs, color,
+    edge_coeff_from_stabilizers, is_adjacent, neighbors, stabilizer_order,
+    stabilizer_order_counted, stratum, vertex_weight, weight_factors,
 )
 
 QS = [2, 3, 5]
@@ -53,6 +53,12 @@ class TestStabilizers:
             w = vertex_weight(q, v.m, v.n)
             assert 0 < w <= 1
 
+    @pytest.mark.parametrize("q", QS)
+    def test_weight_factors_match_stabilizers(self, q):
+        for v in triangle(10):
+            assert vertex_weight(q, v.m, v.n) == (
+                weight_factors(q)[stratum(v.m, v.n)] / q ** (2 * v.m))
+
 
 class TestAdjacency:
     def test_origin_and_interior(self):
@@ -82,12 +88,12 @@ class TestAdjacency:
 
 class TestCoefficientRows:
     def test_displayed_examples_q2(self):
-        assert coeffs_plus(2, Vertex(0, 0)) == [(Vertex(1, 0), 7)]
-        assert coeffs_minus(2, Vertex(0, 0)) == [(Vertex(1, 1), 7)]
-        assert sorted(coeffs_plus(2, Vertex(1, 0))) == [(Vertex(1, 1), 6), (Vertex(2, 0), 1)]
-        assert sorted(coeffs_minus(2, Vertex(1, 0))) == [(Vertex(0, 0), 4), (Vertex(2, 1), 3)]
-        assert sorted(coeffs_plus(2, Vertex(1, 1))) == [(Vertex(0, 0), 4), (Vertex(2, 1), 3)]
-        assert sorted(coeffs_minus(2, Vertex(1, 1))) == [(Vertex(1, 0), 6), (Vertex(2, 2), 1)]
+        assert coeffs(2, Vertex(0, 0), +1) == [(Vertex(1, 0), 7)]
+        assert coeffs(2, Vertex(0, 0), -1) == [(Vertex(1, 1), 7)]
+        assert sorted(coeffs(2, Vertex(1, 0), +1)) == [(Vertex(1, 1), 6), (Vertex(2, 0), 1)]
+        assert sorted(coeffs(2, Vertex(1, 0), -1)) == [(Vertex(0, 0), 4), (Vertex(2, 1), 3)]
+        assert sorted(coeffs(2, Vertex(1, 1), +1)) == [(Vertex(0, 0), 4), (Vertex(2, 1), 3)]
+        assert sorted(coeffs(2, Vertex(1, 1), -1)) == [(Vertex(1, 0), 6), (Vertex(2, 2), 1)]
 
     @pytest.mark.parametrize("q", QS)
     def test_row_sums_regularity(self, q):
@@ -99,9 +105,9 @@ class TestCoefficientRows:
     @pytest.mark.parametrize("q", QS)
     def test_color_step(self, q):
         for v in triangle(12):
-            for tgt, _ in coeffs_plus(q, v):
+            for tgt, _ in coeffs(q, v, +1):
                 assert color(tgt) == (color(v) + 1) % 3
-            for tgt, _ in coeffs_minus(q, v):
+            for tgt, _ in coeffs(q, v, -1):
                 assert color(tgt) == (color(v) - 1) % 3
 
     @pytest.mark.parametrize("q", QS)
@@ -117,9 +123,9 @@ class TestCoefficientRows:
         # c+(u,v) w(u) == c-(v,u) w(v) exactly, for every raising edge
         for u in triangle(15):
             wu = vertex_weight(q, u.m, u.n)
-            for v, cuv in coeffs_plus(q, u):
+            for v, cuv in coeffs(q, u, +1):
                 wv = vertex_weight(q, v.m, v.n)
-                back = dict(coeffs_minus(q, v))
+                back = dict(coeffs(q, v, -1))
                 assert u in back, (u, v)
                 assert cuv * wu == back[u] * wv
 
@@ -174,11 +180,11 @@ class TestQuotientComplex:
         assert isinstance(row, CoeffRow)
         assert all(t.m <= 4 for t, _ in row.terms)
         assert row.masked and all(t.m == 5 for t, _ in row.masked)
-        assert cx.is_masked(Vertex(4, 2), +1)
-        assert not cx.is_masked(Vertex(3, 1), +1)
+        assert cx.row(Vertex(4, 2), +1).masked
+        assert not cx.row(Vertex(3, 1), +1).masked
         # nothing dropped: terms + masked rebuild the full row
         full = sorted(row.terms + row.masked)
-        assert full == sorted(coeffs_plus(2, Vertex(4, 2)))
+        assert full == sorted(coeffs(2, Vertex(4, 2), +1))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -224,6 +224,13 @@ class TestRender:
         assert len(filled) == 1 and len(empty) == 1
         assert filled[0].count("Z") == 1 and empty[0].count("Z") == 1
 
+    @pytest.mark.parametrize("samples", [0, -3])
+    def test_nonpositive_samples_rejected(self, tmp_path, samples):
+        out = tmp_path / "spec.svg"
+        with pytest.raises(ValueError, match="samples"):
+            render_spectra(2, out, samples=samples)
+        assert not out.exists()
+
     def test_cusp_marker_angles(self, tmp_path):
         import re
         out = tmp_path / "spec.svg"
