@@ -15,8 +15,8 @@ from .quotient import (
     edge_coeff_from_stabilizers, is_adjacent, stabilizer_order, vertex_weight,
 )
 from .reduction import (
-    ProjMat, ReductionResult, in_maximal_compact, in_modular_group, reduce2,
-    reduce3, reduce_matrix, verify_witness,
+    ProjMat, ReductionResult, in_maximal_compact, in_modular_group,
+    reduce_matrix, verify_witness,
 )
 from .spectra import (
     classify_point, non_ramanujan_witness, norm_divergence, render_spectra,

@@ -15,29 +15,30 @@ its seed in file headers and summaries.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .algebra import fraction_str, validate_q
 from .eigen import (
-    NotInS, SpectralParam, eigenfunction_grid, eigenvalue_pair,
+    OMEGA, SpectralParam, eigenfunction_grid, eigenvalue_pair,
     params_from_eigenvalue, recurrence_residual, TOL_S, TOL_SING,
 )
-from .operator import L2Space
+from .operator import L2Space, tri_size
 from .quotient import QuotientComplex, color, stabilizer_order
-from .reduction import ProjMat, Singular, reduce_matrix, verify_witness
+from .reduction import ProjMat, reduce_matrix, verify_witness
 from .spectra import (
-    InvalidEpsilon, TruncationTooCoarse, is_decreasing,
-    non_ramanujan_witness, render_spectra, residual_sweep, sigma0,
-    sigma1_point, sigma2_boundary_point, sigma2_contains,
+    curve_samples, is_decreasing, non_ramanujan_witness, render_spectra,
+    residual_sweep, sigma0, sigma1_cusp,
 )
 
 ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
+# shorter than the library's default ladder: at depth 480 (eps 0.025) the
+# float eigenfunction overflows for q >= 5
+DEFAULT_EPS = "0.2,0.1,0.05"
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,6 @@ class RunConfig:
     depth: int = 20
     tol_s: float = TOL_S
     tol_sing: float = TOL_SING
-    tol: float = 1e-6
     seed: int = 0
     fmt: str = "csv"
     outdir: str = "."
@@ -55,7 +55,7 @@ class RunConfig:
         validate_q(self.q)
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
-        if min(self.tol_s, self.tol_sing, self.tol) <= 0:
+        if min(self.tol_s, self.tol_sing) <= 0:
             raise ValueError("tolerances must be positive")
         if self.fmt not in ("csv", "json", "svg"):
             raise ValueError(f"unknown output format {self.fmt!r}")
@@ -76,8 +76,7 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_CONFIG_TYPES = {"q": int, "depth": int, "seed": int, "tol_s": float,
-                 "tol_sing": float, "tol": float, "fmt": str, "outdir": str}
+_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -120,8 +119,7 @@ def _open_out(cfg: RunConfig, name: str):
 
 
 def _header(cfg: RunConfig) -> str:
-    return (f"# seed={cfg.seed} q={cfg.q} depth={cfg.depth} "
-            f"tol={cfg.tol!r}\n")
+    return f"# seed={cfg.seed} q={cfg.q} depth={cfg.depth}\n"
 
 
 # ---------------------------------------------------------------------------
@@ -145,53 +143,53 @@ def cmd_reduce(cfg: RunConfig, args) -> int:
     return 0 if verified else 2
 
 
+def _walk(cx: QuotientComplex):
+    """One streamed pass over the vertices: each with its exact weight,
+    stabilizer order and (label, row) pairs for A+ and A-."""
+    for v in cx.vertices():
+        rows = [(label, cx.row(v, sign))
+                for sign, label in ((+1, "plus"), (-1, "minus"))]
+        yield v, cx.weight(v), stabilizer_order(cx.q, v.m, v.n), rows
+
+
 def cmd_complex(cfg: RunConfig, args) -> int:
     cx = QuotientComplex(cfg.q, cfg.depth)
     if cfg.fmt == "json":
         return _complex_json(cfg, cx)
     vpath = _open_out(cfg, "complex_vertices.csv")
-    with open(vpath, "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write("m,n,color,weight_num,weight_den,stabilizer_order\n")
-        for v in cx.vertices():
-            w = cx.weight(v)
-            fh.write(f"{v.m},{v.n},{color(v)},{w.numerator},"
-                     f"{w.denominator},{stabilizer_order(cfg.q, v.m, v.n)}\n")
     rpath = _open_out(cfg, "complex_rows.csv")
-    with open(rpath, "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write("m,n,direction,target_m,target_n,coefficient,masked\n")
-        for v in cx.vertices():
-            for sign, label in ((+1, "plus"), (-1, "minus")):
-                row = cx.row(v, sign)
+    with open(vpath, "w", encoding="utf-8") as vf, \
+            open(rpath, "w", encoding="utf-8") as rf:
+        vf.write(_header(cfg))
+        vf.write("m,n,color,weight_num,weight_den,stabilizer_order\n")
+        rf.write(_header(cfg))
+        rf.write("m,n,direction,target_m,target_n,coefficient,masked\n")
+        for v, w, order, rows in _walk(cx):
+            vf.write(f"{v.m},{v.n},{color(v)},{w.numerator},"
+                     f"{w.denominator},{order}\n")
+            for label, row in rows:
                 for tgt, c in row.terms:
-                    fh.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},0\n")
+                    rf.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},0\n")
                 for tgt, c in row.masked:
-                    fh.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},1\n")
+                    rf.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},1\n")
     _emit_json({"seed": cfg.seed, "q": cfg.q, "depth": cfg.depth,
-                "vertices": len(cx.vertices()),
+                "vertices": tri_size(cfg.depth),
                 "files": [str(vpath), str(rpath)]})
     return 0
 
 
 def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
-    vertices = []
-    for v in cx.vertices():
-        rows = {}
-        for sign, label in ((+1, "plus"), (-1, "minus")):
-            row = cx.row(v, sign)
-            rows[label] = {
-                "terms": [{"m": t.m, "n": t.n, "coefficient": c}
-                          for t, c in row.terms],
-                "masked": [{"m": t.m, "n": t.n, "coefficient": c}
-                           for t, c in row.masked],
-            }
-        vertices.append({
-            "m": v.m, "n": v.n, "color": color(v),
-            "weight": fraction_str(cx.weight(v)),  # exact, never a float
-            "stabilizer_order": stabilizer_order(cfg.q, v.m, v.n),
-            "rows": rows,
-        })
+    vertices = [{
+        "m": v.m, "n": v.n, "color": color(v),
+        "weight": fraction_str(w),  # exact, never a float
+        "stabilizer_order": order,
+        "rows": {label: {
+            "terms": [{"m": t.m, "n": t.n, "coefficient": c}
+                      for t, c in row.terms],
+            "masked": [{"m": t.m, "n": t.n, "coefficient": c}
+                       for t, c in row.masked],
+        } for label, row in rows},
+    } for v, w, order, rows in _walk(cx)]
     path = _open_out(cfg, "complex.json")
     payload = {"seed": cfg.seed, "q": cfg.q, "depth": cfg.depth,
                "vertices": vertices}
@@ -252,17 +250,36 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 
 def _spectra_samples(q: int, count: int):
-    rows = []
-    for k in range(3):
-        z = sigma0(q)[k]
-        rows.append((2 * math.pi * k / 3, z, "Sigma0"))
-    for k in range(count):
-        th = 2 * math.pi * k / count
-        rows.append((th, sigma1_point(q, th), "Sigma1"))
-    for k in range(count):
-        th = 2 * math.pi * k / count
-        rows.append((th, sigma2_boundary_point(q, th), "Sigma2Boundary"))
+    thetas, sigma1, boundary = curve_samples(q, count)
+    rows = [(2 * math.pi * k / 3, z, "Sigma0") for k, z in enumerate(sigma0(q))]
+    rows += [(th, z, "Sigma1") for th, z in zip(thetas, sigma1)]
+    rows += [(th, z, "Sigma2Boundary") for th, z in zip(thetas, boundary)]
     return rows
+
+
+def _eps_list(args) -> tuple[float, ...]:
+    return tuple(float(e) for e in args.eps.split(","))
+
+
+def _witness_payload(rep) -> dict:
+    return {
+        "lambda_star": rep.lambda_star,
+        "sigma2_contains": rep.in_sigma2,
+        "margin": rep.margin,
+        "margin_exact_check": not rep.in_sigma2,
+        "sweep": [{
+            "epsilon": r.epsilon, "depth": r.depth,
+            "residual_plus": r.residual_plus,
+            "residual_minus": r.residual_minus,
+            "norm": r.norm, "truncation_fraction": r.truncation_fraction,
+        } for r in rep.sweep],
+        "decreasing": rep.decreasing,
+    }
+
+
+def _witness_code(rep) -> int:
+    ok = (not rep.in_sigma2) and rep.margin > 0 and rep.decreasing
+    return 0 if ok else 2
 
 
 def cmd_spectra(cfg: RunConfig, args) -> int:
@@ -291,73 +308,42 @@ def cmd_spectra(cfg: RunConfig, args) -> int:
         outputs.append(str(path))
 
     summary = {"seed": cfg.seed, "q": cfg.q, "files": outputs}
+    eps_list = _eps_list(args)
+    rep = non_ramanujan_witness(cfg.q, eps_list) if args.witness else None
     if args.sweep:
-        eps_list = [float(e) for e in args.eps.split(",")]
-        w = cmath.exp(2j * cmath.pi / 3)
-        families = {
-            "sigma2_center": SpectralParam.from_triple(cfg.q, 1.0, w, w * w),
-            "sigma1_cusp": _sigma1_param(cfg.q, 0.0),
+        center = SpectralParam.from_triple(cfg.q, 1.0, OMEGA, OMEGA * OMEGA)
+        sweeps = {
+            "sigma2_center": residual_sweep(cfg.q, center, eps_list),
+            # with --witness the cusp is already swept at these eps
+            "sigma1_cusp": (rep.sweep if rep is not None else
+                            residual_sweep(cfg.q, sigma1_cusp(cfg.q), eps_list)),
         }
         path = _open_out(cfg, "spectra_sweep.csv")
-        all_ok = True
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_header(cfg))
             fh.write("family,epsilon,depth,residual_plus,residual_minus,"
                      "norm,truncation_fraction\n")
-            for name, param in families.items():
-                reports = residual_sweep(cfg.q, param, eps_list)
-                all_ok = all_ok and is_decreasing(reports)
+            for name, reports in sweeps.items():
                 for r in reports:
                     fh.write(f"{name},{r.epsilon!r},{r.depth},"
                              f"{r.residual_plus!r},{r.residual_minus!r},"
                              f"{r.norm!r},{r.truncation_fraction!r}\n")
         outputs.append(str(path))
         summary["sweep_csv"] = str(path)
-        summary["sweep_decreasing"] = all_ok
-        if not all_ok:
+        summary["sweep_decreasing"] = all(map(is_decreasing, sweeps.values()))
+        if not summary["sweep_decreasing"]:
             code = 2
-    if args.witness:
-        rep = non_ramanujan_witness(cfg.q, eps_list=(0.2, 0.1, 0.05))
-        summary["witness"] = {
-            "lambda_star": rep.lambda_star,
-            "sigma2_contains": rep.in_sigma2,
-            "margin": rep.margin,
-            "decreasing": rep.decreasing,
-        }
-        if rep.in_sigma2 or rep.margin <= 0 or not rep.decreasing:
-            code = 2
+    if rep is not None:
+        summary["witness"] = _witness_payload(rep)
+        code = max(code, _witness_code(rep))
     _emit_json(summary)
     return code
 
 
-def _sigma1_param(q: int, theta: float) -> SpectralParam:
-    r = math.sqrt(q)
-    return SpectralParam.from_triple(
-        q, r * cmath.exp(1j * theta), cmath.exp(-2j * theta),
-        cmath.exp(1j * theta) / r)
-
-
 def cmd_witness(cfg: RunConfig, args) -> int:
-    eps_list = tuple(float(e) for e in args.eps.split(","))
-    rep = non_ramanujan_witness(cfg.q, eps_list=eps_list)
-    payload = {
-        "seed": cfg.seed,
-        "q": cfg.q,
-        "lambda_star": rep.lambda_star,
-        "sigma2_contains": rep.in_sigma2,
-        "margin": rep.margin,
-        "margin_exact_check": not sigma2_contains(cfg.q, rep.lambda_star),
-        "sweep": [{
-            "epsilon": r.epsilon, "depth": r.depth,
-            "residual_plus": r.residual_plus,
-            "residual_minus": r.residual_minus,
-            "norm": r.norm, "truncation_fraction": r.truncation_fraction,
-        } for r in rep.sweep],
-        "decreasing": rep.decreasing,
-    }
-    _emit_json(payload)
-    ok = (not rep.in_sigma2) and rep.margin > 0 and rep.decreasing
-    return 0 if ok else 2
+    rep = non_ramanujan_witness(cfg.q, _eps_list(args))
+    _emit_json({"seed": cfg.seed, "q": cfg.q, **_witness_payload(rep)})
+    return _witness_code(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +362,6 @@ def _add_common(parser: argparse.ArgumentParser, after_subcommand: bool) -> None
                         help="membership tolerance for parameter triples", **kw)
     parser.add_argument("--tol-sing", dest="tol_sing", type=float,
                         help="stratum dispatch tolerance", **kw)
-    parser.add_argument("--tol", type=float,
-                        help="float comparison tolerance", **kw)
     parser.add_argument("--out", dest="outdir",
                         help=f"output directory (or ${ENV_OUTDIR})", **kw)
     parser.add_argument("--emit", dest="fmt", choices=["csv", "json", "svg"],
@@ -422,13 +406,13 @@ def make_parser() -> argparse.ArgumentParser:
                    help="also run residual sweeps (exit 2 if not decreasing)")
     p.add_argument("--witness", action="store_true",
                    help="include the non-Ramanujan witness in the summary")
-    p.add_argument("--eps", default="0.2,0.1,0.05",
-                   help="comma-separated damping values for --sweep")
+    p.add_argument("--eps", default=DEFAULT_EPS,
+                   help="comma-separated damping values for --sweep and --witness")
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("witness", help="non-Ramanujan witness report")
     _add_common(p, after_subcommand=True)
-    p.add_argument("--eps", default="0.2,0.1,0.05",
+    p.add_argument("--eps", default=DEFAULT_EPS,
                    help="comma-separated damping values for the sweep")
     p.set_defaults(func=cmd_witness)
     return parser
@@ -445,8 +429,7 @@ def main(argv=None) -> int:
     try:
         cfg = build_config(args)
         return args.func(cfg, args)
-    except (ValueError, NotInS, Singular, InvalidEpsilon, TruncationTooCoarse,
-            OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

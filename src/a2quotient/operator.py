@@ -52,7 +52,7 @@ def vertex_index(m, n):
     return m * (m + 1) // 2 + n
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def _grid_mn(depth: int):
     ms = np.concatenate([np.full(m + 1, m, dtype=np.int64)
                          for m in range(depth + 1)])
@@ -103,7 +103,7 @@ class GridFunction:
         return complex(self.values[vertex_index(m, n)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _kernel(q: int, depth: int, sign: int):
     """Neighbor indices and coefficients for one direction, filled from
     ``quotient.table``: one slot per step of the vertex's stratum row.
@@ -143,7 +143,7 @@ def _gather(q: int, depth: int, sign: int, values: np.ndarray):
     return (coef * padded).sum(axis=1), mask
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _weights(q: int, depth: int):
     m, n = _grid_mn(depth)
     # per-stratum factor times q^(-2m); negative exponents underflow

@@ -87,7 +87,7 @@ def stabilizer_order(q: int, m: int, n: int) -> int:
     return q ** (2 * m + 3) * (q + 1 if s < 3 else 1) * (q - 1) ** 2
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1 << 15)
 def vertex_weight(q: int, m: int, n: int) -> Fraction:
     """Weight q^3(q+1)(q-1)^2 / |stabilizer|, in lowest terms."""
     return Fraction(q ** 3 * (q + 1) * (q - 1) ** 2, stabilizer_order(q, m, n))

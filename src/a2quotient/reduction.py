@@ -223,20 +223,6 @@ def reduce_matrix(g: ProjMat) -> ReductionResult:
                              for i, ki in zip(order, k)]))
 
 
-def reduce2(g: ProjMat) -> ReductionResult:
-    """Normal form diag(t^m, 1) of an invertible 2x2 class, with witnesses."""
-    if g.dim != 2:
-        raise ValueError("reduce2 expects a 2x2 matrix")
-    return reduce_matrix(g)
-
-
-def reduce3(g: ProjMat) -> ReductionResult:
-    """Normal form diag(t^m, t^n, 1), m >= n >= 0, of an invertible 3x3 class."""
-    if g.dim != 3:
-        raise ValueError("reduce3 expects a 3x3 matrix")
-    return reduce_matrix(g)
-
-
 def verify_witness(result: ReductionResult, g: ProjMat) -> bool:
     """Certificate check: witnesses lie in their groups and reassemble g."""
     gamma, w = _cleared(result.gamma.entries), _cleared(result.w.entries)

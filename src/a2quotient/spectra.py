@@ -114,6 +114,17 @@ def sigma2_boundary_point(q: int, phi: float) -> complex:
     return q * (2 * cmath.exp(1j * phi) + cmath.exp(-2j * phi))
 
 
+def curve_samples(q: int, samples: int):
+    """The sigma1 curve and the sigma2 boundary sampled at 2 pi k / samples:
+    (thetas, sigma1 points, sigma2 boundary points)."""
+    validate_q(q)
+    if samples < 1:
+        raise ValueError("samples must be at least 1")
+    thetas = [2 * math.pi * k / samples for k in range(samples)]
+    return (thetas, [sigma1_point(q, th) for th in thetas],
+            [sigma2_boundary_point(q, th) for th in thetas])
+
+
 def classify_point(q: int, la: complex, tol: float = 1e-6,
                    boundary_tol: float = 1e-4) -> SpectrumPoint:
     """Tag a point; membership in neither set is reported as Outside
@@ -219,6 +230,13 @@ def norm_divergence(q: int, param: SpectralParam, depths) -> list[float]:
     return out
 
 
+def sigma1_cusp(q: int) -> SpectralParam:
+    """The parameter (sqrt q, 1, 1/sqrt q), whose eigenvalue is the sigma1
+    cusp q^{3/2} + q + q^{1/2}."""
+    r = math.sqrt(q)
+    return SpectralParam.from_triple(q, r, 1.0, 1.0 / r)
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     q: int
@@ -236,9 +254,7 @@ def non_ramanujan_witness(q: int, eps_list=(0.2, 0.1, 0.05, 0.025)) -> WitnessRe
     validate_q(q)
     lam = q ** 1.5 + q + q ** 0.5
     margin = q ** 1.5 + q ** 0.5 - 2 * q
-    r = math.sqrt(q)
-    param = SpectralParam.from_triple(q, r, 1.0, 1.0 / r)
-    sweep = residual_sweep(q, param, eps_list)
+    sweep = residual_sweep(q, sigma1_cusp(q), eps_list)
     return WitnessReport(q=q, lambda_star=lam,
                          in_sigma2=sigma2_contains(q, lam),
                          margin=margin, sweep=sweep,
@@ -252,9 +268,7 @@ def non_ramanujan_witness(q: int, eps_list=(0.2, 0.1, 0.05, 0.025)) -> WitnessRe
 def render_spectra(q: int, path, samples: int = 256) -> str:
     """Write an SVG of the three sets: filled inner region, outer cusped
     curve, three point markers, with the axis-scale annotations."""
-    validate_q(q)
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    _, outer, inner = curve_samples(q, samples)
     size = 640.0
     half = size / 2
     scale = 280.0 / (q * q + q + 1)
@@ -267,10 +281,6 @@ def render_spectra(q: int, path, samples: int = 256) -> str:
         head = f"M {coords[0][0]:.3f} {coords[0][1]:.3f}"
         rest = " ".join(f"L {x:.3f} {y:.3f}" for x, y in coords[1:])
         return f"{head} {rest} Z"
-
-    phis = [2 * math.pi * k / samples for k in range(samples)]
-    inner = [sigma2_boundary_point(q, p) for p in phis]
-    outer = [sigma1_point(q, p) for p in phis]
 
     lines = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size:.0f}" '

@@ -22,7 +22,7 @@ from a2quotient.quotient import (
     stabilizer_order_counted,
 )
 from a2quotient.reduction import (
-    ProjMat, random_compact, random_modular, reduce3, verify_witness,
+    ProjMat, random_compact, random_modular, reduce_matrix, verify_witness,
 )
 from a2quotient.spectra import (
     is_decreasing, non_ramanujan_witness, norm_divergence, residual_sweep,
@@ -256,7 +256,7 @@ def test_criterion_9_reduction_round_trip():
         g = (random_modular(q, 3, rng)
              @ ProjMat.diagonal(q, [m, n, 0])
              @ random_compact(q, 3, rng))
-        r = reduce3(g)
+        r = reduce_matrix(g)
         assert (r.m, r.n) == (m, n), (q, m, n)
         assert verify_witness(r, g), (q, m, n)
         successes += 1

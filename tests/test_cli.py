@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from a2quotient import cli
+from a2quotient import cli, spectra
 from a2quotient.cli import main
 
 
@@ -76,10 +77,33 @@ class TestValidation:
             assert code == 1
             assert "prime" in err
 
-    def test_unknown_format(self, capsys):
+    def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "--q", "2", "--config", "/nonexistent",
                                "witness")
         assert code == 1
+
+    def test_unknown_format(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "--q", "2", "--emit", "xml", "spectra")
+        assert code == 1
+        assert "xml" in err
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("fmt = xml\n")
+        code, _, err = run_cli(capsys, "--config", str(cfgfile), "spectra")
+        assert code == 1
+        assert "unknown output format 'xml'" in err
+
+    def test_tol_flag_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "--q", "2", "--tol", "1e-6", "witness")
+        assert code == 1
+        assert "--tol" in err
+
+    def test_tol_config_key_rejected(self, capsys, tmp_path):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text("q = 2\ntol = 1e-6\n")
+        code, out, err = run_cli(capsys, "--config", str(cfgfile), "witness")
+        assert code == 1
+        assert out == ""
+        assert "unknown config keys ['tol']" in err
 
 
 class TestComplexCommand:
@@ -217,8 +241,50 @@ class TestSpectraCommand:
         assert payload["witness"]["sigma2_contains"] is False
         assert payload["witness"]["margin"] == pytest.approx(0.2426406871)
 
+    def test_witness_reads_eps(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "--q", "2", "--emit", "json",
+                               "--out", str(tmp_path), "spectra",
+                               "--samples", "8", "--witness", "--eps", "0.4,0.2")
+        assert code == 0
+        witness = json.loads(out)["witness"]
+        assert [r["epsilon"] for r in witness["sweep"]] == [0.4, 0.2]
+        assert witness["margin_exact_check"] is True
+
+    def test_sweep_and_witness_share_the_cusp_sweep(self, capsys, tmp_path,
+                                                    monkeypatch):
+        calls = []
+        real = spectra._damped_report
+
+        def counted(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(spectra, "_damped_report", counted)
+        code, out, _ = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
+                               "spectra", "--samples", "8", "--sweep",
+                               "--witness", "--eps", "0.4,0.2")
+        assert code == 0
+        assert len(calls) == 4  # two eps for each of the two families
+        witness = json.loads(out)["witness"]
+        rows = (tmp_path / "spectra_sweep.csv").read_text().splitlines()
+        cusp = [r.split(",") for r in rows if r.startswith("sigma1_cusp,")]
+        assert [float(r[3]) for r in cusp] == [
+            r["residual_plus"] for r in witness["sweep"]]
+
 
 class TestWitnessCommand:
+    @pytest.mark.parametrize("argv", [["witness"], ["spectra", "--witness"]],
+                             ids=["witness", "spectra"])
+    def test_not_decreasing_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        real = cli.non_ramanujan_witness
+        monkeypatch.setattr(cli, "non_ramanujan_witness", lambda *a, **kw: replace(
+            real(*a, **kw), decreasing=False))
+        code, out, _ = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
+                               *argv, "--eps", "0.4,0.2")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload.get("witness", payload)["decreasing"] is False
+
     def test_witness_q2(self, capsys):
         code, out, _ = run_cli(capsys, "--q", "2", "witness",
                                "--eps", "0.4,0.3,0.2")

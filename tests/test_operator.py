@@ -88,6 +88,14 @@ class TestApply:
             for i, val in enumerate(want):
                 assert got.values[i] == pytest.approx(val)
 
+    def test_kernel_cache_is_bounded(self):
+        pairs = [(q, depth) for q in (2, 3, 5) for depth in range(2, 24)][:65]
+        for q, depth in pairs:
+            operator._kernel(q, depth, +1)
+        assert operator._kernel.cache_info().currsize <= 64
+        for cache in (operator._grid_mn, operator._weights, vertex_weight):
+            assert cache.cache_info().maxsize is not None
+
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_indicator_columns_match_literal_table(self, q, sign):

@@ -6,7 +6,7 @@ import pytest
 from a2quotient.algebra import Poly, RatFunc
 from a2quotient.reduction import (
     ProjMat, Singular, in_maximal_compact, in_modular_group, random_compact,
-    random_modular, reduce2, reduce3, verify_witness,
+    random_modular, reduce_matrix, verify_witness,
 )
 from oracles import in_maximal_compact_ref, in_modular_group_ref
 
@@ -96,16 +96,16 @@ def test_samplers_pinned():
 class TestReduce2:
     def test_identity_and_normal_forms(self):
         q = 2
-        r = reduce2(ProjMat.identity(q, 2))
+        r = reduce_matrix(ProjMat.identity(q, 2))
         assert (r.m, r.n) == (0, None)
         assert verify_witness(r, ProjMat.identity(q, 2))
-        r = reduce2(diag(q, 3, 0))
+        r = reduce_matrix(diag(q, 3, 0))
         assert r.m == 3
         assert verify_witness(r, diag(q, 3, 0))
 
     def test_inverted_diagonal(self):
         q = 3
-        r = reduce2(diag(q, 0, 2))  # class of diag(t^-2, 1) ~ diag(t^2,1) swapped
+        r = reduce_matrix(diag(q, 0, 2))  # class of diag(t^-2, 1) ~ diag(t^2,1) swapped
         assert r.m == 2
 
     def test_singular(self):
@@ -113,12 +113,12 @@ class TestReduce2:
         z = RatFunc.zero(q)
         one = RatFunc.one(q)
         with pytest.raises(Singular):
-            reduce2(ProjMat.from_rows([[one, one], [one, one]]))
+            reduce_matrix(ProjMat.from_rows([[one, one], [one, one]]))
         with pytest.raises(Singular):
-            reduce2(ProjMat.from_rows([[z, z], [one, one]]))
+            reduce_matrix(ProjMat.from_rows([[z, z], [one, one]]))
         # second row is (t^2+t) times the first: no zero row until reduced
         with pytest.raises(Singular):
-            reduce2(ProjMat.from_strings(3, [["1/t", "1/(t+1)"], ["t+1", "t"]]))
+            reduce_matrix(ProjMat.from_strings(3, [["1/t", "1/(t+1)"], ["t+1", "t"]]))
 
     @pytest.mark.parametrize("q", [2, 3])
     def test_roundtrip_200(self, q):
@@ -128,7 +128,7 @@ class TestReduce2:
             gamma = random_modular(q, 2, rng)
             w = random_compact(q, 2, rng)
             g = gamma @ diag(q, k, 0) @ w
-            r = reduce2(g)
+            r = reduce_matrix(g)
             assert r.m == k
             assert verify_witness(r, g)
 
@@ -138,29 +138,29 @@ class TestReduce3:
         q = 2
         for m in range(0, 7):
             for n in range(0, m + 1):
-                r = reduce3(diag(q, m, n, 0))
+                r = reduce_matrix(diag(q, m, n, 0))
                 assert (r.m, r.n) == (m, n)
                 assert verify_witness(r, diag(q, m, n, 0))
 
     def test_identity(self):
-        r = reduce3(ProjMat.identity(3, 3))
+        r = reduce_matrix(ProjMat.identity(3, 3))
         assert (r.m, r.n) == (0, 0)
 
     def test_unsorted_diagonal(self):
         q = 2
-        r = reduce3(diag(q, 0, 2, 1))
+        r = reduce_matrix(diag(q, 0, 2, 1))
         assert (r.m, r.n) == (2, 1)
-        r = reduce3(diag(q, -1, 0, 0))  # ~ diag(1, t, t) ~ diag(t, t, 1) -> (1,1)
+        r = reduce_matrix(diag(q, -1, 0, 0))  # ~ diag(1, t, t) ~ diag(t, t, 1) -> (1,1)
         assert (r.m, r.n) == (1, 1)
 
     def test_singular(self):
         q = 2
         one = RatFunc.one(q)
         with pytest.raises(Singular):
-            reduce3(ProjMat.from_rows([[one] * 3, [one] * 3, [one] * 3]))
+            reduce_matrix(ProjMat.from_rows([[one] * 3, [one] * 3, [one] * 3]))
         # rank 2 (row 2 = row 0 + t * row 1) with no zero row
         with pytest.raises(Singular):
-            reduce3(ProjMat.from_strings(3, [["1", "t", "0"], ["0", "1", "t"],
+            reduce_matrix(ProjMat.from_strings(3, [["1", "t", "0"], ["0", "1", "t"],
                                              ["1", "2*t", "t^2"]]))
 
     def test_scalar_invariance(self):
@@ -171,7 +171,7 @@ class TestReduce3:
             w = random_compact(q, 3, rng)
             g = gamma @ diag(q, 3, 1, 0) @ w
             lam = RatFunc(Poly(q, [rng.randrange(1, q), 1]))  # t + c
-            r1, r2 = reduce3(g), reduce3(g.scaled(lam))
+            r1, r2 = reduce_matrix(g), reduce_matrix(g.scaled(lam))
             assert (r1.m, r1.n) == (r2.m, r2.n) == (3, 1)
 
     def test_orbit_invariance(self):
@@ -181,7 +181,7 @@ class TestReduce3:
             for _ in range(25):
                 gamma = random_modular(q, 3, rng)
                 w = random_compact(q, 3, rng)
-                r = reduce3(gamma @ base @ w)
+                r = reduce_matrix(gamma @ base @ w)
                 assert (r.m, r.n) == (2, 1)
                 assert verify_witness(r, gamma @ base @ w)
 
@@ -194,7 +194,7 @@ class TestReduce3:
             gamma = random_modular(q, 3, rng)
             w = random_compact(q, 3, rng)
             g = gamma @ diag(q, m, n, 0) @ w
-            r = reduce3(g)
+            r = reduce_matrix(g)
             assert (r.m, r.n) == (m, n)
             assert verify_witness(r, g)
 
@@ -218,7 +218,7 @@ class TestFuzzArbitraryMatrices:
                 [[self.random_entry(q, rng) for _ in range(3)] for _ in range(3)])
             if g.det().is_zero:
                 continue
-            r = reduce3(g)
+            r = reduce_matrix(g)
             assert r.m >= r.n >= 0
             assert verify_witness(r, g)
             done += 1
@@ -232,7 +232,7 @@ class TestFuzzArbitraryMatrices:
                 [[self.random_entry(q, rng) for _ in range(2)] for _ in range(2)])
             if g.det().is_zero:
                 continue
-            r = reduce2(g)
+            r = reduce_matrix(g)
             assert r.m >= 0
             assert verify_witness(r, g)
             done += 1
@@ -246,8 +246,8 @@ class TestFuzzArbitraryMatrices:
                 [[self.random_entry(q, rng) for _ in range(3)] for _ in range(3)])
             if g.det().is_zero:
                 continue
-            r = reduce3(g)
-            again = reduce3(r.gamma @ r.normal_form(q) @ r.w)
+            r = reduce_matrix(g)
+            again = reduce_matrix(r.gamma @ r.normal_form(q) @ r.w)
             assert (again.m, again.n) == (r.m, r.n)
 
 
@@ -256,7 +256,7 @@ class TestVerifyWitness:
         q = 2
         rng = random.Random(9)
         g = random_modular(q, 3, rng) @ diag(q, 2, 1, 0) @ random_compact(q, 3, rng)
-        r = reduce3(g)
+        r = reduce_matrix(g)
         assert verify_witness(r, g)
         rows = [list(row) for row in r.gamma.entries]
         rows[0][1] = rows[0][1] + RatFunc.one(q)  # perturb one entry
@@ -266,7 +266,7 @@ class TestVerifyWitness:
     def test_wrong_exponents(self):
         q = 2
         g = diag(q, 2, 1, 0)
-        r = reduce3(g)
+        r = reduce_matrix(g)
         bad = type(r)(m=r.m + 1, n=r.n, gamma=r.gamma, w=r.w)
         assert not verify_witness(bad, g)
         # a 2x2 normal form cannot certify a 3x3 class
@@ -276,7 +276,7 @@ class TestVerifyWitness:
     def reduced(q=3, seed=11):
         rng = random.Random(seed)
         g = random_modular(q, 3, rng) @ diag(q, 3, 1, 0) @ random_compact(q, 3, rng)
-        r = reduce3(g)
+        r = reduce_matrix(g)
         assert verify_witness(r, g)
         return q, g, r
 
