@@ -3,11 +3,11 @@ building for PGL(3) over F_q((1/t)): exact normal forms, the weighted
 quotient complex, its colored adjacency operators, closed-form
 eigenfunctions, and the spectrum sets with the non-Ramanujan witness."""
 
-from .algebra import Poly, RatFunc, cube_root, parse_poly, parse_ratfunc
+from .algebra import Poly, RatFunc, parse_poly, parse_ratfunc
 from .eigen import (
     Eisenstein, SpectralParam, Stratum, damped_grid, eigenfunction_grid,
-    eigenfunction_value, eigenvalue_pair, pairing_permutation,
-    params_from_eigenvalue, recurrence_residual,
+    eigenfunction_value, eigenvalue_pair, params_from_eigenvalue,
+    recurrence_residual,
 )
 from .operator import GridFunction, L2Space, apply_exact, inner_exact
 from .quotient import (

@@ -221,44 +221,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic() if not a.is_zero else a
 
 
-def nth_root(a: Poly, r: int) -> Poly | None:
-    """Monic b with b**r == a, or None.
-
-    Decided by coefficient matching from the top degree, no factorization.
-    When the field characteristic divides r the power map is coefficientwise
-    (Frobenius), so the root is read off directly from every r-th slot.
-    The candidate is always verified by one exact multiplication.
-    """
-    if a.is_zero or not a.is_monic:
-        raise DegenerateInput("nth_root expects a monic nonzero polynomial")
-    if r < 1:
-        raise ValueError("root order must be >= 1")
-    if a.degree % r:
-        return None
-    q, k = a.q, a.degree // r
-    if q % r == 0:
-        # x -> x^r is additive here; exponents must be multiples of r and
-        # in a prime field c^r = c, so coefficients carry over unchanged.
-        if any(c and (i % r) for i, c in enumerate(a.coeffs)):
-            return None
-        b = Poly(q, [a.coeff(i * r) for i in range(k + 1)])
-    else:
-        rinv = _inv_mod(r % q, q)
-        bc = [0] * (k + 1)
-        bc[k] = 1
-        for j in range(1, k + 1):
-            cur = Poly(q, bc) ** r
-            delta = (a.coeff(r * k - j) - cur.coeff(r * k - j)) % q
-            bc[k - j] = (delta * rinv) % q
-        b = Poly(q, bc)
-    return b if b ** r == a else None
-
-
-def cube_root(a: Poly) -> Poly | None:
-    """Monic cube root of a monic polynomial, or None."""
-    return nth_root(a, 3)
-
-
 class RatFunc:
     """Rational function over F_q in canonical form.
 

@@ -24,10 +24,10 @@ from pathlib import Path
 
 from .algebra import fraction_str, validate_q
 from .eigen import (
-    OMEGA, SpectralParam, eigenfunction_grid, eigenvalue_pair,
-    params_from_eigenvalue, recurrence_residual, TOL_S, TOL_SING,
+    OMEGA, SpectralParam, _grid_residual, eigenfunction_grid, eigenvalue_pair,
+    params_from_eigenvalue, TOL_S, TOL_SING,
 )
-from .operator import L2Space, tri_size
+from .operator import L2Space, tri_size, vertex_index
 from .quotient import QuotientComplex, color, stabilizer_order
 from .reduction import ProjMat, reduce_matrix, verify_witness
 from .spectra import (
@@ -219,9 +219,9 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         fh.write(_header(cfg))
         fh.write("m,n,re,im\n")
         for m in range(cfg.depth + 1):
-            for n in range(m + 1):
-                z = grid[(m, n)]
-                fh.write(f"{m},{n},{z.real!r},{z.imag!r}\n")
+            shell = grid.values[vertex_index(m, 0):vertex_index(m + 1, 0)]
+            fh.writelines(f"{m},{n},{z.real!r},{z.imag!r}\n"
+                          for n, z in enumerate(shell.tolist()))
     summary = {
         "seed": cfg.seed,
         "q": cfg.q,
@@ -233,8 +233,8 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         "values_csv": str(path),
     }
     if args.check:
-        summary["max_relative_residual"] = recurrence_residual(
-            cfg.q, param, cfg.depth)
+        summary["max_relative_residual"] = _grid_residual(
+            L2Space(cfg.q, cfg.depth), param, grid)
     _emit_json(summary)
     return 0
 
@@ -258,7 +258,11 @@ def _spectra_samples(q: int, count: int):
 
 
 def _eps_list(args) -> tuple[float, ...]:
-    return tuple(float(e) for e in args.eps.split(","))
+    try:
+        return tuple(float(e) for e in args.eps.split(","))
+    except ValueError:
+        raise ValueError(f"--eps needs comma-separated numbers, "
+                         f"got {args.eps!r}") from None
 
 
 def _witness_payload(rep) -> dict:
@@ -285,6 +289,7 @@ def _witness_code(rep) -> int:
 def cmd_spectra(cfg: RunConfig, args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    eps_list = _eps_list(args)
     code = 0
     outputs = []
     if cfg.fmt == "svg":
@@ -308,7 +313,6 @@ def cmd_spectra(cfg: RunConfig, args) -> int:
         outputs.append(str(path))
 
     summary = {"seed": cfg.seed, "q": cfg.q, "files": outputs}
-    eps_list = _eps_list(args)
     rep = non_ramanujan_witness(cfg.q, eps_list) if args.witness else None
     if args.sweep:
         center = SpectralParam.from_triple(cfg.q, 1.0, OMEGA, OMEGA * OMEGA)

@@ -35,6 +35,10 @@ The singular formulas were obtained as on-variety limits of the generic
 sum and verified symbolically against a forward solve of the recurrences;
 both are exercised against that oracle in the test suite.
 
+Every closed form is evaluated over index arrays (m, n), and each power
+x^m is gathered from one table x^0 .. x^max(m) per base, which equals the
+per-vertex power bit for bit.
+
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
 (sqrt(q) e^{i a}, e^{-2 i a}, e^{i a}/sqrt(q)) three of the six products
@@ -46,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import itertools
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,7 +57,7 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import validate_q
-from .operator import GridFunction, L2Space, _grid_mn, tri_size
+from .operator import GridFunction, L2Space, _grid_mn
 
 TOL_S = 1e-10        # membership in the parameter set
 TOL_SING = 1e-4      # stratum dispatch on pairwise root distances
@@ -188,21 +191,6 @@ def params_from_eigenvalue(q: int, lam: complex, tol_sing: float = TOL_SING) -> 
     return SpectralParam(s=s, stratum=classify_stratum(q, s, tol_sing))
 
 
-def pairing_permutation(s, tol: float = 1e-8):
-    """If some component is non-unimodular, the permutation (i, j, k) with
-    conj(s_i) = 1/s_k and |s_j| = 1; None when all moduli are 1."""
-    s = tuple(map(complex, s))
-    _check_membership(s, TOL_S)
-    if all(abs(abs(x) - 1) <= tol for x in s):
-        return None
-    for perm in itertools.permutations(range(3)):
-        i, j, k = perm
-        if (abs(abs(s[j]) - 1) <= tol
-                and abs(s[i].conjugate() - 1 / s[k]) <= tol * max(1.0, abs(1 / s[k]))):
-            return perm
-    raise NotInS("no unimodular pairing exists; triple violates the constraint")
-
-
 # ---------------------------------------------------------------------------
 # closed-form evaluation
 # ---------------------------------------------------------------------------
@@ -224,20 +212,6 @@ def b_coefficients(q: int, s) -> dict[tuple[int, int], complex]:
     return out
 
 
-def a_coefficients(q: int, s) -> dict[tuple[int, int], complex]:
-    """Bottom-row coefficients A_{i,0} and A_{i,1} of the generic solution."""
-    s = tuple(map(complex, s))
-    out = {}
-    for i in range(3):
-        j, k = [x for x in range(3) if x != i]
-        si, sj, sk = s[i], s[j], s[k]
-        a0 = ((si - q * sj) * (si - q * sk)
-              / ((si - sj) * (si - sk) * (q * q + q + 1)))
-        out[(i, 0)] = a0
-        out[(i, 1)] = (sj + sk) / (q * q + q) * a0
-    return out
-
-
 def _split_double(s):
     """Order a double triple as (isolated, repeated); the repeated value is
     averaged over its pair."""
@@ -256,17 +230,22 @@ def _trivial_omega(s):
     return w / abs(w)
 
 
-def eigenfunction_grid(q: int, param: SpectralParam, depth: int) -> GridFunction:
-    """Closed-form values on the full depth-M triangle, f(v00) = 1."""
-    validate_q(q)
-    m, n = _grid_mn(depth)
+def _powers(x, e: np.ndarray) -> np.ndarray:
+    """x ** e for each entry of the index array e, gathered from one table
+    x ** 0 .. x ** max(e); each entry is the np.power(x, e) value bit for bit."""
+    return np.power(x, np.arange(e.max() + 1))[e]
+
+
+def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
+                 n: np.ndarray) -> np.ndarray:
+    """f(v_mn) at each index pair of the arrays m, n."""
+    s = param.s
+    if param.stratum is Stratum.TRIVIAL:
+        return _powers(_trivial_omega(s), m + n)
+
     mf = m.astype(np.float64)
     nf = n.astype(np.float64)
-    s = param.s
-
-    if param.stratum is Stratum.TRIVIAL:
-        w = _trivial_omega(s)
-        return GridFunction(depth, w ** (m + n))
+    qm = _powers(float(q), m)
 
     if param.stratum is Stratum.TRIPLE:
         w = sum(s) / 3
@@ -275,41 +254,48 @@ def eigenfunction_grid(q: int, param: SpectralParam, depth: int) -> GridFunction
                 - 3 * mf * (q - 1) * (q + 1) ** 2
                 + (q - 1) ** 2 * (q + 1) * (mf * mf + 2 * mf * nf - 2 * nf * nf)
                 - (q - 1) ** 3 * (mf * mf * nf - mf * nf * nf))
-        vals = (w ** (m + n) * np.power(float(q), mf) * poly
+        return (_powers(w, m + n) * qm * poly
                 / (2 * (q + 1) * (q * q + q + 1)))
-        return GridFunction(depth, vals)
 
     if param.stratum is Stratum.DOUBLE:
         s1, s2 = _split_double(s)
         den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
-        qm = np.power(float(q), mf)
-        p1m, p2m = np.power(s1, m), np.power(s2, m)
-        p1n, p2n = np.power(s1, n), np.power(s2, n)
+        p1m, p2m = _powers(s1, m), _powers(s2, m)
+        p1n, p2n = _powers(s1, n), _powers(s2, n)
         t1 = (s1 - q * s2) ** 2 * ((1 - q) * nf + (q + 1)) * p1m * p2n
         t2 = (s2 - q * s1) ** 2 * ((1 - q) * (mf - nf) + (q + 1)) * p2m * p2n
         t3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * mf
               + (q + 1) * (q * (s1 * s1 + s2 * s2)
                            - 2 * (q * q - q + 1) * s1 * s2)) * p1n * p2m
-        return GridFunction(depth, qm * (t1 + t2 + t3) / den)
+        return qm * (t1 + t2 + t3) / den
 
     bs = b_coefficients(q, s)
     cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
-    qm = np.power(float(q), mf)
-    powers_m = [np.power(si, m) for si in s]
-    powers_n = [np.power(si, n) for si in s]
-    vals = np.zeros(tri_size(depth), dtype=np.complex128)
+    powers_m = [_powers(si, m) for si in s]
+    powers_n = [_powers(si, n) for si in s]
+    vals = np.zeros(m.shape, dtype=np.complex128)
     for (i, j), b in bs.items():
         if abs(b) <= cutoff:
             continue  # structural zero; see module docstring
         vals += b * powers_m[i] * powers_n[j]
-    return GridFunction(depth, qm * vals)
+    return qm * vals
+
+
+def eigenfunction_grid(q: int, param: SpectralParam, depth: int) -> GridFunction:
+    """Closed-form values on the full depth-M triangle, f(v00) = 1."""
+    validate_q(q)
+    if depth < 0:
+        raise ValueError(f"depth must be >= 0, got {depth}")
+    return GridFunction(depth, _closed_form(q, param, *_grid_mn(depth)))
 
 
 def eigenfunction_value(q: int, param: SpectralParam, m: int, n: int) -> complex:
     """Single closed-form value f(v_mn)."""
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m")
-    return eigenfunction_grid(q, param, max(m, 2))[(m, n)]
+    validate_q(q)
+    index = np.array([m], dtype=np.int64), np.array([n], dtype=np.int64)
+    return complex(_closed_form(q, param, *index)[0])
 
 
 def damped_grid(q: int, param: SpectralParam, eps: float, depth: int) -> GridFunction:
@@ -320,15 +306,19 @@ def damped_grid(q: int, param: SpectralParam, eps: float, depth: int) -> GridFun
     if eps == 0.0:
         return f
     m, _ = _grid_mn(depth)
-    return GridFunction(depth, f.values * np.power(1.0 - eps, m))
+    return GridFunction(depth, f.values * _powers(1.0 - eps, m))
 
 
 def recurrence_residual(q: int, param: SpectralParam, depth: int) -> float:
     """max over unmasked vertices and both directions of
     |A f - lambda f| / (1 + |lambda| |f|) for the closed-form f."""
     space = L2Space(q, depth)
-    f = eigenfunction_grid(q, param, depth)
-    pair = eigenvalue_pair(q, param)
+    return _grid_residual(space, param, eigenfunction_grid(q, param, depth))
+
+
+def _grid_residual(space: L2Space, param: SpectralParam, f: GridFunction) -> float:
+    """recurrence_residual for the grid f of param, already evaluated."""
+    pair = eigenvalue_pair(space.q, param)
     worst = 0.0
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
         af, mask = space.apply(sign, f)

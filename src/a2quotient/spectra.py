@@ -194,6 +194,9 @@ def residual_sweep(q: int, param: SpectralParam, eps_list,
     and reported with epsilon 0.
     """
     validate_q(q)
+    eps_list = tuple(eps_list)
+    if not eps_list:
+        raise InvalidEpsilon("empty damping list")
     reports = []
     for eps in eps_list:
         if not 0 < eps < 0.5:
@@ -219,6 +222,8 @@ def norm_divergence(q: int, param: SpectralParam, depths) -> list[float]:
     each requested depth (strictly increasing; bounded only for trivial s)."""
     validate_q(q)
     depths = sorted(depths)
+    if not depths:
+        raise ValueError("norm_divergence needs at least one depth")
     top = depths[-1]
     space = L2Space(q, top)
     f = eigenfunction_grid(q, param, top)

@@ -6,13 +6,13 @@ tables literally, and the recurrence solver below is written directly
 from the eigenfunction equations and steps shell by shell from f(v00) = 1,
 so it can cross-check both the operator rows and the closed forms.  The
 group-membership references decide membership from the determinant over
-F_q(t) by exact d-th roots, independently of the degree tests in the
-package.
+F_q(t) by exact d-th roots (``nth_root``, tested on its own in
+test_algebra), independently of the degree tests in the package.
 """
 
 from fractions import Fraction
 
-from a2quotient.algebra import RatFunc, nth_root
+from a2quotient.algebra import DegenerateInput, Poly, RatFunc
 
 
 def forward_solve(q, lam_plus, lam_minus, depth):
@@ -83,6 +83,39 @@ def trivial_norm_sq_limit(q):
     # sum_{m>=1} x^m = x/(1-x); sum_{m>=1} (m-1)x^m = x^2/(1-x)^2, x = q^-2
     x = Fraction(1, q * q)
     return a + 2 * x / (1 - x) + (q + 1) * x * x / (1 - x) ** 2
+
+
+def nth_root(a, r):
+    """Monic b with b**r == a, or None.
+
+    Decided by coefficient matching from the top degree, no factorization.
+    When the field characteristic divides r the power map is coefficientwise
+    (Frobenius), so the root is read off directly from every r-th slot.
+    The candidate is always verified by one exact multiplication.
+    """
+    if a.is_zero or not a.is_monic:
+        raise DegenerateInput("nth_root expects a monic nonzero polynomial")
+    if r < 1:
+        raise ValueError("root order must be >= 1")
+    if a.degree % r:
+        return None
+    q, k = a.q, a.degree // r
+    if q % r == 0:
+        # x -> x^r is additive here; exponents must be multiples of r and
+        # in a prime field c^r = c, so coefficients carry over unchanged.
+        if any(c and (i % r) for i, c in enumerate(a.coeffs)):
+            return None
+        b = Poly(q, [a.coeff(i * r) for i in range(k + 1)])
+    else:
+        rinv = pow(r, -1, q)
+        bc = [0] * (k + 1)
+        bc[k] = 1
+        for j in range(1, k + 1):
+            cur = Poly(q, bc) ** r
+            delta = (a.coeff(r * k - j) - cur.coeff(r * k - j)) % q
+            bc[k - j] = (delta * rinv) % q
+        b = Poly(q, bc)
+    return b if b ** r == a else None
 
 
 def in_modular_group_ref(g):

@@ -1,7 +1,9 @@
-"""Smoke test of the benchmark harness: one short run of exact-reduce and of
-cli-session (the workload that drives the command line) must produce a
-correct result with the end-to-end metrics BENCHMARK.json declares.
-No timing is checked.
+"""Smoke test of the benchmark harness: one short run of exact-reduce, of
+spectral-sweep and of cli-session (the workload that drives the command
+line) must produce a correct result with the end-to-end metrics
+BENCHMARK.json declares.  A run is correct only when every failing op is a
+listed known failure with its listed reason, so a failure reason that
+drifts fails here.  No timing is checked.
 
 The harness writes its records under its own directory, so the test runs a
 copy of ``perfbench/`` and ``BENCHMARK.json`` next to a link to ``src/`` in
@@ -20,7 +22,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["exact-reduce", "cli-session"])
+@pytest.mark.parametrize("workload",
+                         ["exact-reduce", "spectral-sweep", "cli-session"])
 def test_workload_run(tmp_path, workload):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))
@@ -36,11 +39,12 @@ def test_workload_run(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0
-    if workload == "cli-session":
-        # cli.eigen.cusp.q11.d400 is a listed known failure
-        assert result["failed"] < result["attempted"]
-    else:
+    if workload == "exact-reduce":
         assert result["failed"] == 0
+    else:
+        # both have listed known failures (overflow at q >= 5 and
+        # cli.eigen.cusp.q11.d400)
+        assert result["failed"] < result["attempted"]
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
     assert {k: v["unit"] for k, v in result["metrics"].items()} == {
         m["name"]: m["unit"] for m in declared}

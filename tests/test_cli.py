@@ -5,10 +5,12 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from a2quotient import cli, spectra
+from a2quotient import cli, eigen, spectra
 from a2quotient.cli import main
+from a2quotient.operator import _grid_mn
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -167,6 +169,48 @@ class TestEigenCommand:
         assert payload["stratum"] == "trivial"
         assert payload["lambda_plus"]["re"] == pytest.approx(7)
 
+    def test_check_evaluates_the_closed_form_once(self, capsys, tmp_path,
+                                                 monkeypatch):
+        calls = []
+        real = eigen._closed_form
+
+        def counted(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(eigen, "_closed_form", counted)
+        code, out, _ = run_cli(capsys, "--q", "3", "--depth", "30",
+                               "--out", str(tmp_path), "eigen",
+                               "--lambda", "1+2i", "--check")
+        assert code == 0
+        assert json.loads(out)["max_relative_residual"] < 1e-9
+        assert len(calls) == 1  # the CSV and the residual share one grid
+
+    # the sigma1 cusp at q=11 depth 400 overflows to inf/nan (a known defect)
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+    @pytest.mark.parametrize("q,depth,flag,value", [
+        (3, 30, "--lambda", "1+2i"),
+        (2, 30, "--s", "1,1,1"),
+        (11, 400, "--s", f"{11 ** 0.5},1,{11 ** -0.5}"),
+    ], ids=["lambda-q3", "triple-q2", "cusp-q11"])
+    def test_csv_rows_are_the_grid(self, capsys, tmp_path, q, depth, flag,
+                                   value):
+        code, _, _ = run_cli(capsys, "--q", str(q), "--depth", str(depth),
+                             "--out", str(tmp_path), "eigen", flag, value)
+        assert code == 0
+        if flag == "--s":
+            param = eigen.SpectralParam.from_triple(
+                q, *map(cli._parse_complex, value.split(",")))
+        else:
+            param = eigen.params_from_eigenvalue(q, cli._parse_complex(value))
+        grid = eigen.eigenfunction_grid(q, param, depth)
+        lines = (tmp_path / "eigen_values.csv").read_text().splitlines()
+        rows = np.array([[float(x) for x in ln.split(",")] for ln in lines[2:]])
+        m, n = (a.astype(np.float64) for a in _grid_mn(depth))
+        assert np.array_equal(rows[:, 0], m) and np.array_equal(rows[:, 1], n)
+        assert np.array_equal(rows[:, 2], grid.values.real, equal_nan=True)
+        assert np.array_equal(rows[:, 3], grid.values.imag, equal_nan=True)
+
     def test_requires_exactly_one(self, capsys):
         code, _, err = run_cli(capsys, "--q", "2", "eigen")
         assert code == 1
@@ -270,6 +314,18 @@ class TestSpectraCommand:
         cusp = [r.split(",") for r in rows if r.startswith("sigma1_cusp,")]
         assert [float(r[3]) for r in cusp] == [
             r["residual_plus"] for r in witness["sweep"]]
+
+
+class TestEpsFlag:
+    @pytest.mark.parametrize("command", ["witness", "spectra"])
+    @pytest.mark.parametrize("text", ["abc", ",", "0.2,,0.1"])
+    def test_bad_eps_names_the_flag(self, capsys, tmp_path, command, text):
+        code, out, err = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
+                                 command, "--eps", text)
+        assert code == 1
+        assert out == ""
+        assert "--eps" in err and repr(text) in err
+        assert not any(tmp_path.iterdir())  # rejected before any output
 
 
 class TestWitnessCommand:

@@ -8,12 +8,12 @@ import pytest
 
 from a2quotient.eigen import (
     Eisenstein, NearSingularWarning, NotInS, SpectralParam, Stratum,
-    a_coefficients, b_coefficients, damped_grid, eigenfunction_grid,
-    eigenfunction_value, eigenvalue_pair, pairing_permutation,
-    params_from_eigenvalue, recurrence_residual, solve_unit_cubic,
-    trivial_eigenfunction_exact,
+    b_coefficients, damped_grid, eigenfunction_grid, eigenfunction_value,
+    eigenvalue_pair, params_from_eigenvalue, recurrence_residual,
+    solve_unit_cubic, trivial_eigenfunction_exact,
 )
-from a2quotient.operator import apply_exact
+from a2quotient import eigen
+from a2quotient.operator import _grid_mn, apply_exact
 from oracles import forward_solve
 
 
@@ -128,25 +128,6 @@ class TestCubicInversion:
         assert sorted(r1, key=lambda z: (-abs(z), cmath.phase(z))) == list(r1)
 
 
-class TestUnimodularPairing:
-    def test_trivial_family(self):
-        perm = pairing_permutation((2.0, 1.0, 0.5))
-        assert perm == (0, 1, 2)
-
-    def test_all_unimodular(self):
-        s = unimodular_generic(random.Random(9))
-        assert pairing_permutation(s) is None
-
-    def test_sigma1_family(self):
-        q, th = 2, 0.3
-        perm = pairing_permutation(sigma1_triple(q, th))
-        assert perm is not None
-        i, j, k = perm
-        s = sigma1_triple(q, th)
-        assert abs(abs(s[j]) - 1) < 1e-12
-        assert abs(s[i].conjugate() - 1 / s[k]) < 1e-12
-
-
 class TestCoefficients:
     def test_b_sum_is_one(self):
         rng = random.Random(13)
@@ -155,18 +136,19 @@ class TestCoefficients:
             total = sum(b_coefficients(2, s).values())
             assert abs(total - 1) < 1e-9
 
-    def test_a1_identity(self):
+    def test_b_row_sums(self):
+        # row sums of B recover the bottom-row coefficients
+        # A_i0 = (s_i - q s_j)(s_i - q s_k) / [(s_i - s_j)(s_i - s_k)(q^2+q+1)]
         rng = random.Random(17)
         q = 3
         for _ in range(100):
             s = unimodular_generic(rng)
-            ac = a_coefficients(q, s)
             bs = b_coefficients(q, s)
             for i in range(3):
                 j, k = [x for x in range(3) if x != i]
-                assert abs(ac[(i, 1)] - (s[j] + s[k]) / (q * q + q) * ac[(i, 0)]) < 1e-12
-                # row sums of B recover the bottom coefficients
-                assert abs(bs[(i, j)] + bs[(i, k)] - ac[(i, 0)]) < 1e-10
+                a0 = ((s[i] - q * s[j]) * (s[i] - q * s[k])
+                      / ((s[i] - s[j]) * (s[i] - s[k]) * (q * q + q + 1)))
+                assert abs(bs[(i, j)] + bs[(i, k)] - a0) < 1e-10
 
 
 class TestClosedFormsAgainstRecurrence:
@@ -246,6 +228,54 @@ class TestClosedFormsAgainstRecurrence:
             sp = tuple(s[i] for i in pidx)
             other = eigenfunction_grid(q, SpectralParam.from_triple(q, *sp), 6)
             assert np.allclose(base.values, other.values)
+
+
+def stratum_params(q):
+    """One parameter per stratum, plus the sigma1 cusp (a generic parameter
+    with three structural-zero B coefficients)."""
+    params = {
+        "generic": unimodular_generic(random.Random(5)),
+        "double": unimodular_double(0.7),
+        "triple": triple_root(1),
+        "trivial": trivial_triple(q, 2),
+        "sigma1_cusp": sigma1_triple(q, 0.0),
+    }
+    return {k: SpectralParam.from_triple(q, *s) for k, s in params.items()}
+
+
+class TestEvaluator:
+    """The closed forms run through one evaluator over index arrays; powers
+    are gathered from one table per base."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_value_is_the_grid_entry(self, q):
+        depth = 40
+        points = [(0, 0), (1, 0), (1, 1), (2, 1), (17, 0), (17, 9), (17, 17),
+                  (depth, 0), (depth, 23), (depth, depth)]
+        params = stratum_params(q)
+        assert {p.stratum for p in params.values()} == set(Stratum)
+        for name, p in params.items():
+            grid = eigenfunction_grid(q, p, depth)
+            for m, n in points:
+                assert eigenfunction_value(q, p, m, n) == grid[(m, n)], (name, m, n)
+
+    @pytest.mark.parametrize("depth", [30, 400])
+    def test_gathered_powers_are_bit_identical(self, depth):
+        m, n = _grid_mn(depth)
+        s = sigma1_triple(11, 0.3)
+        # 11^m overflows to inf from m = 296
+        with np.errstate(over="ignore", invalid="ignore"):
+            for x in (*s, cmath.exp(2.1j), 11.0, 2.0, 0.95):
+                for e in (m, n, m + n):
+                    got, want = eigen._powers(x, e), np.power(x, e)
+                    assert got.tobytes() == want.tobytes(), x
+
+    def test_negative_depth_names_the_depth(self):
+        p = SpectralParam.from_triple(2, *triple_root(0))
+        with pytest.raises(ValueError, match="depth"):
+            eigenfunction_grid(2, p, -1)
+        with pytest.raises(ValueError, match="depth"):
+            damped_grid(2, p, 0.1, -3)
 
 
 class TestResidualContract:

@@ -147,6 +147,14 @@ class TestResidualSweep:
         with pytest.raises(InvalidEpsilon):
             residual_sweep(2, param, (0.0,))
 
+    def test_empty_eps_list(self):
+        # no damping values means no evidence: neither a sweep nor a witness
+        param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
+        with pytest.raises(InvalidEpsilon, match="empty"):
+            residual_sweep(2, param, [])
+        with pytest.raises(InvalidEpsilon, match="empty"):
+            non_ramanujan_witness(2, [])
+
     def test_truncation_guard(self):
         q = 2
         w = cmath.exp(2j * cmath.pi / 3)
@@ -190,6 +198,11 @@ class TestNormDivergence:
         logs = np.log(partials)
         slope = np.polyfit(np.log(depths), logs, 1)[0]
         assert slope >= 3
+
+    def test_no_depths(self):
+        param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="depth"):
+            norm_divergence(2, param, [])
 
 
 class TestWitness:
