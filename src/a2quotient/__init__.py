@@ -20,7 +20,7 @@ from .reduction import (
 )
 from .spectra import (
     classify_point, non_ramanujan_witness, norm_divergence, render_spectra,
-    residual_sweep, sigma0, sigma1_distance, sigma1_point, sigma2_contains,
+    residual_sweep, sigma0, sigma1_point, sigma2_contains,
 )
 
 __version__ = "0.1.0"

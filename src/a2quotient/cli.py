@@ -31,8 +31,8 @@ from .operator import L2Space, tri_size, vertex_index
 from .quotient import QuotientComplex, color, stabilizer_order
 from .reduction import ProjMat, reduce_matrix, verify_witness
 from .spectra import (
-    curve_samples, is_decreasing, non_ramanujan_witness, render_spectra,
-    residual_sweep, sigma0, sigma1_cusp,
+    SetTag, curve_samples, is_decreasing, non_ramanujan_witness,
+    render_spectra, residual_sweep, sigma0, sigma1_cusp,
 )
 
 ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
@@ -55,8 +55,8 @@ class RunConfig:
         validate_q(self.q)
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
-        if min(self.tol_s, self.tol_sing) <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(0 < t < math.inf for t in (self.tol_s, self.tol_sing)):
+            raise ValueError("tolerances must be finite and positive")
         if self.fmt not in ("csv", "json", "svg"):
             raise ValueError(f"unknown output format {self.fmt!r}")
         return self
@@ -251,9 +251,9 @@ def cmd_norm(cfg: RunConfig, args) -> int:
 
 def _spectra_samples(q: int, count: int):
     thetas, sigma1, boundary = curve_samples(q, count)
-    rows = [(2 * math.pi * k / 3, z, "Sigma0") for k, z in enumerate(sigma0(q))]
-    rows += [(th, z, "Sigma1") for th, z in zip(thetas, sigma1)]
-    rows += [(th, z, "Sigma2Boundary") for th, z in zip(thetas, boundary)]
+    rows = [(2 * math.pi * k / 3, z, SetTag.SIGMA0.value) for k, z in enumerate(sigma0(q))]
+    rows += [(th, z, SetTag.SIGMA1.value) for th, z in zip(thetas, sigma1)]
+    rows += [(th, z, SetTag.SIGMA2_BOUNDARY.value) for th, z in zip(thetas, boundary)]
     return rows
 
 

@@ -104,6 +104,9 @@ class SpectralParam:
 
 
 def _check_membership(s, tol_s: float) -> None:
+    for k, z in enumerate(s, 1):
+        if not cmath.isfinite(z):
+            raise NotInS(f"component s{k} = {z} is not finite")
     s1, s2, s3 = s
     if min(abs(s1), abs(s2), abs(s3)) == 0.0:
         raise NotInS("zero component")
@@ -183,11 +186,19 @@ def solve_unit_cubic(alpha: complex, beta: complex):
     return tuple(polished)
 
 
-def params_from_eigenvalue(q: int, lam: complex, tol_sing: float = TOL_SING) -> SpectralParam:
-    """Invert lambda+ to its root triple (with lambda- = conj(lambda+))."""
+def companion_roots(q: int, lam: complex):
+    """The root triple of X^3 - (lam/q) X^2 + (conj(lam)/q) X - 1, in
+    solve_unit_cubic's order (largest modulus first)."""
     validate_q(q)
     lam = complex(lam)
-    s = solve_unit_cubic(lam / q, lam.conjugate() / q)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"eigenvalue {lam} is not finite")
+    return solve_unit_cubic(lam / q, lam.conjugate() / q)
+
+
+def params_from_eigenvalue(q: int, lam: complex, tol_sing: float = TOL_SING) -> SpectralParam:
+    """Invert lambda+ to its root triple (with lambda- = conj(lambda+))."""
+    s = companion_roots(q, lam)
     return SpectralParam(s=s, stratum=classify_stratum(q, s, tol_sing))
 
 

@@ -6,13 +6,17 @@ For prime q the relevant subsets of the complex plane are
     sigma1 : the cusped curve (q^{3/2}+q^{1/2}) e^{i a} + q e^{-2 i a},
     sigma2 : the filled cusped region { q(s1+s2+s3) : |s_i| = 1, s1 s2 s3 = 1 }.
 
-Membership in sigma2 reduces to one companion cubic: lambda lies in the
-region iff every root of X^3 - (lambda/q) X^2 + (conj(lambda)/q) X - 1 is
-unimodular (for unimodular roots with product one the linear coefficient
-is forced to be the conjugate of the quadratic one, so the single cubic is
-exhaustive).  The cusp value q^{3/2} + q + q^{1/2} of sigma1 exceeds the
-sigma2 cusp 3q for every q >= 2, which is the non-Ramanujan margin; the
-residual sweep certifies that the same point is an approximate eigenvalue.
+Membership in sigma1 and sigma2 reduces to one companion cubic,
+X^3 - (lambda/q) X^2 + (conj(lambda)/q) X - 1 (eigen.companion_roots):
+lambda lies in the region iff every root is unimodular (for unimodular
+roots with product one the linear coefficient is forced to be the
+conjugate of the quadratic one, so the single cubic is exhaustive), and on
+the curve iff the root moduli are (sqrt q, 1, 1/sqrt q), as the root set
+is closed under s -> 1/conj(s).  Both tests run in floats on one solve,
+and their tolerance bounds root moduli, not distances (see classify_point).
+The cusp value q^{3/2} + q + q^{1/2} of sigma1 exceeds the sigma2 cusp 3q
+for every q >= 2, which is the non-Ramanujan margin; the residual sweep
+certifies that the same point is an approximate eigenvalue.
 """
 
 from __future__ import annotations
@@ -26,8 +30,8 @@ import numpy as np
 
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, damped_grid, eigenfunction_grid, eigenvalue_pair,
-    solve_unit_cubic,
+    SpectralParam, Stratum, companion_roots, damped_grid, eigenfunction_grid,
+    eigenvalue_pair,
 )
 from .operator import GridFunction, L2Space, _grid_mn
 
@@ -71,42 +75,11 @@ def sigma1_point(q: int, theta: float) -> complex:
             + q * cmath.exp(-2j * theta))
 
 
-def sigma1_distance(q: int, la: complex, samples: int = 4096) -> float:
-    """min over theta of |la - sigma1(theta)|: coarse grid plus
-    golden-section refinement around the best sample."""
-    validate_q(q)
-    thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    pts = ((q ** 1.5 + q ** 0.5) * np.exp(1j * thetas)
-           + q * np.exp(-2j * thetas))
-    dist = np.abs(complex(la) - pts)
-    best = int(np.argmin(dist))
-    span = 2 * np.pi / samples
-    lo, hi = thetas[best] - span, thetas[best] + span
-
-    def f(th):
-        return abs(complex(la) - sigma1_point(q, th))
-
-    phi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c, d = b - phi * (b - a), a + phi * (b - a)
-    for _ in range(80):
-        if f(c) < f(d):
-            b, d = d, c
-            c = b - phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + phi * (b - a)
-    return f((a + b) / 2)
-
-
 def sigma2_contains(q: int, la: complex, tol: float = 1e-6) -> bool:
     """Companion-cubic test: all three roots unimodular within tol."""
-    validate_q(q)
     if tol <= 0:
         raise ValueError("tol must be positive")
-    la = complex(la)
-    roots = solve_unit_cubic(la / q, la.conjugate() / q)
-    return all(abs(abs(r) - 1) <= tol for r in roots)
+    return all(abs(abs(r) - 1) <= tol for r in companion_roots(q, la))
 
 
 def sigma2_boundary_point(q: int, phi: float) -> complex:
@@ -128,19 +101,31 @@ def curve_samples(q: int, samples: int):
 def classify_point(q: int, la: complex, tol: float = 1e-6,
                    boundary_tol: float = 1e-4) -> SpectrumPoint:
     """Tag a point; membership in neither set is reported as Outside
-    (the classification makes no claim about such points)."""
+    (the classification makes no claim about such points).
+
+    Sigma0 means within distance tol of a sigma0 point.  The other tags
+    come from one solve of the companion cubic, with tol bounding each root
+    modulus: Sigma1 within tol of (sqrt q, 1, 1/sqrt q), Sigma2 within tol
+    of 1 (Boundary when two roots lie within boundary_tol).  Near sigma1
+    the largest modulus deviation is 1/(q-1) to (q+1)/(q-1)^2 times the
+    distance from the curve, so tol 1e-6 tags points up to 3e-7..1e-6 from
+    it at q=2 and 8e-6..1e-5 at q=11.
+    """
+    if not (tol > 0 and boundary_tol > 0):
+        raise ValueError("tol and boundary_tol must be positive")
     la = complex(la)
     if min(abs(la - p) for p in sigma0(q)) <= tol:
         return SpectrumPoint(la, SetTag.SIGMA0)
-    if sigma1_distance(q, la) <= tol:
+    roots = companion_roots(q, la)
+    moduli = [abs(z) for z in roots]
+    r = math.sqrt(q)
+    if all(abs(m - t) <= tol for m, t in zip(moduli, (r, 1.0, 1.0 / r))):
         return SpectrumPoint(la, SetTag.SIGMA1)
-    if sigma2_contains(q, la, tol):
-        roots = solve_unit_cubic(la / q, la.conjugate() / q)
-        gaps = [abs(roots[0] - roots[1]), abs(roots[0] - roots[2]),
-                abs(roots[1] - roots[2])]
-        tag = (SetTag.SIGMA2_BOUNDARY if min(gaps) <= boundary_tol
-               else SetTag.SIGMA2_INTERIOR)
-        return SpectrumPoint(la, tag)
+    if all(abs(m - 1) <= tol for m in moduli):
+        a, b, c = roots
+        near = min(abs(a - b), abs(a - c), abs(b - c)) <= boundary_tol
+        return SpectrumPoint(la, SetTag.SIGMA2_BOUNDARY if near
+                             else SetTag.SIGMA2_INTERIOR)
     return SpectrumPoint(la, SetTag.OUTSIDE)
 
 

@@ -8,9 +8,14 @@ so it can cross-check both the operator rows and the closed forms.  The
 group-membership references decide membership from the determinant over
 F_q(t) by exact d-th roots (``nth_root``, tested on its own in
 test_algebra), independently of the degree tests in the package.
+``sigma1_distance`` measures the distance to the cusped curve by sampling
+it, independently of the companion cubic that classifies points.
 """
 
+import math
 from fractions import Fraction
+
+import numpy as np
 
 from a2quotient.algebra import DegenerateInput, Poly, RatFunc
 
@@ -143,3 +148,29 @@ def in_maximal_compact_ref(g):
     mu = min(e.valuation() for row in g.entries for e in row)
     h = g.scaled(RatFunc.t_power(g.q, int(mu)))
     return h.det().valuation() == 0
+
+
+def sigma1_distance(q, la, samples=4096):
+    """min over a of |la - sigma1(a)| on the curve
+    (q^{3/2}+q^{1/2}) e^{ia} + q e^{-2ia}: a grid of samples, then
+    golden-section refinement around the best sample."""
+    la = complex(la)
+
+    def dist(a):
+        return np.abs(la - ((q ** 1.5 + q ** 0.5) * np.exp(1j * a)
+                            + q * np.exp(-2j * a)))
+
+    thetas = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    best = thetas[int(np.argmin(dist(thetas)))]
+    span = 2 * np.pi / samples
+    phi = (math.sqrt(5) - 1) / 2
+    a, b = best - span, best + span
+    c, d = b - phi * (b - a), a + phi * (b - a)
+    for _ in range(80):
+        if dist(c) < dist(d):
+            b, d = d, c
+            c = b - phi * (b - a)
+        else:
+            a, c = c, d
+            d = a + phi * (b - a)
+    return float(dist((a + b) / 2))

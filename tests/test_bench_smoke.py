@@ -1,9 +1,10 @@
-"""Smoke test of the benchmark harness: one short run of exact-reduce, of
-spectral-sweep and of cli-session (the workload that drives the command
-line) must produce a correct result with the end-to-end metrics
-BENCHMARK.json declares.  A run is correct only when every failing op is a
-listed known failure with its listed reason, so a failure reason that
-drifts fails here.  No timing is checked.
+"""Smoke test of the benchmark harness: one short run of each of the four
+workloads must produce a correct result with the end-to-end metrics
+BENCHMARK.json declares.  cli-session is the workload that drives the
+command line, and operator-power the one that reads ``L2Space.weights``.
+A run is correct only when every failing op is a listed known failure with
+its listed reason, so a failure reason that drifts fails here.  No timing
+is checked.
 
 The harness writes its records under its own directory, so the test runs a
 copy of ``perfbench/`` and ``BENCHMARK.json`` next to a link to ``src/`` in
@@ -23,7 +24,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("workload",
-                         ["exact-reduce", "spectral-sweep", "cli-session"])
+                         ["exact-reduce", "operator-power", "spectral-sweep",
+                          "cli-session"])
 def test_workload_run(tmp_path, workload):
     shutil.copytree(ROOT / "perfbench", tmp_path / "perfbench",
                     ignore=shutil.ignore_patterns("out", "__pycache__"))
@@ -39,7 +41,7 @@ def test_workload_run(tmp_path, workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True
     assert result["attempted"] > 0
-    if workload == "exact-reduce":
+    if workload in ("exact-reduce", "operator-power"):
         assert result["failed"] == 0
     else:
         # both have listed known failures (overflow at q >= 5 and

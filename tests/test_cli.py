@@ -99,6 +99,14 @@ class TestValidation:
         assert code == 1
         assert "--tol" in err
 
+    def test_nan_tolerance_rejected(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "--q", "2", "--tol-s", "nan",
+                                 "--out", str(tmp_path), "eigen",
+                                 "--s", "1,1,1")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+
     def test_tol_config_key_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("q = 2\ntol = 1e-6\n")
@@ -168,6 +176,18 @@ class TestEigenCommand:
         payload = json.loads(out)
         assert payload["stratum"] == "trivial"
         assert payload["lambda_plus"]["re"] == pytest.approx(7)
+
+    @pytest.mark.parametrize("flag,value,cause", [
+        ("--lambda", "nan", "eigenvalue (nan+0j) is not finite"),
+        ("--s", "nan,1,1", "component s1 = (nan+0j) is not finite"),
+    ], ids=["lambda", "s"])
+    def test_nan_input_exits_1(self, capsys, tmp_path, flag, value, cause):
+        code, out, err = run_cli(capsys, "--q", "2", "--depth", "10",
+                                 "--out", str(tmp_path), "eigen", flag, value)
+        assert code == 1
+        assert out == ""
+        assert cause in err
+        assert not (tmp_path / "eigen_values.csv").exists()
 
     def test_check_evaluates_the_closed_form_once(self, capsys, tmp_path,
                                                  monkeypatch):

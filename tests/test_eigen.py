@@ -54,6 +54,13 @@ class TestMembershipAndStrata:
             # product is 1 but the conjugate-symmetry constraint fails
             SpectralParam.from_triple(2, 1.1j, 1.0, 1 / 1.1j)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_nonfinite_component_named(self, k):
+        s = [1.0, 1.0, 1.0]
+        s[k - 1] = float("nan")
+        with pytest.raises(NotInS, match=f"s{k} = .*not finite"):
+            SpectralParam.from_triple(2, *s)
+
     def test_strata(self):
         assert SpectralParam.from_triple(2, *unimodular_generic(random.Random(1))).stratum is Stratum.GENERIC
         assert SpectralParam.from_triple(2, *unimodular_double(0.9)).stratum is Stratum.DOUBLE
@@ -120,6 +127,13 @@ class TestCubicInversion:
                 want = sorted(s, key=lambda z: (round(z.real, 8), round(z.imag, 8)))
                 for a, b in zip(got, want):
                     assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("inf"),
+                                     complex(0, float("-inf"))],
+                             ids=["nan", "inf", "-inf-imag"])
+    def test_nonfinite_eigenvalue_rejected(self, lam):
+        with pytest.raises(ValueError, match="not finite"):
+            params_from_eigenvalue(2, lam)
 
     def test_deterministic_ordering(self):
         r1 = solve_unit_cubic(0.3 + 0.1j, 0.3 - 0.1j)

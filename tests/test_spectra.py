@@ -5,14 +5,16 @@ import random
 import numpy as np
 import pytest
 
-from a2quotient.eigen import SpectralParam, Stratum, eigenvalue_pair
+from a2quotient import eigen
+from a2quotient.eigen import (
+    SpectralParam, Stratum, companion_roots, eigenvalue_pair,
+)
 from a2quotient.spectra import (
     InvalidEpsilon, SetTag, TruncationTooCoarse, classify_point, is_decreasing,
     non_ramanujan_witness, norm_divergence, render_spectra, residual_sweep,
-    sigma0, sigma1_distance, sigma1_point, sigma2_boundary_point,
-    sigma2_contains,
+    sigma0, sigma1_point, sigma2_boundary_point, sigma2_contains,
 )
-from oracles import trivial_norm_sq_limit
+from oracles import sigma1_distance, trivial_norm_sq_limit
 
 ROT = cmath.exp(2j * cmath.pi / 3)
 
@@ -107,6 +109,75 @@ class TestClassify:
         # between the curve and the region: no claim, hence Outside
         mid = 0.5 * (6.0 + 2 ** 1.5 + 2 + 2 ** 0.5)
         assert classify_point(q, complex(mid, 0)).set_tag is SetTag.OUTSIDE
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+    def test_sigma1_curve_points(self, q):
+        r = math.sqrt(q)
+        for k in range(1000):
+            lam = sigma1_point(q, 2 * math.pi * k / 1000)
+            moduli = [abs(z) for z in companion_roots(q, lam)]
+            assert moduli == pytest.approx([r, 1.0, 1.0 / r], abs=1e-13), k
+            assert classify_point(q, lam).set_tag is SetTag.SIGMA1, k
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+    def test_sigma1_tag_agrees_with_distance_oracle(self, q):
+        # The tag compares root moduli with tol = 1e-6 and the oracle
+        # measures distance.  Off the curve the largest modulus deviation
+        # is 1/(q-1) to (q+1)/(q-1)^2 times the distance (3 at most at q=2,
+        # 0.1 at least at q=11), so the two may disagree at distances from
+        # 1e-6/3 to 1e-6/0.1; points at oracle distances in (1e-7, 1e-5)
+        # are left out.
+        rng = random.Random(q)
+        k = 1.5 * (q * q + q + 1)
+        points = [complex(rng.uniform(-k, k), rng.uniform(-k, k))
+                  for _ in range(100)]
+        for delta in (0.0, 1e-9, 1e-8, 1e-4, 1e-3, 1e-1):
+            points += [sigma1_point(q, rng.uniform(0, 2 * math.pi))
+                       + delta * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                       for _ in range(20)]
+        on_curve = 0
+        for lam in points:
+            d = sigma1_distance(q, lam)
+            if 1e-7 < d < 1e-5:
+                continue
+            tagged = classify_point(q, lam).set_tag is SetTag.SIGMA1
+            assert tagged == (d <= 1e-6), (lam, d)
+            on_curve += tagged
+        assert on_curve >= 60
+
+    @pytest.mark.parametrize("lam,tag", [
+        (0j, SetTag.SIGMA2_INTERIOR),
+        (sigma2_boundary_point(2, 1.0), SetTag.SIGMA2_BOUNDARY),
+    ], ids=["interior", "boundary"])
+    def test_one_cubic_solve_per_point(self, monkeypatch, lam, tag):
+        calls = []
+        real = eigen.solve_unit_cubic
+
+        def counted(*a):
+            calls.append(a)
+            return real(*a)
+
+        monkeypatch.setattr(eigen, "solve_unit_cubic", counted)
+        assert classify_point(2, lam).set_tag is tag
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("la", [complex("nan"), complex("inf"),
+                                    complex(1, float("nan"))],
+                             ids=["nan", "inf", "nan-imag"])
+    def test_nonfinite_point_rejected(self, la):
+        with pytest.raises(ValueError, match="not finite"):
+            classify_point(2, la)
+        with pytest.raises(ValueError, match="not finite"):
+            sigma2_contains(2, la)
+
+    @pytest.mark.parametrize("la,tols", [
+        (7.0, {"tol": 0.0}),              # a sigma0 point, at distance 0
+        (0j, {"boundary_tol": -1e-4}),    # would tag all of sigma2 interior
+        (0j, {"tol": float("nan")}),      # would tag every point Outside
+    ], ids=["tol", "boundary_tol", "nan-tol"])
+    def test_tolerance_must_be_positive(self, la, tols):
+        with pytest.raises(ValueError, match="positive"):
+            classify_point(2, la, **tols)
 
 
 class TestResidualSweep:
