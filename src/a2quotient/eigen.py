@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -103,7 +104,14 @@ class SpectralParam:
         return iter(self.s)
 
 
+def _check_tol(name: str, tol: float) -> None:
+    # negated so that NaN, for which every comparison is False, fails too
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError(f"{name} must be finite and positive, got {tol}")
+
+
 def _check_membership(s, tol_s: float) -> None:
+    _check_tol("tol_s", tol_s)
     for k, z in enumerate(s, 1):
         if not cmath.isfinite(z):
             raise NotInS(f"component s{k} = {z} is not finite")
@@ -118,6 +126,7 @@ def _check_membership(s, tol_s: float) -> None:
 
 
 def classify_stratum(q: int, s, tol_sing: float = TOL_SING) -> Stratum:
+    _check_tol("tol_sing", tol_sing)
     s1, s2, s3 = s
     scale = max(abs(s1), abs(s2), abs(s3), 1.0)
     # trivial: some rotation of (q, 1, 1/q)

@@ -3,9 +3,12 @@
 The triangle {0 <= n <= m <= M} is packed into flat arrays indexed by
 m(m+1)/2 + n.  ``_kernel`` fills, from the one coefficient table
 ``quotient.table`` and the vertex-type switch ``quotient.stratum``, at most
-three neighbor slots per row: an index array and integer coefficients.
-Rows that reference depth M+1 are flagged in a boundary mask and evaluate
-the missing neighbor as zero (the compression to the truncated space).
+three neighbor slots per row, stored slot-major: a (3, T) int32 index array
+and (3, T) integer coefficients over the T packed vertices.  An absent slot
+points at index T, a zero sentinel the gather appends to the values, so the
+gather is three column products with no masking.  Rows that reference depth
+M+1 are flagged in a boundary mask and evaluate the missing neighbor as zero
+(the compression to the truncated space).
 
 One gather runs both operators in two arithmetics: ``L2Space.apply`` on
 complex128 grid functions, ``apply_exact`` on object arrays of ints,
@@ -71,10 +74,18 @@ def _packed(depth: int, values, dtype):
     return values
 
 
+_INDEX_MAX = int(np.iinfo(np.int32).max)
+
+
 def _check_space(q: int, depth: int):
     validate_q(q)
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    if tri_size(depth) + 1 > _INDEX_MAX:
+        raise ValueError(
+            f"depth {depth} is too large: its {tri_size(depth)} vertices and "
+            f"the zero sentinel must be indexable in int32 (at most "
+            f"{_INDEX_MAX})")
 
 
 class GridFunction:
@@ -108,21 +119,23 @@ def _kernel(q: int, depth: int, sign: int):
     """Neighbor indices and coefficients for one direction, filled from
     ``quotient.table``: one slot per step of the vertex's stratum row.
 
-    Returns (idx[T,3], coef[T,3], mask[T]): idx -1 marks an absent slot,
-    the coefficients are int64 so both arithmetics read them unrounded,
-    and mask flags vertices whose row references depth+1.
+    Returns (idx[3,T], coef[3,T], mask[T]), slot-major so each slot is one
+    contiguous column: idx is int32 and points an absent slot at T, the
+    zero sentinel ``_gather`` appends; the coefficients are int64 so both
+    arithmetics read them unrounded; mask flags vertices whose row
+    references depth+1.
     """
     m, n = _grid_mn(depth)
     strata = stratum(m, n).astype(np.int8)
-    idx = np.full((m.size, 3), -1, dtype=np.int64)
-    coef = np.zeros((m.size, 3), dtype=np.int64)
+    idx = np.full((3, m.size), m.size, dtype=np.int32)
+    coef = np.zeros((3, m.size), dtype=np.int64)
     for s, row in enumerate(table(q, sign)):
         sel = strata == s
         for slot, (dm, dn, c) in enumerate(row):
-            # slots falling beyond the depth keep idx -1 and coefficient 0
+            # slots falling beyond the depth keep the sentinel and coefficient 0
             hit = np.flatnonzero(sel & (m <= depth - dm))
-            idx[hit, slot] = vertex_index(m[hit] + dm, n[hit] + dn)
-            coef[hit, slot] = c
+            idx[slot, hit] = vertex_index(m[hit] + dm, n[hit] + dn)
+            coef[slot, hit] = c
 
     mask = m == depth  # every row at the last shell references depth+1
     idx.setflags(write=False)
@@ -133,14 +146,20 @@ def _kernel(q: int, depth: int, sign: int):
 
 def _gather(q: int, depth: int, sign: int, values: np.ndarray):
     """Apply one operator to packed values of any dtype: per row the sum
-    of coef * values[idx] over the slots, absent slots counting zero.
+    of coef * values[idx] over the slots, absent slots reading the zero
+    sentinel.
 
     Returns (image, mask).
     """
     idx, coef, mask = _kernel(q, depth, sign)
-    padded = values[idx]
-    padded[idx < 0] = 0
-    return (coef * padded).sum(axis=1), mask
+    padded = np.zeros(values.size + 1, dtype=values.dtype)
+    padded[:-1] = values
+    # the sum starts from 0, as a row-wise sum does: three -0.0 products
+    # then add up to +0.0, not -0.0
+    image = 0 + coef[0] * padded.take(idx[0])
+    image += coef[1] * padded.take(idx[1])
+    image += coef[2] * padded.take(idx[2])
+    return image, mask
 
 
 @lru_cache(maxsize=32)

@@ -30,8 +30,8 @@ import numpy as np
 
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, companion_roots, damped_grid, eigenfunction_grid,
-    eigenvalue_pair,
+    SpectralParam, Stratum, _check_tol, companion_roots, damped_grid,
+    eigenfunction_grid, eigenvalue_pair,
 )
 from .operator import GridFunction, L2Space, _grid_mn
 
@@ -77,8 +77,7 @@ def sigma1_point(q: int, theta: float) -> complex:
 
 def sigma2_contains(q: int, la: complex, tol: float = 1e-6) -> bool:
     """Companion-cubic test: all three roots unimodular within tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol("tol", tol)
     return all(abs(abs(r) - 1) <= tol for r in companion_roots(q, la))
 
 
@@ -111,8 +110,8 @@ def classify_point(q: int, la: complex, tol: float = 1e-6,
     distance from the curve, so tol 1e-6 tags points up to 3e-7..1e-6 from
     it at q=2 and 8e-6..1e-5 at q=11.
     """
-    if not (tol > 0 and boundary_tol > 0):
-        raise ValueError("tol and boundary_tol must be positive")
+    _check_tol("tol", tol)
+    _check_tol("boundary_tol", boundary_tol)
     la = complex(la)
     if min(abs(la - p) for p in sigma0(q)) <= tol:
         return SpectrumPoint(la, SetTag.SIGMA0)

@@ -10,14 +10,19 @@ F_q(t) by exact d-th roots (``nth_root``, tested on its own in
 test_algebra), independently of the degree tests in the package.
 ``sigma1_distance`` measures the distance to the cusped curve by sampling
 it, independently of the companion cubic that classifies points.
+``gather_ref`` applies an operator row-major from ``expected_rows``, the
+layout and summation the package's gather must reproduce bit for bit.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
 
 from a2quotient.algebra import DegenerateInput, Poly, RatFunc
+
+_Vertex = namedtuple("_Vertex", "m n")
 
 
 def forward_solve(q, lam_plus, lam_minus, depth):
@@ -70,6 +75,29 @@ def expected_rows(q, v):
         plus = {(m - 1, n - 1): q * q, (m, n + 1): q, (m + 1, n): 1}
         minus = {(m - 1, n): q * q, (m, n - 1): q, (m + 1, n + 1): 1}
     return plus, minus
+
+
+def gather_ref(q, depth, sign, values):
+    """Row-major operator application on values packed m(m+1)/2 + n: a
+    (T, 3) table of neighbor positions and coefficients from
+    ``expected_rows`` in slot order, absent slots (missing from the row or
+    beyond the depth) reading zero, and per row (coef * padded).sum(axis=1).
+    """
+    size = (depth + 1) * (depth + 2) // 2
+    pos = np.full((size, 3), -1, dtype=np.int64)
+    coef = np.zeros((size, 3), dtype=np.int64)
+    row = 0
+    for m in range(depth + 1):
+        for n in range(m + 1):
+            terms = expected_rows(q, _Vertex(m, n))[0 if sign == +1 else 1]
+            for slot, ((m2, n2), c) in enumerate(terms.items()):
+                if m2 <= depth:
+                    pos[row, slot] = m2 * (m2 + 1) // 2 + n2
+                    coef[row, slot] = c
+            row += 1
+    padded = np.asarray(values)[pos]
+    padded[pos < 0] = 0
+    return (coef * padded).sum(axis=1)
 
 
 def weight_of(q, m, n):

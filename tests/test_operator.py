@@ -11,7 +11,7 @@ from a2quotient.operator import (
     inner_exact, tri_size, vertex_index,
 )
 from a2quotient.quotient import Vertex, vertex_weight
-from oracles import expected_rows, trivial_norm_sq_limit, weight_of
+from oracles import expected_rows, gather_ref, trivial_norm_sq_limit, weight_of
 
 
 class TestGridFunction:
@@ -117,6 +117,79 @@ class TestApply:
                                   np.arange(vertex_index(M, 0), len(verts)))
 
 
+def seeded_values(rng, size):
+    """Complex data whose parts are 30% signed zeros, 1% infinities and
+    1% NaN, set part by part so that -0.0 survives."""
+    z = np.empty(size, dtype=np.complex128)
+    for part in ("real", "imag"):
+        x = rng.standard_normal(size)
+        u = rng.random(size)
+        x[u < 0.15] = -0.0
+        x[(u >= 0.15) & (u < 0.30)] = 0.0
+        x[(u >= 0.30) & (u < 0.305)] = np.inf
+        x[(u >= 0.305) & (u < 0.31)] = -np.inf
+        x[(u >= 0.31) & (u < 0.32)] = np.nan
+        setattr(z, part, x)
+    return z
+
+
+class TestGather:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+    @pytest.mark.parametrize("depth", [2, 3, 10, 40])
+    def test_bit_identical_to_row_major_reference(self, q, depth):
+        rng = np.random.default_rng(100 * q + depth)
+        space = L2Space(q, depth)
+        for sign in (+1, -1):
+            f = GridFunction(depth, seeded_values(rng, tri_size(depth)))
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, _ = space.apply(sign, f)
+                want = gather_ref(q, depth, sign, f.values)
+            assert got.values.tobytes() == want.tobytes()
+            exact = [Fraction(int(a), int(b)) for a, b in zip(
+                rng.integers(-50, 50, tri_size(depth)),
+                rng.integers(1, 9, tri_size(depth)))]
+            got_exact, _ = apply_exact(q, depth, sign, exact)
+            want_exact = gather_ref(q, depth, sign, np.array(exact, dtype=object))
+            assert [(type(x), x) for x in got_exact] == \
+                [(type(x), x) for x in want_exact]
+
+    def test_three_negative_zero_products_sum_to_plus_zero(self):
+        # c * (-0.0 + 1j) has real part -0.0 for every coefficient c
+        M = 6
+        f = GridFunction(M, np.full(tri_size(M), complex(-0.0, 1.0)))
+        for sign in (+1, -1):
+            got, _ = L2Space(2, M).apply(sign, f)
+            assert not np.signbit(got.values.real).any()
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_absent_slots_read_a_true_zero(self, sign):
+        # a slot pointing at the origin with coefficient 0 would give
+        # 0 * inf = NaN in every row with an absent slot
+        q, M = 3, 12
+        values = np.random.default_rng(4).standard_normal(tri_size(M)) + 0j
+        values[0] = np.inf
+        with np.errstate(invalid="ignore"):
+            got, _ = L2Space(q, M).apply(sign, GridFunction(M, values))
+        reads_origin = np.array([
+            (0, 0) in expected_rows(q, Vertex(m, n))[0 if sign == +1 else 1]
+            for m in range(M + 1) for n in range(m + 1)])
+        assert reads_origin.sum() == 1
+        assert np.isfinite(got.values[~reads_origin]).all()
+
+    def test_int32_guard_names_the_limit(self, monkeypatch):
+        def no_grid(depth):
+            raise AssertionError(f"grid of depth {depth} allocated")
+
+        monkeypatch.setattr(operator, "_grid_mn", no_grid)
+        with pytest.raises(ValueError, match="int32"):
+            L2Space(2, 70_000)
+        with pytest.raises(ValueError, match="int32"):
+            apply_exact(2, 70_000, +1, [])
+        operator._check_space(2, 65_534)  # 2147450880 vertices + sentinel
+        with pytest.raises(ValueError, match="2147483647"):
+            operator._check_space(2, 65_535)
+
+
 class TestInner:
     def test_indicator_weight(self):
         space = L2Space(2, 3)
@@ -173,7 +246,7 @@ class TestAdjointness:
             idx, coef, mask = real(q, depth, sign)
             if sign == +1:
                 coef = coef.copy()
-                coef[vertex_index(3, 1), 0] += 1
+                coef[0, vertex_index(3, 1)] += 1
             return idx, coef, mask
 
         real.cache_clear()

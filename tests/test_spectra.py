@@ -89,6 +89,12 @@ class TestSigma2:
             assert sigma1_distance(q, lam * ROT) == pytest.approx(d, abs=1e-8)
             assert sigma1_distance(q, lam.conjugate()) == pytest.approx(d, abs=1e-8)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a NaN tol used to report the sigma2 centre as outside
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            sigma2_contains(2, 0j, tol=tol)
+
     def test_interior_images_of_random_triples(self):
         rng = random.Random(5)
         q = 2
