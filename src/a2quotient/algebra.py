@@ -11,10 +11,6 @@ The valuation is the one attached to the place at infinity of F_q(t),
 
 so that the absolute value is q^(-nu).  The local ring O consists of the
 rational functions with nu >= 0 (power series in 1/t).
-
-Besides ring arithmetic the module provides exact perfect-power roots of
-monic polynomials by top-down coefficient matching, used by the projective
-group-membership tests.
 """
 
 from __future__ import annotations
@@ -262,10 +258,6 @@ class RatFunc:
         return cls(Poly.const(q, c))
 
     @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p)
-
-    @classmethod
     def t_power(cls, q: int, k: int) -> "RatFunc":
         """t^k for any integer k."""
         if k >= 0:
@@ -323,11 +315,6 @@ class RatFunc:
 
     def inverse(self) -> "RatFunc":
         return RatFunc.one(self.q) / self
-
-    def __pow__(self, k: int) -> "RatFunc":
-        if k < 0:
-            return self.inverse() ** (-k)
-        return RatFunc(self.num ** k, self.den ** k)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc) and self.num == other.num

@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .algebra import fraction_str, validate_q
 from .eigen import (
-    OMEGA, SpectralParam, _grid_residual, eigenfunction_grid, eigenvalue_pair,
-    params_from_eigenvalue, TOL_S, TOL_SING,
+    OMEGA, SpectralParam, _check_tol, _grid_residual, eigenfunction_grid,
+    eigenvalue_pair, params_from_eigenvalue, TOL_S, TOL_SING,
 )
 from .operator import L2Space, tri_size, vertex_index
 from .quotient import QuotientComplex, color, stabilizer_order
@@ -55,8 +55,8 @@ class RunConfig:
         validate_q(self.q)
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
-        if not all(0 < t < math.inf for t in (self.tol_s, self.tol_sing)):
-            raise ValueError("tolerances must be finite and positive")
+        _check_tol("tol_s", self.tol_s)
+        _check_tol("tol_sing", self.tol_sing)
         if self.fmt not in ("csv", "json", "svg"):
             raise ValueError(f"unknown output format {self.fmt!r}")
         return self
@@ -118,6 +118,12 @@ def _open_out(cfg: RunConfig, name: str):
     return path / name
 
 
+def _require_format(cfg: RunConfig, command: str, formats: tuple) -> None:
+    if cfg.fmt not in formats:
+        raise ValueError(f"{command} cannot write --emit {cfg.fmt}; "
+                         f"it writes {' or '.join(formats)}")
+
+
 def _header(cfg: RunConfig) -> str:
     return f"# seed={cfg.seed} q={cfg.q} depth={cfg.depth}\n"
 
@@ -153,6 +159,7 @@ def _walk(cx: QuotientComplex):
 
 
 def cmd_complex(cfg: RunConfig, args) -> int:
+    _require_format(cfg, "complex", ("csv", "json"))
     cx = QuotientComplex(cfg.q, cfg.depth)
     if cfg.fmt == "json":
         return _complex_json(cfg, cx)
@@ -200,6 +207,7 @@ def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
 
 
 def cmd_eigen(cfg: RunConfig, args) -> int:
+    _require_format(cfg, "eigen", ("csv",))
     if (args.s is None) == (args.lam is None):
         raise ValueError("provide exactly one of --s or --lambda")
     if args.s is not None:

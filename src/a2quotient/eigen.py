@@ -341,10 +341,10 @@ def _grid_residual(space: L2Space, param: SpectralParam, f: GridFunction) -> flo
     pair = eigenvalue_pair(space.q, param)
     worst = 0.0
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        af, mask = space.apply(sign, f)
+        af, _ = space.apply(sign, f)
         resid = np.abs(af.values - lam * f.values)
         scale = 1.0 + abs(lam) * np.abs(f.values)
-        worst = max(worst, float((resid / scale)[~mask].max()))
+        worst = max(worst, float((resid / scale)[space.interior].max()))
     return worst
 
 

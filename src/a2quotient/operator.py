@@ -8,18 +8,23 @@ and (3, T) integer coefficients over the T packed vertices.  An absent slot
 points at index T, a zero sentinel the gather appends to the values, so the
 gather is three column products with no masking.  Rows that reference depth
 M+1 are flagged in a boundary mask and evaluate the missing neighbor as zero
-(the compression to the truncated space).
+(the compression to the truncated space).  Those rows are exactly the last
+packed shell, so the complete rows are the prefix ``L2Space.interior`` =
+slice(0, tri_size(M-1)).
 
 One gather runs both operators in two arithmetics: ``L2Space.apply`` on
 complex128 grid functions, ``apply_exact`` on object arrays of ints,
 Fractions or Eisenstein rationals.  The exact adjointness check therefore
 gates the very kernel the float work multiplies, at any depth.
 
-Float inner products carry the vertex weights as pre-scaled values
-f * sqrt(w), so no intermediate overflows for unimodular spectral data at
-any practical depth.  ``inner_exact`` scales by L = (q^2+q+1) q^(2M),
-which makes every L w(v) an integer: it sums integer-scaled products per
-shell and reassembles the shells with one Horner pass in q^2.
+Float inner products read the one weight array w and multiply by it
+first: <f, g> sums (w f) conj(g), and |f|^2 sums (w |f|) |f|.  For unimodular
+spectral data |f| grows like q^m while w |f|^2 stays of order one, so the
+intermediate w |f| is small; squaring |f| first overflows to inf once |f|
+passes 1.3e154 (m = 323 at q = 3, where depth 480 reaches 3^480 = 1e229).
+``inner_exact`` scales by L = (q^2+q+1) q^(2M), which makes every L w(v) an
+integer: it sums integer-scaled products per shell and reassembles the
+shells with one Horner pass in q^2.
 
 A- is built from its own table rows, not as the weighted transpose
 w(u)/w(v) of A+: the float weights underflow to exactly 0 from m = 538 at
@@ -170,9 +175,7 @@ def _weights(q: int, depth: int):
     factor = np.array([float(c) for c in weight_factors(q)])
     w = factor[stratum(m, n)] * np.power(float(q), -2.0 * m.astype(np.float64))
     w.setflags(write=False)
-    sw = np.sqrt(w)
-    sw.setflags(write=False)
-    return w, sw
+    return w
 
 
 class L2Space:
@@ -182,8 +185,9 @@ class L2Space:
         _check_space(q, depth)
         self.q = q
         self.depth = depth
-        self.weights, self.sqrt_weights = _weights(q, depth)
-        self.boundary_mask = _kernel(q, depth, +1)[2]
+        self.weights = _weights(q, depth)
+        # the vertices whose rows are complete: all but the last shell
+        self.interior = slice(0, tri_size(depth - 1))
 
     # -- operators ----------------------------------------------------------
     def apply(self, sign: int, f: GridFunction):
@@ -200,32 +204,29 @@ class L2Space:
         if f.depth != self.depth:
             raise DimensionMismatch("grid function depth differs from space")
 
-    # -- inner products -------------------------------------------------------
-    def inner(self, f: GridFunction, g: GridFunction, where=None) -> complex:
+    # -- inner products (weight first; see the module docstring) -------------
+    def inner(self, f: GridFunction, g: GridFunction,
+              where=slice(None)) -> complex:
         self._check(f)
         self._check(g)
-        a = f.values * self.sqrt_weights
-        b = g.values * self.sqrt_weights
-        prod = a * np.conjugate(b)
-        if where is not None:
-            prod = prod[where]
+        prod = self.weights[where] * f.values[where]
+        prod *= np.conjugate(g.values[where])
         return complex(prod.sum())
 
-    def norm(self, f: GridFunction, where=None) -> float:
+    def norm(self, f: GridFunction, where=slice(None)) -> float:
         self._check(f)
-        a = np.abs(f.values * self.sqrt_weights) ** 2
-        if where is not None:
-            a = a[where]
-        return float(np.sqrt(a.sum()))
+        a = np.abs(f.values[where])
+        mass = self.weights[where] * a
+        mass *= a
+        return float(np.sqrt(mass.sum()))
 
     def rayleigh(self, sign: int, f: GridFunction) -> complex:
-        """<A f, f> / <f, f> over the unmasked vertices."""
-        keep = ~self.boundary_mask
-        nf = self.norm(f, where=keep)
+        """<A f, f> / <f, f> over the interior vertices."""
+        nf = self.norm(f, where=self.interior)
         if nf == 0.0:
             raise ZeroFunction("rayleigh quotient of the zero function")
         af, _ = self.apply(sign, f)
-        return self.inner(af, f, where=keep) / (nf * nf)
+        return self.inner(af, f, where=self.interior) / (nf * nf)
 
     # -- verification helpers -------------------------------------------------
     def adjoint_defect(self, trials: int, rng=None, exact: bool = True):
@@ -256,16 +257,16 @@ class L2Space:
 
     def _random_interior_exact(self, rng):
         data = np.zeros(tri_size(self.depth), dtype=object)
-        interior = tri_size(self.depth - 1)
-        data[:interior] = [rng.randrange(-9, 10) for _ in range(interior)]
+        size = self.interior.stop
+        data[self.interior] = [rng.randrange(-9, 10) for _ in range(size)]
         return data
 
     def _random_interior_float(self, rng):
         data = np.zeros(tri_size(self.depth), dtype=np.complex128)
-        interior = tri_size(self.depth - 1)
-        re = np.array([rng.uniform(-1, 1) for _ in range(interior)])
-        im = np.array([rng.uniform(-1, 1) for _ in range(interior)])
-        data[:interior] = re + 1j * im
+        size = self.interior.stop
+        re = np.array([rng.uniform(-1, 1) for _ in range(size)])
+        im = np.array([rng.uniform(-1, 1) for _ in range(size)])
+        data[self.interior] = re + 1j * im
         return GridFunction(self.depth, data)
 
     def norm_estimate(self, iters: int) -> float:

@@ -26,14 +26,12 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .algebra import validate_q
 from .eigen import (
     SpectralParam, Stratum, _check_tol, companion_roots, damped_grid,
     eigenfunction_grid, eigenvalue_pair,
 )
-from .operator import GridFunction, L2Space, _grid_mn
+from .operator import GridFunction, L2Space, tri_size
 
 
 class InvalidEpsilon(ValueError):
@@ -151,9 +149,8 @@ def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> Resi
     space = L2Space(q, depth)
     f = damped_grid(q, param, eps, depth)
     pair = eigenvalue_pair(q, param)
-    keep = ~space.boundary_mask
     total_sq = space.norm(f) ** 2
-    kept = space.norm(f, where=keep)
+    kept = space.norm(f, where=space.interior)
     frac = 1.0 - kept ** 2 / total_sq if total_sq > 0 else 1.0
     if frac >= TRUNC_LIMIT:
         raise TruncationTooCoarse(
@@ -162,7 +159,7 @@ def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> Resi
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
         af, _ = space.apply(sign, f)
         resid = GridFunction(depth, af.values - lam * f.values)
-        ratios.append(space.norm(resid, where=keep) / kept)
+        ratios.append(space.norm(resid, where=space.interior) / kept)
     return ResidualReport(s=param.s, epsilon=eps, depth=depth,
                           residual_plus=ratios[0], residual_minus=ratios[1],
                           norm=math.sqrt(total_sq),
@@ -211,12 +208,7 @@ def norm_divergence(q: int, param: SpectralParam, depths) -> list[float]:
     top = depths[-1]
     space = L2Space(q, top)
     f = eigenfunction_grid(q, param, top)
-    mass = np.abs(f.values * space.sqrt_weights) ** 2
-    m, _ = _grid_mn(top)
-    out = []
-    for d in depths:
-        out.append(float(mass[m <= d].sum()))
-    return out
+    return [space.norm(f, where=slice(0, tri_size(d))) ** 2 for d in depths]
 
 
 def sigma1_cusp(q: int) -> SpectralParam:

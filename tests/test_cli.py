@@ -94,6 +94,19 @@ class TestValidation:
         assert code == 1
         assert "unknown output format 'xml'" in err
 
+    @pytest.mark.parametrize("fmt, argv", [
+        ("svg", ["complex"]),
+        ("json", ["eigen", "--s", "1,1,1"]),
+        ("svg", ["eigen", "--s", "1,1,1"]),
+    ])
+    def test_format_the_subcommand_cannot_write(self, capsys, tmp_path, fmt, argv):
+        code, out, err = run_cli(capsys, "--q", "2", "--depth", "4", "--emit", fmt,
+                                 "--out", str(tmp_path), *argv)
+        assert code == 1
+        assert out == ""
+        assert f"{argv[0]} cannot write --emit {fmt}" in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_tol_flag_rejected(self, capsys):
         code, _, err = run_cli(capsys, "--q", "2", "--tol", "1e-6", "witness")
         assert code == 1

@@ -258,6 +258,21 @@ class TestClosedFormsAgainstRecurrence:
             assert np.allclose(base.values, other.values)
 
 
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_double_root_position_is_irrelevant(self, q):
+        # the repeated root first, second or third: each picks another
+        # branch of _split_double, and the grids agree bit for bit
+        a, b = cmath.exp(1.4j), cmath.exp(-0.7j)
+        orders = [(a, b, b), (b, a, b), (b, b, a)]
+        assert {eigen._split_double(s) for s in orders} == {(a, b)}
+        grids = []
+        for s in orders:
+            p = SpectralParam.from_triple(q, *s)
+            assert p.stratum is Stratum.DOUBLE
+            grids.append(eigenfunction_grid(q, p, 40).values.tobytes())
+        assert grids[0] == grids[1] == grids[2]
+
+
 def stratum_params(q):
     """One parameter per stratum, plus the sigma1 cusp (a generic parameter
     with three structural-zero B coefficients)."""

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,33 @@ class TestInner:
         ones = GridFunction(M, np.ones(tri_size(M)))
         assert space.norm(ones) ** 2 == pytest.approx(8 / 7, abs=1e-12)
         assert trivial_norm_sq_limit(2) == Fraction(8, 7)
+
+    def test_weight_first_survives_huge_values(self):
+        # 3^m reaches 1e229 at depth 480 and its square overflows from
+        # m = 323, while each w(v) |f(v)|^2 stays of order one
+        q, M = 3, 480
+        space = L2Space(q, M)
+        m, _ = operator._grid_mn(M)
+        powers = np.power(3.0, np.arange(M + 1))
+        f = GridFunction(M, powers[m])
+        # exact sum over the stored float weights and values
+        pairs = Counter(zip(m.tolist(), space.weights.tolist()))
+        want = float(sum(k * Fraction(w) * Fraction(powers[mm]) ** 2
+                         for (mm, w), k in pairs.items()))
+        assert want > 1
+        assert space.norm(f) ** 2 == pytest.approx(want, rel=1e-12)
+        assert space.inner(f, f) == pytest.approx(want, rel=1e-12)
+        assert space.inner(f, GridFunction(M, 1j * f.values)) == pytest.approx(
+            -1j * want, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [2, 3, 11])
+    @pytest.mark.parametrize("depth", [2, 3, 40])
+    def test_interior_is_the_unmasked_prefix(self, q, depth):
+        space = L2Space(q, depth)
+        for sign in (+1, -1):
+            _, mask = space.apply(sign, GridFunction.zeros(depth))
+            assert np.array_equal(np.arange(tri_size(depth))[space.interior],
+                                  np.flatnonzero(~mask))
 
     def test_dimension_mismatch(self):
         space = L2Space(2, 4)

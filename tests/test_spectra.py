@@ -1,18 +1,21 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from a2quotient import eigen
 from a2quotient.eigen import (
-    SpectralParam, Stratum, companion_roots, eigenvalue_pair,
+    SpectralParam, Stratum, companion_roots, eigenfunction_grid, eigenvalue_pair,
 )
+from a2quotient.quotient import vertex_weight
 from a2quotient.spectra import (
-    InvalidEpsilon, SetTag, TruncationTooCoarse, classify_point, is_decreasing,
-    non_ramanujan_witness, norm_divergence, render_spectra, residual_sweep,
-    sigma0, sigma1_point, sigma2_boundary_point, sigma2_contains,
+    InvalidEpsilon, ResidualReport, SetTag, TruncationTooCoarse,
+    classify_point, is_decreasing, non_ramanujan_witness, norm_divergence,
+    render_spectra, residual_sweep, sigma0, sigma1_point,
+    sigma2_boundary_point, sigma2_contains,
 )
 from oracles import sigma1_distance, trivial_norm_sq_limit
 
@@ -246,6 +249,15 @@ class TestResidualSweep:
         reports = residual_sweep(q, param, (0.05, 0.2))  # wrong order: increasing
         assert not is_decreasing(reports)
 
+    def test_growing_minus_ratio_alone_is_not_decreasing(self):
+        def report(plus, minus):
+            return ResidualReport(s=(1, 1, 1), epsilon=0.1, depth=120,
+                                  residual_plus=plus, residual_minus=minus,
+                                  norm=1.0, truncation_fraction=0.0)
+
+        assert is_decreasing([report(0.5, 0.5), report(0.2, 0.52)])  # within 5%
+        assert not is_decreasing([report(0.5, 0.5), report(0.2, 0.6)])
+
 
 class TestNormDivergence:
     def test_trivial_converges(self):
@@ -275,6 +287,19 @@ class TestNormDivergence:
         logs = np.log(partials)
         slope = np.polyfit(np.log(depths), logs, 1)[0]
         assert slope >= 3
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_exact_weight_sum(self, q):
+        # the partial sums against exact vertex weights times the float
+        # values' exact squared moduli
+        param = SpectralParam.from_triple(q, *unimodular_generic(random.Random(4)))
+        depths = [3, 7, 12]
+        f = eigenfunction_grid(q, param, depths[-1])
+        for d, got in zip(depths, norm_divergence(q, param, depths)):
+            want = sum(vertex_weight(q, m, n) * (Fraction(f[(m, n)].real) ** 2
+                                                 + Fraction(f[(m, n)].imag) ** 2)
+                       for m in range(d + 1) for n in range(m + 1))
+            assert got == pytest.approx(float(want), rel=1e-14)
 
     def test_no_depths(self):
         param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
