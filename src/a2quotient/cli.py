@@ -24,8 +24,8 @@ from pathlib import Path
 
 from .algebra import fraction_str, validate_q
 from .eigen import (
-    OMEGA, SpectralParam, _check_tol, _grid_residual, eigenfunction_grid,
-    eigenvalue_pair, params_from_eigenvalue, TOL_S, TOL_SING,
+    OMEGA, SpectralParam, _grid_residual, eigenfunction_grid, eigenvalue_pair,
+    params_from_eigenvalue,
 )
 from .operator import L2Space, tri_size, vertex_index
 from .quotient import QuotientComplex, color, stabilizer_order
@@ -45,8 +45,6 @@ DEFAULT_EPS = "0.2,0.1,0.05"
 class RunConfig:
     q: int = 2
     depth: int = 20
-    tol_s: float = TOL_S
-    tol_sing: float = TOL_SING
     seed: int = 0
     fmt: str = "csv"
     outdir: str = "."
@@ -55,8 +53,6 @@ class RunConfig:
         validate_q(self.q)
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
-        _check_tol("tol_s", self.tol_s)
-        _check_tol("tol_sing", self.tol_sing)
         if self.fmt not in ("csv", "json", "svg"):
             raise ValueError(f"unknown output format {self.fmt!r}")
         return self
@@ -118,10 +114,9 @@ def _open_out(cfg: RunConfig, name: str):
     return path / name
 
 
-def _require_format(cfg: RunConfig, command: str, formats: tuple) -> None:
-    if cfg.fmt not in formats:
-        raise ValueError(f"{command} cannot write --emit {cfg.fmt}; "
-                         f"it writes {' or '.join(formats)}")
+# the --emit formats of each subcommand's bulk file (none: only the default)
+FORMATS = {"reduce": (), "complex": ("csv", "json"), "eigen": ("csv",),
+           "norm": (), "spectra": ("csv", "json", "svg"), "witness": ()}
 
 
 def _header(cfg: RunConfig) -> str:
@@ -159,7 +154,6 @@ def _walk(cx: QuotientComplex):
 
 
 def cmd_complex(cfg: RunConfig, args) -> int:
-    _require_format(cfg, "complex", ("csv", "json"))
     cx = QuotientComplex(cfg.q, cfg.depth)
     if cfg.fmt == "json":
         return _complex_json(cfg, cx)
@@ -207,7 +201,6 @@ def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
 
 
 def cmd_eigen(cfg: RunConfig, args) -> int:
-    _require_format(cfg, "eigen", ("csv",))
     if (args.s is None) == (args.lam is None):
         raise ValueError("provide exactly one of --s or --lambda")
     if args.s is not None:
@@ -215,11 +208,9 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         if len(parts) != 3:
             raise ValueError("--s needs three comma-separated complex numbers")
         s1, s2, s3 = (_parse_complex(p) for p in parts)
-        param = SpectralParam.from_triple(cfg.q, s1, s2, s3,
-                                          tol_s=cfg.tol_s, tol_sing=cfg.tol_sing)
+        param = SpectralParam.from_triple(cfg.q, s1, s2, s3)
     else:
-        param = params_from_eigenvalue(cfg.q, _parse_complex(args.lam),
-                                       tol_sing=cfg.tol_sing)
+        param = params_from_eigenvalue(cfg.q, _parse_complex(args.lam))
     pair = eigenvalue_pair(cfg.q, param)
     grid = eigenfunction_grid(cfg.q, param, cfg.depth)
     path = _open_out(cfg, "eigen_values.csv")
@@ -370,10 +361,6 @@ def _add_common(parser: argparse.ArgumentParser, after_subcommand: bool) -> None
     parser.add_argument("--depth", type=int, help="truncation depth M", **kw)
     parser.add_argument("--seed", type=int,
                         help="run seed recorded in outputs", **kw)
-    parser.add_argument("--tol-s", dest="tol_s", type=float,
-                        help="membership tolerance for parameter triples", **kw)
-    parser.add_argument("--tol-sing", dest="tol_sing", type=float,
-                        help="stratum dispatch tolerance", **kw)
     parser.add_argument("--out", dest="outdir",
                         help=f"output directory (or ${ENV_OUTDIR})", **kw)
     parser.add_argument("--emit", dest="fmt", choices=["csv", "json", "svg"],
@@ -430,9 +417,25 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unknown_option(parser: argparse.ArgumentParser, argv) -> str | None:
+    """The first --name in argv that is no option (or prefix of one) of the
+    parser or a subcommand; argparse alone would take the value of such a
+    name given before the subcommand for the subcommand."""
+    subcommands = next(a.choices for a in parser._actions
+                       if isinstance(a.choices, dict))
+    known = [s for p in (parser, *subcommands.values())
+             for a in p._actions for s in a.option_strings]
+    names = (token.split("=", 1)[0] for token in argv)
+    return next((n for n in names if n.startswith("--")
+                 and not any(s.startswith(n) for s in known)), None)
+
+
 def main(argv=None) -> int:
     parser = make_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        if unknown := _unknown_option(parser, argv):
+            parser.error(f"unrecognized arguments: {unknown}")
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/help; keep exit 2 reserved for
@@ -440,6 +443,10 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg = build_config(args)
+        formats = FORMATS[args.command]
+        if cfg.fmt not in (formats or ("csv",)):
+            raise ValueError(f"{args.command} cannot write --emit {cfg.fmt}; it "
+                             f"writes {' or '.join(formats) or 'no bulk file'}")
         return args.func(cfg, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

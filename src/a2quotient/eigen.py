@@ -50,7 +50,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,51 +93,42 @@ class SpectralParam:
     stratum: Stratum
 
     @classmethod
-    def from_triple(cls, q: int, s1, s2, s3, tol_s: float = TOL_S,
-                    tol_sing: float = TOL_SING) -> "SpectralParam":
+    def from_triple(cls, q: int, s1, s2, s3) -> "SpectralParam":
         s = (complex(s1), complex(s2), complex(s3))
-        _check_membership(s, tol_s)
-        return cls(s=s, stratum=classify_stratum(q, s, tol_sing))
+        _check_membership(s)
+        return cls(s=s, stratum=classify_stratum(q, s))
 
     def __iter__(self):
         return iter(self.s)
 
 
-def _check_tol(name: str, tol: float) -> None:
-    # negated so that NaN, for which every comparison is False, fails too
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError(f"{name} must be finite and positive, got {tol}")
-
-
-def _check_membership(s, tol_s: float) -> None:
-    _check_tol("tol_s", tol_s)
+def _check_membership(s) -> None:
     for k, z in enumerate(s, 1):
         if not cmath.isfinite(z):
             raise NotInS(f"component s{k} = {z} is not finite")
     s1, s2, s3 = s
     if min(abs(s1), abs(s2), abs(s3)) == 0.0:
         raise NotInS("zero component")
-    if abs(s1 * s2 * s3 - 1) > tol_s:
+    if abs(s1 * s2 * s3 - 1) > TOL_S:
         raise NotInS(f"product {s1 * s2 * s3} differs from 1")
     e1, e2 = s1 + s2 + s3, 1 / s1 + 1 / s2 + 1 / s3
-    if abs(e1.conjugate() - e2) > tol_s * max(1.0, abs(e1)):
+    if abs(e1.conjugate() - e2) > TOL_S * max(1.0, abs(e1)):
         raise NotInS("conjugate-symmetry constraint fails")
 
 
-def classify_stratum(q: int, s, tol_sing: float = TOL_SING) -> Stratum:
-    _check_tol("tol_sing", tol_sing)
+def classify_stratum(q: int, s) -> Stratum:
     s1, s2, s3 = s
     scale = max(abs(s1), abs(s2), abs(s3), 1.0)
     # trivial: some rotation of (q, 1, 1/q)
     by_mod = sorted(s, key=abs, reverse=True)
-    if (abs(by_mod[0] - q * by_mod[1]) <= tol_sing * q * scale
-            and abs(by_mod[1] - q * by_mod[2]) <= tol_sing * q * scale
-            and abs(by_mod[1] ** 3 - 1) <= 10 * tol_sing):
+    if (abs(by_mod[0] - q * by_mod[1]) <= TOL_SING * q * scale
+            and abs(by_mod[1] - q * by_mod[2]) <= TOL_SING * q * scale
+            and abs(by_mod[1] ** 3 - 1) <= 10 * TOL_SING):
         return Stratum.TRIVIAL
     gaps = sorted([abs(s1 - s2), abs(s1 - s3), abs(s2 - s3)])
-    distinct = sum(1 for g in gaps if g > tol_sing * scale)
+    distinct = sum(1 for g in gaps if g > TOL_SING * scale)
     if distinct == 3:
-        if gaps[0] <= 10 * tol_sing * scale:
+        if gaps[0] <= 10 * TOL_SING * scale:
             warnings.warn("smallest root gap within 10x of the dispatch "
                           "tolerance; using the stable singular formula",
                           NearSingularWarning, stacklevel=3)
@@ -205,10 +195,10 @@ def companion_roots(q: int, lam: complex):
     return solve_unit_cubic(lam / q, lam.conjugate() / q)
 
 
-def params_from_eigenvalue(q: int, lam: complex, tol_sing: float = TOL_SING) -> SpectralParam:
+def params_from_eigenvalue(q: int, lam: complex) -> SpectralParam:
     """Invert lambda+ to its root triple (with lambda- = conj(lambda+))."""
     s = companion_roots(q, lam)
-    return SpectralParam(s=s, stratum=classify_stratum(q, s, tol_sing))
+    return SpectralParam(s=s, stratum=classify_stratum(q, s))
 
 
 # ---------------------------------------------------------------------------

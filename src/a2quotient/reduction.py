@@ -240,42 +240,46 @@ def verify_witness(result: ReductionResult, g: ProjMat) -> bool:
 # constructive random sampling of the two groups (membership by construction)
 # ---------------------------------------------------------------------------
 
-def random_poly(q: int, rng, max_deg: int = 2) -> Poly:
-    return Poly(q, [rng.randrange(q) for _ in range(rng.randrange(max_deg + 1) + 1)])
+SAMPLE_STEPS = 6   # elementary factors per sampled matrix
+SAMPLE_DEG = 2     # degree bound of a sampled polynomial
 
 
-def random_modular(q: int, dim: int, rng, steps: int = 6, max_deg: int = 2) -> ProjMat:
+def random_poly(q: int, rng) -> Poly:
+    return Poly(q, [rng.randrange(q) for _ in range(rng.randrange(SAMPLE_DEG + 1) + 1)])
+
+
+def random_modular(q: int, dim: int, rng) -> ProjMat:
     """Random product of elementary matrices over F_q[t]."""
     g = [[Poly.one(q) if i == j else Poly.zero(q) for j in range(dim)]
          for i in range(dim)]
-    for _ in range(steps):
+    for _ in range(SAMPLE_STEPS):
         kind = rng.randrange(3)
         i, j = rng.sample(range(dim), 2)
         if kind == 1:
             for row in g:
                 row[i], row[j] = row[j], row[i]
             continue
-        p = (random_poly(q, rng, max_deg) if kind == 0
+        p = (random_poly(q, rng) if kind == 0
              else Poly.const(q, rng.randrange(1, q)))
         for row in g:
             row[j] = row[j] - p * row[i]
     return ProjMat.from_rows([[RatFunc(e) for e in row] for row in g])
 
 
-def random_compact(q: int, dim: int, rng, steps: int = 6, max_deg: int = 2) -> ProjMat:
+def random_compact(q: int, dim: int, rng) -> ProjMat:
     """Random product of elementaries with valuations >= 0 and unit diagonal."""
     w = [list(row) for row in ProjMat.identity(q, dim).entries]
-    for _ in range(steps):
+    for _ in range(SAMPLE_STEPS):
         kind = rng.randrange(3)
         i, j = rng.sample(range(dim), 2)
         if kind == 0:
-            p = random_poly(q, rng, max_deg)
+            p = random_poly(q, rng)
             c = RatFunc(p) / RatFunc.t_power(q, max(p.degree, 0) + rng.randrange(3))
             w[j] = [a - c * b for a, b in zip(w[j], w[i])]
         elif kind == 1:
             w[i], w[j] = w[j], w[i]
         else:
-            p = random_poly(q, rng, max_deg)
+            p = random_poly(q, rng)
             if p.is_zero:
                 p = Poly.one(q)
             u = RatFunc.t_power(q, p.degree) / RatFunc(p)

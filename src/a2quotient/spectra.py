@@ -13,7 +13,7 @@ roots with product one the linear coefficient is forced to be the
 conjugate of the quadratic one, so the single cubic is exhaustive), and on
 the curve iff the root moduli are (sqrt q, 1, 1/sqrt q), as the root set
 is closed under s -> 1/conj(s).  Both tests run in floats on one solve,
-and their tolerance bounds root moduli, not distances (see classify_point).
+and TOL_POINT bounds root moduli, not distances (see classify_point).
 The cusp value q^{3/2} + q + q^{1/2} of sigma1 exceeds the sigma2 cusp 3q
 for every q >= 2, which is the non-Ramanujan margin; the residual sweep
 certifies that the same point is an approximate eigenvalue.
@@ -28,10 +28,16 @@ from enum import Enum
 
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, _check_tol, companion_roots, damped_grid,
+    SpectralParam, Stratum, companion_roots, damped_grid,
     eigenfunction_grid, eigenvalue_pair,
 )
 from .operator import GridFunction, L2Space, tri_size
+
+
+TOL_POINT = 1e-6      # root moduli and the sigma0 distance of a point
+TOL_BOUNDARY = 1e-4   # root gap that tags a sigma2 point Boundary
+DEPTH_COEFF = 12.0    # depth rule M = ceil(12 / eps) keeps boundary mass tiny
+TRUNC_LIMIT = 0.01
 
 
 class InvalidEpsilon(ValueError):
@@ -73,10 +79,9 @@ def sigma1_point(q: int, theta: float) -> complex:
             + q * cmath.exp(-2j * theta))
 
 
-def sigma2_contains(q: int, la: complex, tol: float = 1e-6) -> bool:
-    """Companion-cubic test: all three roots unimodular within tol."""
-    _check_tol("tol", tol)
-    return all(abs(abs(r) - 1) <= tol for r in companion_roots(q, la))
+def sigma2_contains(q: int, la: complex) -> bool:
+    """Companion-cubic test: all three roots unimodular within TOL_POINT."""
+    return all(abs(abs(r) - 1) <= TOL_POINT for r in companion_roots(q, la))
 
 
 def sigma2_boundary_point(q: int, phi: float) -> complex:
@@ -95,32 +100,29 @@ def curve_samples(q: int, samples: int):
             [sigma2_boundary_point(q, th) for th in thetas])
 
 
-def classify_point(q: int, la: complex, tol: float = 1e-6,
-                   boundary_tol: float = 1e-4) -> SpectrumPoint:
+def classify_point(q: int, la: complex) -> SpectrumPoint:
     """Tag a point; membership in neither set is reported as Outside
     (the classification makes no claim about such points).
 
-    Sigma0 means within distance tol of a sigma0 point.  The other tags
-    come from one solve of the companion cubic, with tol bounding each root
-    modulus: Sigma1 within tol of (sqrt q, 1, 1/sqrt q), Sigma2 within tol
-    of 1 (Boundary when two roots lie within boundary_tol).  Near sigma1
-    the largest modulus deviation is 1/(q-1) to (q+1)/(q-1)^2 times the
-    distance from the curve, so tol 1e-6 tags points up to 3e-7..1e-6 from
-    it at q=2 and 8e-6..1e-5 at q=11.
+    Sigma0 means within distance TOL_POINT of a sigma0 point.  The other
+    tags come from one solve of the companion cubic, with TOL_POINT bounding
+    each root modulus: Sigma1 within it of (sqrt q, 1, 1/sqrt q), Sigma2
+    within it of 1 (Boundary when two roots lie within TOL_BOUNDARY).  Near
+    sigma1 the largest modulus deviation is 1/(q-1) to (q+1)/(q-1)^2 times
+    the distance from the curve, so the bound 1e-6 tags points up to
+    3e-7..1e-6 from it at q=2 and 8e-6..1e-5 at q=11.
     """
-    _check_tol("tol", tol)
-    _check_tol("boundary_tol", boundary_tol)
     la = complex(la)
-    if min(abs(la - p) for p in sigma0(q)) <= tol:
+    if min(abs(la - p) for p in sigma0(q)) <= TOL_POINT:
         return SpectrumPoint(la, SetTag.SIGMA0)
     roots = companion_roots(q, la)
     moduli = [abs(z) for z in roots]
     r = math.sqrt(q)
-    if all(abs(m - t) <= tol for m, t in zip(moduli, (r, 1.0, 1.0 / r))):
+    if all(abs(m - t) <= TOL_POINT for m, t in zip(moduli, (r, 1.0, 1.0 / r))):
         return SpectrumPoint(la, SetTag.SIGMA1)
-    if all(abs(m - 1) <= tol for m in moduli):
+    if all(abs(m - 1) <= TOL_POINT for m in moduli):
         a, b, c = roots
-        near = min(abs(a - b), abs(a - c), abs(b - c)) <= boundary_tol
+        near = min(abs(a - b), abs(a - c), abs(b - c)) <= TOL_BOUNDARY
         return SpectrumPoint(la, SetTag.SIGMA2_BOUNDARY if near
                              else SetTag.SIGMA2_INTERIOR)
     return SpectrumPoint(la, SetTag.OUTSIDE)
@@ -139,10 +141,6 @@ class ResidualReport:
     residual_minus: float
     norm: float
     truncation_fraction: float
-
-
-DEPTH_COEFF = 12.0   # depth rule M = ceil(12 / eps) keeps boundary mass tiny
-TRUNC_LIMIT = 0.01
 
 
 def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> ResidualReport:
@@ -166,9 +164,8 @@ def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> Resi
                           truncation_fraction=frac)
 
 
-def residual_sweep(q: int, param: SpectralParam, eps_list,
-                   depth_coeff: float = DEPTH_COEFF) -> list[ResidualReport]:
-    """Damped-family residual ratios for each eps, at depth ceil(coeff/eps).
+def residual_sweep(q: int, param: SpectralParam, eps_list) -> list[ResidualReport]:
+    """Damped-family residual ratios for each eps, at depth ceil(DEPTH_COEFF/eps).
 
     Trivial parameters need no damping (the eigenfunction is already
     square-summable and exact); they are swept undamped at the same depths
@@ -182,7 +179,7 @@ def residual_sweep(q: int, param: SpectralParam, eps_list,
     for eps in eps_list:
         if not 0 < eps < 0.5:
             raise InvalidEpsilon(f"damping {eps} outside (0, 1/2)")
-        depth = math.ceil(depth_coeff / eps)
+        depth = math.ceil(DEPTH_COEFF / eps)
         used = 0.0 if param.stratum is Stratum.TRIVIAL else eps
         reports.append(_damped_report(q, param, used, depth))
     return reports

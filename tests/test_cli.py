@@ -98,6 +98,10 @@ class TestValidation:
         ("svg", ["complex"]),
         ("json", ["eigen", "--s", "1,1,1"]),
         ("svg", ["eigen", "--s", "1,1,1"]),
+        ("svg", ["reduce", "--matrix", "1,0;0,1"]),
+        ("svg", ["norm", "--iters", "5"]),
+        ("svg", ["witness", "--eps", "0.4,0.2"]),
+        ("json", ["witness", "--eps", "0.4,0.2"]),
     ])
     def test_format_the_subcommand_cannot_write(self, capsys, tmp_path, fmt, argv):
         code, out, err = run_cli(capsys, "--q", "2", "--depth", "4", "--emit", fmt,
@@ -112,13 +116,19 @@ class TestValidation:
         assert code == 1
         assert "--tol" in err
 
-    def test_nan_tolerance_rejected(self, capsys, tmp_path):
-        code, out, err = run_cli(capsys, "--q", "2", "--tol-s", "nan",
-                                 "--out", str(tmp_path), "eigen",
-                                 "--s", "1,1,1")
+    @pytest.mark.parametrize("before", [True, False], ids=["before", "after"])
+    @pytest.mark.parametrize("flag", ["--tol-s", "--tol-sing"])
+    def test_tolerance_flag_rejected(self, capsys, tmp_path, flag, before):
+        # the tolerances are library constants, not options
+        subcommand = ["eigen", "--s", "1,1,1"]
+        argv = ([flag, "1e-6", *subcommand] if before
+                else [*subcommand, flag, "1e-6"])
+        code, out, err = run_cli(capsys, "--q", "2", "--depth", "4",
+                                 "--out", str(tmp_path), *argv)
         assert code == 1
         assert out == ""
-        assert "finite" in err
+        assert flag in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_tol_config_key_rejected(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"
@@ -127,6 +137,27 @@ class TestValidation:
         assert code == 1
         assert out == ""
         assert "unknown config keys ['tol']" in err
+
+    @pytest.mark.parametrize("key", ["tol_s", "tol_sing"])
+    def test_tolerance_config_key_rejected(self, capsys, tmp_path, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"q = 2\n{key} = 1e-6\n")
+        code, out, err = run_cli(capsys, "--config", str(cfgfile), "witness")
+        assert code == 1
+        assert out == ""
+        assert f"unknown config keys ['{key}']" in err
+
+    def test_unknown_option_named(self, capsys, tmp_path):
+        # argparse alone takes the value 3 for the subcommand and names that
+        code, out, err = run_cli(capsys, "--q", "2", "--foo", "3", "witness")
+        assert code == 1
+        assert out == ""
+        assert "--foo" in err
+        # abbreviations argparse accepts are not unknown
+        code, _, _ = run_cli(capsys, "--q", "2", "--dep", "3", "--em", "json",
+                             "--out", str(tmp_path), "complex", "--se", "5")
+        assert code == 0
+        assert json.loads((tmp_path / "complex.json").read_text())["seed"] == 5
 
 
 class TestComplexCommand:

@@ -67,20 +67,6 @@ class TestMembershipAndStrata:
         assert SpectralParam.from_triple(2, *triple_root(1)).stratum is Stratum.TRIPLE
         assert SpectralParam.from_triple(2, *trivial_triple(2, 2)).stratum is Stratum.TRIVIAL
 
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
-    def test_membership_tolerance_must_be_finite_and_positive(self, tol):
-        # a NaN tol_s used to switch the product check off: (2, 1, 1)
-        # came back as a double-stratum parameter
-        with pytest.raises(ValueError, match="tol_s must be finite and positive"):
-            SpectralParam.from_triple(2, 2.0, 1.0, 1.0, tol_s=tol)
-
-    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-9])
-    def test_stratum_tolerance_must_be_finite_and_positive(self, tol):
-        # a NaN tol_sing counted no root gap as distinct: a generic point
-        # came back tagged triple
-        with pytest.raises(ValueError, match="tol_sing must be finite and positive"):
-            params_from_eigenvalue(2, 1 + 1j, tol_sing=tol)
-
     def test_near_singular_warning(self):
         th = 0.8
         s2 = cmath.exp(-1j * (th + 2.5e-4))
