@@ -5,7 +5,7 @@ eigenfunctions, and the spectrum sets with the non-Ramanujan witness."""
 
 from .algebra import Poly, RatFunc, parse_poly, parse_ratfunc
 from .eigen import (
-    Eisenstein, SpectralParam, Stratum, damped_grid, eigenfunction_grid,
+    SpectralParam, Stratum, damped_grid, eigenfunction_grid,
     eigenfunction_value, eigenvalue_pair, params_from_eigenvalue,
     recurrence_residual,
 )

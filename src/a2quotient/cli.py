@@ -40,6 +40,11 @@ ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
 # float eigenfunction overflows for q >= 5
 DEFAULT_EPS = "0.2,0.1,0.05"
 
+# the --emit formats of each subcommand's bulk file (none: only the default)
+FORMATS = {"reduce": (), "complex": ("csv", "json"), "eigen": ("csv",),
+           "norm": (), "spectra": ("csv", "json", "svg"), "witness": ()}
+_ALL_FORMATS = sorted(set().union(*FORMATS.values()))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -53,7 +58,7 @@ class RunConfig:
         validate_q(self.q)
         if self.depth < 2:
             raise ValueError("depth must be >= 2")
-        if self.fmt not in ("csv", "json", "svg"):
+        if self.fmt not in _ALL_FORMATS:
             raise ValueError(f"unknown output format {self.fmt!r}")
         return self
 
@@ -82,7 +87,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(raw) - set(_CONFIG_TYPES)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
-        cfg = replace(cfg, **{k: _CONFIG_TYPES[k](v) for k, v in raw.items()})
+        for key, value in raw.items():
+            kind = _CONFIG_TYPES[key]
+            try:
+                cfg = replace(cfg, **{key: kind(value)})
+            except ValueError:
+                raise ValueError(f"config file {args.config}: {key} = {value!r} "
+                                 f"is not {kind.__name__}") from None
     if os.environ.get(ENV_OUTDIR):
         cfg = replace(cfg, outdir=os.environ[ENV_OUTDIR])
     for key in _CONFIG_TYPES:
@@ -112,11 +123,6 @@ def _open_out(cfg: RunConfig, name: str):
     path = Path(cfg.outdir)
     path.mkdir(parents=True, exist_ok=True)
     return path / name
-
-
-# the --emit formats of each subcommand's bulk file (none: only the default)
-FORMATS = {"reduce": (), "complex": ("csv", "json"), "eigen": ("csv",),
-           "norm": (), "spectra": ("csv", "json", "svg"), "witness": ()}
 
 
 def _header(cfg: RunConfig) -> str:
@@ -363,7 +369,7 @@ def _add_common(parser: argparse.ArgumentParser, after_subcommand: bool) -> None
                         help="run seed recorded in outputs", **kw)
     parser.add_argument("--out", dest="outdir",
                         help=f"output directory (or ${ENV_OUTDIR})", **kw)
-    parser.add_argument("--emit", dest="fmt", choices=["csv", "json", "svg"],
+    parser.add_argument("--emit", dest="fmt", choices=_ALL_FORMATS,
                         help="output format for bulk data", **kw)
 
 
@@ -417,25 +423,44 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _unknown_option(parser: argparse.ArgumentParser, argv) -> str | None:
-    """The first --name in argv that is no option (or prefix of one) of the
-    parser or a subcommand; argparse alone would take the value of such a
-    name given before the subcommand for the subcommand."""
+def _misplaced_option(parser: argparse.ArgumentParser, argv) -> str | None:
+    """A usage error naming the first --name in argv that argparse would
+    misread, or None.  Before the subcommand only top-level options (or
+    their prefixes) are allowed, and an option only the subcommand has is
+    misplaced (argparse would read '--s 1,1,1 eigen' as --seed, and the 5 of
+    '--iters 5 norm' as the subcommand); after it, the subcommand's are."""
     subcommands = next(a.choices for a in parser._actions
                        if isinstance(a.choices, dict))
-    known = [s for p in (parser, *subcommands.values())
-             for a in p._actions for s in a.option_strings]
-    names = (token.split("=", 1)[0] for token in argv)
-    return next((n for n in names if n.startswith("--")
-                 and not any(s.startswith(n) for s in known)), None)
+    top = parser._option_string_actions
+    scope, seen, skip = parser, [], False
+    for token in argv:
+        if skip:
+            skip = False
+        elif scope is parser and token in subcommands:
+            scope = subcommands[token]
+            own = scope._option_string_actions.keys() - top.keys()
+            if misplaced := next((n for n in seen if n in own), None):
+                return f"{misplaced} must follow the subcommand {token}"
+        elif token.startswith("--"):
+            name = token.split("=", 1)[0]
+            actions = [a for s, a in scope._option_string_actions.items()
+                       if s.startswith(name)]
+            if not actions:
+                if scope is parser and any(name in p._option_string_actions
+                                           for p in subcommands.values()):
+                    return f"{name} must follow its subcommand"
+                return f"unrecognized arguments: {name}"
+            seen.append(name)
+            skip = "=" not in token and actions[0].nargs != 0
+    return None
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if unknown := _unknown_option(parser, argv):
-            parser.error(f"unrecognized arguments: {unknown}")
+        if message := _misplaced_option(parser, argv):
+            parser.error(message)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed usage/help; keep exit 2 reserved for

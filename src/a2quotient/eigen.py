@@ -52,7 +52,6 @@ import cmath
 import enum
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -337,105 +336,3 @@ def _grid_residual(space: L2Space, param: SpectralParam, f: GridFunction) -> flo
         worst = max(worst, float((resid / scale)[space.interior].max()))
     return worst
 
-
-# ---------------------------------------------------------------------------
-# exact arithmetic in the rationals adjoined a primitive cube root of unity
-# ---------------------------------------------------------------------------
-
-class Eisenstein:
-    """a + b w with rational a, b and w^2 = -1 - w (primitive cube root).
-
-    Just enough ring structure for exact eigenfunction identities: +, -, *,
-    integer/Fraction scaling, conjugation and equality.
-    """
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
-
-    @classmethod
-    def omega_power(cls, k: int) -> "Eisenstein":
-        return (cls(1, 0), cls(0, 1), cls(-1, -1))[k % 3]
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return Eisenstein(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Eisenstein(-self.a, -self.b)
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        # (a1 + b1 w)(a2 + b2 w), w^2 = -1 - w
-        a = self.a * other.a - self.b * other.b
-        b = self.a * other.b + self.b * other.a - self.b * other.b
-        return Eisenstein(a, b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, Eisenstein):
-            return self * other.inverse()
-        return Eisenstein(self.a / other, self.b / other)
-
-    def inverse(self) -> "Eisenstein":
-        nrm = self.a * self.a - self.a * self.b + self.b * self.b
-        if nrm == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return Eisenstein((self.a - self.b) / nrm, -self.b / nrm)
-
-    def conjugate(self) -> "Eisenstein":
-        return Eisenstein(self.a - self.b, -self.b)
-
-    @staticmethod
-    def _coerce(x) -> "Eisenstein":
-        if isinstance(x, Eisenstein):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return Eisenstein(x, 0)
-        raise TypeError(f"cannot coerce {type(x).__name__} to Eisenstein")
-
-    def __eq__(self, other):
-        try:
-            other = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
-    def __complex__(self):
-        return complex(self.a) + complex(self.b) * OMEGA
-
-    def __repr__(self):
-        return f"Eisenstein({self.a}, {self.b})"
-
-    def __pow__(self, k: int):
-        out, base = Eisenstein(1, 0), self
-        if k < 0:
-            base, k = base.inverse(), -k
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-
-def trivial_eigenfunction_exact(k: int, depth: int) -> np.ndarray:
-    """The k-th trivial eigenfunction w^(k (m+n)) as exact Eisenstein
-    values, packed in ``vertex_index`` order in an object array."""
-    m, n = _grid_mn(depth)
-    return np.array([Eisenstein.omega_power(k * s) for s in (m + n).tolist()],
-                    dtype=object)

@@ -13,8 +13,8 @@ packed shell, so the complete rows are the prefix ``L2Space.interior`` =
 slice(0, tri_size(M-1)).
 
 One gather runs both operators in two arithmetics: ``L2Space.apply`` on
-complex128 grid functions, ``apply_exact`` on object arrays of ints,
-Fractions or Eisenstein rationals.  The exact adjointness check therefore
+complex128 grid functions, ``apply_exact`` on object arrays of any exact
+ring values (ints, Fractions, ...).  The exact adjointness check therefore
 gates the very kernel the float work multiplies, at any depth.
 
 Float inner products read the one weight array w and multiply by it
@@ -300,8 +300,8 @@ class L2Space:
 
 def apply_exact(q: int, depth: int, sign: int, values):
     """Exact operator application on values packed in ``vertex_index``
-    order: ints, Fractions, or any ring element supporting integer scalar
-    multiples (the Eisenstein rationals from :mod:`a2quotient.eigen`).
+    order: any exact ring values supporting integer scalar multiples
+    (ints, Fractions, ...).
 
     Returns (image, mask) as for ``L2Space.apply``, the image an object
     array; at masked vertices the row referenced depth+1.

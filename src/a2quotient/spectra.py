@@ -202,7 +202,10 @@ def norm_divergence(q: int, param: SpectralParam, depths) -> list[float]:
     depths = sorted(depths)
     if not depths:
         raise ValueError("norm_divergence needs at least one depth")
-    top = depths[-1]
+    if depths[0] < 0:
+        raise ValueError(f"depths must be >= 0, got {[d for d in depths if d < 0]}")
+    # L2Space needs depth >= 2; the shallower sums are prefixes of its grid
+    top = max(depths[-1], 2)
     space = L2Space(q, top)
     f = eigenfunction_grid(q, param, top)
     return [space.norm(f, where=slice(0, tri_size(d))) ** 2 for d in depths]

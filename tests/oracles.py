@@ -12,8 +12,13 @@ test_algebra), independently of the degree tests in the package.
 it, independently of the companion cubic that classifies points.
 ``gather_ref`` applies an operator row-major from ``expected_rows``, the
 layout and summation the package's gather must reproduce bit for bit.
+``Eisenstein`` is exact arithmetic in Q(w), w a primitive cube root of
+unity, and ``trivial_eigenfunction_exact`` packs the trivial eigenfunctions
+w^(k(m+n)) in it, so the trivial eigenvalues (q^2+q+1) w^k are checked
+exactly through ``apply_exact`` and ``forward_solve``.
 """
 
+import cmath
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -202,3 +207,89 @@ def sigma1_distance(q, la, samples=4096):
             a, c = c, d
             d = a + phi * (b - a)
     return float(dist((a + b) / 2))
+
+
+# ---------------------------------------------------------------------------
+# exact arithmetic in the rationals adjoined a primitive cube root of unity
+# ---------------------------------------------------------------------------
+
+_OMEGA = cmath.exp(2j * cmath.pi / 3)
+
+
+class Eisenstein:
+    """a + b w with rational a, b and w^2 = -1 - w (primitive cube root).
+
+    Just enough ring structure for exact eigenfunction identities: +, -, *,
+    division by integers and Fractions, non-negative powers, conjugation
+    and equality.
+    """
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a=0, b=0):
+        self.a = Fraction(a)
+        self.b = Fraction(b)
+
+    @classmethod
+    def omega_power(cls, k):
+        return (cls(1, 0), cls(0, 1), cls(-1, -1))[k % 3]
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        return Eisenstein(self.a + other.a, self.b + other.b)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return Eisenstein(self.a - other.a, self.b - other.b)
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        # (a1 + b1 w)(a2 + b2 w), w^2 = -1 - w
+        a = self.a * other.a - self.b * other.b
+        b = self.a * other.b + self.b * other.a - self.b * other.b
+        return Eisenstein(a, b)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return Eisenstein(self.a / other, self.b / other)
+
+    def __pow__(self, k):
+        out = Eisenstein(1, 0)
+        for _ in range(k):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return Eisenstein(self.a - self.b, -self.b)
+
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, Eisenstein):
+            return x
+        if isinstance(x, (int, Fraction)):
+            return Eisenstein(x, 0)
+        raise TypeError(f"cannot coerce {type(x).__name__} to Eisenstein")
+
+    def __eq__(self, other):
+        try:
+            other = self._coerce(other)
+        except TypeError:
+            return NotImplemented
+        return self.a == other.a and self.b == other.b
+
+    def __complex__(self):
+        return complex(self.a) + complex(self.b) * _OMEGA
+
+    def __repr__(self):
+        return f"Eisenstein({self.a}, {self.b})"
+
+
+def trivial_eigenfunction_exact(k, depth):
+    """The k-th trivial eigenfunction w^(k(m+n)) as exact Eisenstein values,
+    packed m(m+1)/2 + n in an object array."""
+    return np.array([Eisenstein.omega_power(k * (m + n))
+                     for m in range(depth + 1) for n in range(m + 1)],
+                    dtype=object)

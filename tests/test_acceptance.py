@@ -13,8 +13,7 @@ import numpy as np
 import pytest
 
 from a2quotient.eigen import (
-    Eisenstein, SpectralParam, Stratum, eigenfunction_grid,
-    recurrence_residual, trivial_eigenfunction_exact,
+    SpectralParam, Stratum, eigenfunction_grid, recurrence_residual,
 )
 from a2quotient.operator import L2Space, apply_exact
 from a2quotient.quotient import (
@@ -28,7 +27,7 @@ from a2quotient.spectra import (
     is_decreasing, non_ramanujan_witness, norm_divergence, residual_sweep,
     sigma2_contains,
 )
-from oracles import expected_rows
+from oracles import Eisenstein, expected_rows, trivial_eigenfunction_exact
 
 QS = (2, 3, 5)
 EPS_SWEEP = (0.2, 0.1, 0.05, 0.025)

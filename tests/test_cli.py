@@ -159,6 +159,38 @@ class TestValidation:
         assert code == 0
         assert json.loads((tmp_path / "complex.json").read_text())["seed"] == 5
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--iters", "5", "norm"], "--iters"),
+        (["--s", "1,1,1", "eigen"], "--s"),
+        (["--check", "eigen", "--s", "1,1,1"], "--check"),
+        (["--lambda=7", "eigen"], "--lambda"),
+    ])
+    def test_misplaced_subcommand_option_named(self, capsys, tmp_path, argv, flag):
+        # argparse alone reads '5' as the subcommand and --s as --seed
+        code, out, err = run_cli(capsys, "--q", "2", "--depth", "4",
+                                 "--out", str(tmp_path), *argv)
+        assert code == 1
+        assert out == ""
+        assert f"{flag} must follow" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_top_level_prefix_before_other_subcommand(self, capsys):
+        # --s is eigen's own option, but before norm it abbreviates --seed
+        code, out, _ = run_cli(capsys, "--q", "2", "--depth", "4", "--s", "7",
+                               "norm", "--iters", "3")
+        assert code == 0
+        assert json.loads(out)["seed"] == 7
+
+    @pytest.mark.parametrize("line, key", [("depth = abc", "depth"),
+                                           ("q = 2.5", "q")])
+    def test_bad_config_value_names_key_and_file(self, capsys, tmp_path, line, key):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"{line}\n")
+        code, out, err = run_cli(capsys, "--config", str(cfgfile), "witness")
+        assert code == 1
+        assert out == ""
+        assert f"config file {cfgfile}: {key} = " in err
+
 
 class TestComplexCommand:
     def test_csv_files(self, capsys, tmp_path):

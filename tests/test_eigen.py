@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 
 from a2quotient.eigen import (
-    Eisenstein, NearSingularWarning, NotInS, SpectralParam, Stratum,
-    b_coefficients, damped_grid, eigenfunction_grid, eigenfunction_value,
-    eigenvalue_pair, params_from_eigenvalue, recurrence_residual,
-    solve_unit_cubic, trivial_eigenfunction_exact,
+    NearSingularWarning, NotInS, SpectralParam, Stratum, b_coefficients,
+    damped_grid, eigenfunction_grid, eigenfunction_value, eigenvalue_pair,
+    params_from_eigenvalue, recurrence_residual, solve_unit_cubic,
 )
 from a2quotient import eigen
 from a2quotient.operator import _grid_mn, apply_exact
-from oracles import forward_solve
+from oracles import Eisenstein, forward_solve, trivial_eigenfunction_exact
 
 
 def unimodular_generic(rng, min_gap=5e-3):

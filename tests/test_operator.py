@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 from a2quotient import operator
-from a2quotient.eigen import Eisenstein
 from a2quotient.operator import (
     DimensionMismatch, GridFunction, L2Space, ZeroFunction, apply_exact,
     inner_exact, tri_size, vertex_index,
 )
 from a2quotient.quotient import Vertex, vertex_weight
-from oracles import expected_rows, gather_ref, trivial_norm_sq_limit, weight_of
+from oracles import (
+    Eisenstein, expected_rows, gather_ref, trivial_norm_sq_limit, weight_of,
+)
 
 
 class TestGridFunction:

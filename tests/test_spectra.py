@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -291,6 +292,20 @@ class TestNormDivergence:
         param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="depth"):
             norm_divergence(2, param, [])
+
+    @pytest.mark.parametrize("shallow", [[0], [1], [0, 1]])
+    def test_shallow_depths_alone(self, shallow):
+        # below the smallest space the sums are still prefixes of a deeper grid
+        param = SpectralParam.from_triple(2, *unimodular_generic(random.Random(4)))
+        deep = norm_divergence(2, param, [*shallow, 10])
+        assert norm_divergence(2, param, shallow) == deep[:len(shallow)]
+
+    @pytest.mark.parametrize("depths", [[-1, 10], [-5, 10], [3, -2]])
+    def test_negative_depth_named(self, depths):
+        param = SpectralParam.from_triple(2, 1.0, ROT, ROT * ROT)
+        bad = [d for d in depths if d < 0]
+        with pytest.raises(ValueError, match=re.escape(str(bad))):
+            norm_divergence(2, param, depths)
 
 
 class TestWitness:
