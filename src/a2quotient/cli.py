@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: reduce, complex, eigen, norm, spectra, witness.  Bulk output
-(CSV/SVG) goes to files under the output directory; small results and run
-summaries are printed as JSON on stdout.  Exit codes: 0 success, 1 domain
-or usage error, 2 a verification subcommand found a violated property.
+Subcommands: reduce, complex, eigen, norm, spectra, witness.  One parser
+registers every flag once, so a flag may stand before or after the
+subcommand and means the same everywhere; a subcommand's own option
+(``COMMANDS``) is a usage error for the others.  Bulk output (CSV/SVG) goes
+to files under the output directory; small results and run summaries are
+printed as JSON on stdout.  Exit codes: 0 success, 1 domain or usage error,
+2 a verification subcommand found a violated property.
 
 Configuration precedence: built-in defaults < config file (key = value
 lines) < environment < command-line flags.  The output directory default
@@ -39,11 +42,6 @@ ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
 # shorter than the library's default ladder: at depth 480 (eps 0.025) the
 # float eigenfunction overflows for q >= 5
 DEFAULT_EPS = "0.2,0.1,0.05"
-
-# the --emit formats of each subcommand's bulk file (none: only the default)
-FORMATS = {"reduce": (), "complex": ("csv", "json"), "eigen": ("csv",),
-           "norm": (), "spectra": ("csv", "json", "svg"), "witness": ()}
-_ALL_FORMATS = sorted(set().union(*FORMATS.values()))
 
 
 @dataclass(frozen=True)
@@ -134,6 +132,8 @@ def _header(cfg: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_reduce(cfg: RunConfig, args) -> int:
+    if args.matrix is None:
+        raise ValueError("reduce needs --matrix")
     rows = [cell.split(",") for cell in args.matrix.split(";")]
     g = ProjMat.from_strings(cfg.q, rows)
     result = reduce_matrix(g)
@@ -207,7 +207,7 @@ def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
 
 
 def cmd_eigen(cfg: RunConfig, args) -> int:
-    if (args.s is None) == (args.lam is None):
+    if (args.s is None) == (getattr(args, "lambda") is None):
         raise ValueError("provide exactly one of --s or --lambda")
     if args.s is not None:
         parts = args.s.split(",")
@@ -216,7 +216,7 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         s1, s2, s3 = (_parse_complex(p) for p in parts)
         param = SpectralParam.from_triple(cfg.q, s1, s2, s3)
     else:
-        param = params_from_eigenvalue(cfg.q, _parse_complex(args.lam))
+        param = params_from_eigenvalue(cfg.q, _parse_complex(getattr(args, "lambda")))
     pair = eigenvalue_pair(cfg.q, param)
     grid = eigenfunction_grid(cfg.q, param, cfg.depth)
     path = _open_out(cfg, "eigen_values.csv")
@@ -357,122 +357,95 @@ def cmd_witness(cfg: RunConfig, args) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser, after_subcommand: bool) -> None:
-    """Shared flags, accepted both before and after the subcommand.  The
-    post-subcommand copies default to SUPPRESS so an omitted flag does not
-    clobber a value parsed at the top level."""
-    kw = {"default": argparse.SUPPRESS} if after_subcommand else {}
-    parser.add_argument("--config", help="key = value configuration file", **kw)
-    parser.add_argument("--q", type=int, help="prime field size (default 2)", **kw)
-    parser.add_argument("--depth", type=int, help="truncation depth M", **kw)
-    parser.add_argument("--seed", type=int,
-                        help="run seed recorded in outputs", **kw)
-    parser.add_argument("--out", dest="outdir",
-                        help=f"output directory (or ${ENV_OUTDIR})", **kw)
-    parser.add_argument("--emit", dest="fmt", choices=_ALL_FORMATS,
-                        help="output format for bulk data", **kw)
+# name: (function, help, --emit formats (none: only csv), {option: default})
+COMMANDS = {
+    "reduce": (cmd_reduce, "normal form of a matrix class", (),
+               {"matrix": None}),
+    "complex": (cmd_complex, "emit the weighted complex as CSV or JSON",
+                ("csv", "json"), {}),
+    "eigen": (cmd_eigen, "closed-form eigenfunction values", ("csv",),
+              {"s": None, "lambda": None, "check": False}),
+    "norm": (cmd_norm, "operator norm estimate by power iteration", (),
+             {"iters": 200}),
+    "spectra": (cmd_spectra, "spectrum sets as CSV/JSON/SVG",
+                ("csv", "json", "svg"),
+                {"samples": 256, "sweep": False, "witness": False,
+                 "eps": DEFAULT_EPS}),
+    "witness": (cmd_witness, "non-Ramanujan witness report", (),
+                {"eps": DEFAULT_EPS}),
+}
+_ALL_FORMATS = sorted(set().union(*(c[2] for c in COMMANDS.values())))
+
+# the subcommand options; a False default makes a switch, an int one an int
+_OPTION_HELP = {
+    "matrix": "rows separated by ';', entries by ','",
+    "s": "three comma-separated complex numbers a+bi",
+    "lambda": "eigenvalue a+bi instead of --s",
+    "check": "also report the max relative recurrence residual",
+    "iters": "power-iteration steps",
+    "samples": "points on each curve",
+    "sweep": "also run residual sweeps (exit 2 if not decreasing)",
+    "witness": "include the non-Ramanujan witness in the summary",
+    "eps": "comma-separated damping values for the sweep and the witness",
+}
 
 
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="a2quotient",
-        description="fundamental-domain reduction, weighted adjacency "
-                    "operators and spectra for the PGL(3) function-field quotient")
-    _add_common(parser, after_subcommand=False)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reduce", help="normal form of a matrix class")
-    _add_common(p, after_subcommand=True)
-    p.add_argument("--matrix", required=True,
-                   help="rows separated by ';', entries by ','")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("complex", help="emit the weighted complex as CSV")
-    _add_common(p, after_subcommand=True)
-    p.set_defaults(func=cmd_complex)
-
-    p = sub.add_parser("eigen", help="closed-form eigenfunction values")
-    _add_common(p, after_subcommand=True)
-    p.add_argument("--s", help="three comma-separated complex numbers a+bi")
-    p.add_argument("--lambda", dest="lam", help="eigenvalue a+bi instead of --s")
-    p.add_argument("--check", action="store_true",
-                   help="also report the max relative recurrence residual")
-    p.set_defaults(func=cmd_eigen)
-
-    p = sub.add_parser("norm", help="operator norm estimate by power iteration")
-    _add_common(p, after_subcommand=True)
-    p.add_argument("--iters", type=int, default=200)
-    p.set_defaults(func=cmd_norm)
-
-    p = sub.add_parser("spectra", help="spectrum sets as CSV/JSON/SVG")
-    _add_common(p, after_subcommand=True)
-    p.add_argument("--samples", type=int, default=256)
-    p.add_argument("--sweep", action="store_true",
-                   help="also run residual sweeps (exit 2 if not decreasing)")
-    p.add_argument("--witness", action="store_true",
-                   help="include the non-Ramanujan witness in the summary")
-    p.add_argument("--eps", default=DEFAULT_EPS,
-                   help="comma-separated damping values for --sweep and --witness")
-    p.set_defaults(func=cmd_spectra)
-
-    p = sub.add_parser("witness", help="non-Ramanujan witness report")
-    _add_common(p, after_subcommand=True)
-    p.add_argument("--eps", default=DEFAULT_EPS,
-                   help="comma-separated damping values for the sweep")
-    p.set_defaults(func=cmd_witness)
+        description="fundamental-domain reduction, weighted adjacency operators "
+                    "and spectra\nfor the PGL(3) function-field quotient",
+        epilog="subcommands:\n" + "".join(
+            f"  {name:<9} {text}\n" for name, (_, text, _, _) in COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("command", choices=COMMANDS, help="the subcommand (below)")
+    parser.add_argument("--config", help="key = value configuration file")
+    parser.add_argument("--q", type=int, help="prime field size (default 2)")
+    parser.add_argument("--depth", type=int, help="truncation depth M")
+    parser.add_argument("--seed", type=int, help="run seed recorded in outputs")
+    parser.add_argument("--out", dest="outdir",
+                        help=f"output directory (or ${ENV_OUTDIR})")
+    parser.add_argument("--emit", dest="fmt", choices=_ALL_FORMATS,
+                        help="output format for bulk data")
+    own = parser.add_argument_group("options of the subcommands in brackets")
+    for name, text in _OPTION_HELP.items():
+        takers = [c for c, (*_, options) in COMMANDS.items() if name in options]
+        default = COMMANDS[takers[0]][3][name]
+        kind = ({"action": "store_true"} if default is False else
+                {"type": int} if isinstance(default, int) else {})
+        own.add_argument(f"--{name}", default=None,
+                         help=f"[{', '.join(takers)}] {text}", **kind)
     return parser
-
-
-def _misplaced_option(parser: argparse.ArgumentParser, argv) -> str | None:
-    """A usage error naming the first --name in argv that argparse would
-    misread, or None.  Before the subcommand only top-level options (or
-    their prefixes) are allowed, and an option only the subcommand has is
-    misplaced (argparse would read '--s 1,1,1 eigen' as --seed, and the 5 of
-    '--iters 5 norm' as the subcommand); after it, the subcommand's are."""
-    subcommands = next(a.choices for a in parser._actions
-                       if isinstance(a.choices, dict))
-    top = parser._option_string_actions
-    scope, seen, skip = parser, [], False
-    for token in argv:
-        if skip:
-            skip = False
-        elif scope is parser and token in subcommands:
-            scope = subcommands[token]
-            own = scope._option_string_actions.keys() - top.keys()
-            if misplaced := next((n for n in seen if n in own), None):
-                return f"{misplaced} must follow the subcommand {token}"
-        elif token.startswith("--"):
-            name = token.split("=", 1)[0]
-            actions = [a for s, a in scope._option_string_actions.items()
-                       if s.startswith(name)]
-            if not actions:
-                if scope is parser and any(name in p._option_string_actions
-                                           for p in subcommands.values()):
-                    return f"{name} must follow its subcommand"
-                return f"unrecognized arguments: {name}"
-            seen.append(name)
-            skip = "=" not in token and actions[0].nargs != 0
-    return None
 
 
 def main(argv=None) -> int:
     parser = make_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        if message := _misplaced_option(parser, argv):
-            parser.error(message)
+        # argparse alone names the value after an unknown flag: '--foo 3
+        # witness' would read 3 as the subcommand
+        for name in (token.split("=", 1)[0] for token in argv):
+            if name.startswith("--") and not any(
+                    s.startswith(name) for s in parser._option_string_actions):
+                parser.error(f"unrecognized arguments: {name}")
         args = parser.parse_args(argv)
+        func, _, formats, options = COMMANDS[args.command]
+        for name in _OPTION_HELP:
+            if name in options:
+                if getattr(args, name) is None:
+                    setattr(args, name, options[name])
+            elif getattr(args, name) is not None:
+                parser.error(f"{args.command} does not take --{name}")
     except SystemExit as exc:
         # argparse already printed usage/help; keep exit 2 reserved for
         # verification failures, so usage errors map to 1
         return 0 if exc.code == 0 else 1
     try:
         cfg = build_config(args)
-        formats = FORMATS[args.command]
         if cfg.fmt not in (formats or ("csv",)):
             raise ValueError(f"{args.command} cannot write --emit {cfg.fmt}; it "
                              f"writes {' or '.join(formats) or 'no bulk file'}")
-        return args.func(cfg, args)
+        return func(cfg, args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

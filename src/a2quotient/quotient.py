@@ -14,7 +14,8 @@ the bottom row n = 0, the diagonal n = m, and the interior.  A row depends
 only on the stratum.  ``table(q, sign)`` is the one copy of the integer
 coefficients in the package: the rows here and the operator kernel in
 :mod:`a2quotient.operator` both read it, and ``weight_factors(q)`` holds
-the per-stratum weight factors that both inner products use.  Displayed:
+the per-stratum weight factors from which the vertex weights, the
+stabilizer orders and both inner products derive.  Displayed:
 
     A+ : v00 -> (v10, q^2+q+1)
          v_m0 -> (v_{m+1,0}, 1), (v_m1, q^2+q)
@@ -76,21 +77,29 @@ def stratum(m, n):
     return 2 * (n > 0) + (m > n)
 
 
+@lru_cache(maxsize=64)
+def weight_factors(q: int) -> tuple[Fraction, ...]:
+    """Per stratum the factor F of the vertex weight w(v_mn) = F q^(-2m);
+    ``stabilizer_order_counted`` recomputes it independently."""
+    return (Fraction(1, q * q + q + 1), Fraction(1), Fraction(1),
+            Fraction(q + 1))
+
+
 def stabilizer_order(q: int, m: int, n: int) -> int:
-    """Exact order of the stabilizer of diag(t^m, t^n, 1), by stratum."""
+    """Exact order q^(2m+3)(q+1)(q-1)^2 / F of the stabilizer of
+    diag(t^m, t^n, 1), for the weight factor F of its stratum."""
     validate_q(q)
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m")
-    s = stratum(m, n)
-    if s == 0:
-        return q ** 3 * (q + 1) * (q * q + q + 1) * (q - 1) ** 2
-    return q ** (2 * m + 3) * (q + 1 if s < 3 else 1) * (q - 1) ** 2
+    f = weight_factors(q)[stratum(m, n)]
+    # F is 1/(q^2+q+1), 1 or q+1, so the quotient is an integer
+    return q ** (2 * m + 3) * ((q + 1) * (q - 1) ** 2 * f.denominator // f.numerator)
 
 
 @lru_cache(maxsize=1 << 15)
 def vertex_weight(q: int, m: int, n: int) -> Fraction:
-    """Weight q^3(q+1)(q-1)^2 / |stabilizer|, in lowest terms."""
-    return Fraction(q ** 3 * (q + 1) * (q - 1) ** 2, stabilizer_order(q, m, n))
+    """Weight F q^(-2m) = q^3(q+1)(q-1)^2 / |stabilizer|, in lowest terms."""
+    return weight_factors(q)[stratum(m, n)] / q ** (2 * m)
 
 
 @lru_cache(maxsize=64)
@@ -111,14 +120,6 @@ def table(q: int, sign: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
                 ((0, -1, q * q + q), (1, 1, 1)),
                 ((-1, 0, q * q), (0, -1, q), (1, 1, 1)))
     raise ValueError("sign must be +1 or -1")
-
-
-def weight_factors(q: int) -> tuple[Fraction, ...]:
-    """Per stratum the factor F of the vertex weight w(v_mn) = F q^(-2m).
-    The float weights and the exact inner product both read it;
-    ``vertex_weight`` derives the same values from the stabilizers."""
-    return (Fraction(1, q * q + q + 1), Fraction(1), Fraction(1),
-            Fraction(q + 1))
 
 
 def neighbors(v: Vertex) -> list[Vertex]:

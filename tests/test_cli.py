@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -63,6 +64,12 @@ class TestReduceCommand:
         assert code == 1
         assert out == ""
         assert "error: zero denominator in '1/0'" in err
+
+    def test_requires_matrix(self, capsys):
+        code, out, err = run_cli(capsys, "--q", "2", "reduce")
+        assert code == 1
+        assert out == ""
+        assert "--matrix" in err
 
     def test_unverified_witness_exits_2(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "verify_witness", lambda result, g: False)
@@ -159,27 +166,38 @@ class TestValidation:
         assert code == 0
         assert json.loads((tmp_path / "complex.json").read_text())["seed"] == 5
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["--iters", "5", "norm"], "--iters"),
-        (["--s", "1,1,1", "eigen"], "--s"),
-        (["--check", "eigen", "--s", "1,1,1"], "--check"),
-        (["--lambda=7", "eigen"], "--lambda"),
+    @pytest.mark.parametrize("command, flags", [
+        ("norm", ["--iters", "5"]),
+        ("eigen", ["--s", "1,1,1", "--check"]),
+        ("eigen", ["--lambda=7"]),
+        ("spectra", ["--witness", "--eps", "0.4,0.2"]),
+    ], ids=["norm-iters", "eigen-s-check", "eigen-lambda", "spectra-witness-eps"])
+    def test_flag_position_does_not_matter(self, capsys, tmp_path, command, flags):
+        runs = []
+        for where, argv in (("before", [*flags, command]),
+                            ("after", [command, *flags])):
+            outdir = tmp_path / where
+            outdir.mkdir()
+            code, out, _ = run_cli(capsys, "--q", "2", "--depth", "6",
+                                   "--out", str(outdir), *argv)
+            files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            runs.append((code, out.replace(str(outdir), "<out>"), files))
+        assert runs[0][0] == 0
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--iters", "5", "eigen", "--s", "1,1,1"], "eigen does not take --iters"),
+        (["eigen", "--s", "1,1,1", "--iters", "5"], "eigen does not take --iters"),
+        (["--s", "7", "norm"], "norm does not take --s"),
     ])
-    def test_misplaced_subcommand_option_named(self, capsys, tmp_path, argv, flag):
-        # argparse alone reads '5' as the subcommand and --s as --seed
+    def test_option_of_another_subcommand_rejected(self, capsys, tmp_path, argv,
+                                                   message):
         code, out, err = run_cli(capsys, "--q", "2", "--depth", "4",
                                  "--out", str(tmp_path), *argv)
         assert code == 1
         assert out == ""
-        assert f"{flag} must follow" in err
+        assert message in err
         assert list(tmp_path.iterdir()) == []
-
-    def test_top_level_prefix_before_other_subcommand(self, capsys):
-        # --s is eigen's own option, but before norm it abbreviates --seed
-        code, out, _ = run_cli(capsys, "--q", "2", "--depth", "4", "--s", "7",
-                               "norm", "--iters", "3")
-        assert code == 0
-        assert json.loads(out)["seed"] == 7
 
     @pytest.mark.parametrize("line, key", [("depth = abc", "depth"),
                                            ("q = 2.5", "q")])
@@ -478,3 +496,20 @@ class TestEntryPoint:
         proc = run_module("--help")
         assert proc.returncode == 0
         assert "usage" in proc.stdout
+
+    def test_help_lists_subcommands_and_options(self, capsys):
+        code, out, _ = run_cli(capsys, "--help")
+        assert code == 0
+        for name in ("reduce", "complex", "eigen", "norm", "spectra", "witness"):
+            assert re.search(rf"^  {name} +\S", out, re.M)  # with its description
+        for flag in ("--config", "--q", "--depth", "--seed", "--out", "--emit"):
+            assert re.search(rf"^  {flag}\b", out, re.M)
+        # each subcommand option names the subcommands that take it
+        for flag, takers in [("--matrix", "reduce"), ("--s", "eigen"),
+                             ("--lambda", "eigen"), ("--check", "eigen"),
+                             ("--iters", "norm"), ("--samples", "spectra"),
+                             ("--sweep", "spectra"), ("--witness", "spectra"),
+                             ("--eps", "spectra, witness")]:
+            assert re.search(rf"^  {flag}( [A-Z]+)? +\[{takers}\]", out, re.M)
+        # after a subcommand, --help prints the same combined help
+        assert run_cli(capsys, "eigen", "--help") == (code, out, "")

@@ -55,9 +55,12 @@ class TestStabilizers:
 
     @pytest.mark.parametrize("q", QS)
     def test_weight_factors_match_stabilizers(self, q):
+        # the counted stabilizers, not the closed form derived from the factors
         for v in triangle(10):
             assert vertex_weight(q, v.m, v.n) == (
-                weight_factors(q)[stratum(v.m, v.n)] / q ** (2 * v.m))
+                weight_factors(q)[stratum(v.m, v.n)] / q ** (2 * v.m)) == (
+                Fraction(q ** 3 * (q + 1) * (q - 1) ** 2,
+                         stabilizer_order_counted(q, v.m, v.n)))
 
 
 class TestAdjacency:
