@@ -1,18 +1,18 @@
 """Command-line front end.
 
-Subcommands: reduce, complex, eigen, norm, spectra, witness.  One parser
-registers every flag once, so a flag may stand before or after the
-subcommand and means the same everywhere; a subcommand's own option
-(``COMMANDS``) is a usage error for the others.  Bulk output (CSV/SVG) goes
-to files under the output directory; small results and run summaries are
-printed as JSON on stdout.  Exit codes: 0 success, 1 domain or usage error,
-2 a verification subcommand found a violated property.
-
-Configuration precedence: built-in defaults < config file (key = value
-lines) < environment < command-line flags.  The output directory default
-can be set with A2QUOTIENT_OUTDIR.  Exact rationals are emitted as
-{"num": ..., "den": ...} string pairs, never as floats; every run records
-its seed in file headers and summaries.
+Subcommands: reduce, complex, eigen, norm, spectra, witness.  Each fact has
+one table: ``SETTINGS`` the run settings (flag, default, help; its keys are
+the config file keys), ``OPTIONS`` each subcommand option's default and
+help, ``COMMANDS`` each subcommand's function, formats and own options.  One
+parser registers every flag once, so a flag may stand before or after the
+subcommand; a subcommand's own option is a usage error for the others.  A
+value beginning with ``-`` and a digit or ``.`` may follow its flag after a
+space (``--lambda -1+2i``), any value after ``=``.  Bulk output goes to
+files under the output directory; each JSON summary on stdout starts with
+the seed and q.  Exit codes: 0 success, 1 domain or usage error, 2 a
+verification subcommand found a violated property.  Precedence: defaults <
+config file (key = value lines) < environment (A2QUOTIENT_OUTDIR) < flags.
+Exact rationals are emitted as {"num": ..., "den": ...} string pairs.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
 from pathlib import Path
 
 from .algebra import fraction_str, validate_q
@@ -39,26 +40,34 @@ from .spectra import (
 )
 
 ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
-# shorter than the library's default ladder: at depth 480 (eps 0.025) the
-# float eigenfunction overflows for q >= 5
-DEFAULT_EPS = "0.2,0.1,0.05"
 
+# key: (flag, default, help) of each run setting; the keys are the config
+# file keys, each setting's type is its default's type, and a help text may
+# show the default as %(default)s
+SETTINGS = {
+    "q": ("--q", 2, "prime field size (default %(default)s)"),
+    "depth": ("--depth", 20, "truncation depth M"),
+    "seed": ("--seed", 0, "run seed recorded in outputs"),
+    "outdir": ("--out", ".", f"output directory (or ${ENV_OUTDIR})"),
+    "fmt": ("--emit", "csv", "output format for bulk data"),
+}
 
-@dataclass(frozen=True)
-class RunConfig:
-    q: int = 2
-    depth: int = 20
-    seed: int = 0
-    fmt: str = "csv"
-    outdir: str = "."
-
-    def validated(self) -> "RunConfig":
-        validate_q(self.q)
-        if self.depth < 2:
-            raise ValueError("depth must be >= 2")
-        if self.fmt not in _ALL_FORMATS:
-            raise ValueError(f"unknown output format {self.fmt!r}")
-        return self
+# name: (default, help) of each subcommand option; a False default makes a
+# switch, an int one an int.  The --eps default is shorter than the
+# library's ladder: at depth 480 (eps 0.025) the float eigenfunction
+# overflows for q >= 5
+OPTIONS = {
+    "matrix": (None, "rows separated by ';', entries by ','"),
+    "s": (None, "three comma-separated complex numbers a+bi"),
+    "lambda": (None, "eigenvalue a+bi instead of --s"),
+    "check": (False, "also report the max relative recurrence residual"),
+    "iters": (200, "power-iteration steps"),
+    "samples": (256, "points on each curve"),
+    "sweep": (False, "also run residual sweeps (exit 2 if not decreasing)"),
+    "witness": (False, "include the non-Ramanujan witness in the summary"),
+    "eps": ("0.2,0.1,0.05",
+            "comma-separated damping values for the sweep and the witness"),
+}
 
 
 def _read_config_file(path: str) -> dict:
@@ -75,30 +84,32 @@ def _read_config_file(path: str) -> dict:
     return out
 
 
-_CONFIG_TYPES = {f.name: type(f.default) for f in fields(RunConfig)}
-
-
-def build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
+def _settle(args: argparse.Namespace) -> None:
+    """Fill in each run setting no flag set, from the config file, then
+    the environment, then the default, and validate the settings."""
+    values = {key: default for key, (_, default, _) in SETTINGS.items()}
     if args.config:
         raw = _read_config_file(args.config)
-        unknown = set(raw) - set(_CONFIG_TYPES)
+        unknown = set(raw) - set(SETTINGS)
         if unknown:
             raise ValueError(f"unknown config keys {sorted(unknown)}")
         for key, value in raw.items():
-            kind = _CONFIG_TYPES[key]
+            kind = type(values[key])
             try:
-                cfg = replace(cfg, **{key: kind(value)})
+                values[key] = kind(value)
             except ValueError:
                 raise ValueError(f"config file {args.config}: {key} = {value!r} "
                                  f"is not {kind.__name__}") from None
     if os.environ.get(ENV_OUTDIR):
-        cfg = replace(cfg, outdir=os.environ[ENV_OUTDIR])
-    for key in _CONFIG_TYPES:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg = replace(cfg, **{key: flag})
-    return cfg.validated()
+        values["outdir"] = os.environ[ENV_OUTDIR]
+    for key, value in values.items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
+    validate_q(args.q)
+    if args.depth < 2:
+        raise ValueError("depth must be >= 2")
+    if args.fmt not in _ALL_FORMATS:
+        raise ValueError(f"unknown output format {args.fmt!r}")
 
 
 def _parse_complex(text: str) -> complex:
@@ -113,41 +124,35 @@ def _cnum(z: complex) -> dict:
     return {"re": z.real, "im": z.imag}
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def _open_out(cfg: RunConfig, name: str):
-    path = Path(cfg.outdir)
+def _open_out(args, name: str) -> Path:
+    path = Path(args.outdir)
     path.mkdir(parents=True, exist_ok=True)
     return path / name
 
 
-def _header(cfg: RunConfig) -> str:
-    return f"# seed={cfg.seed} q={cfg.q} depth={cfg.depth}\n"
+@contextmanager
+def _csv(args, name: str, columns: str):
+    """Open the bulk CSV ``name`` under the output directory and write its
+    header line and column row; the handle's ``name`` is the file path."""
+    with open(_open_out(args, name), "w", encoding="utf-8") as fh:
+        fh.write(f"# seed={args.seed} q={args.q} depth={args.depth}\n{columns}\n")
+        yield fh
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (exit code, JSON summary); main adds seed and q
 # ---------------------------------------------------------------------------
 
-def cmd_reduce(cfg: RunConfig, args) -> int:
+def cmd_reduce(args) -> tuple[int, dict]:
     if args.matrix is None:
         raise ValueError("reduce needs --matrix")
     rows = [cell.split(",") for cell in args.matrix.split(";")]
-    g = ProjMat.from_strings(cfg.q, rows)
+    g = ProjMat.from_strings(args.q, rows)
     result = reduce_matrix(g)
     verified = verify_witness(result, g)
-    _emit_json({
-        "seed": cfg.seed,
-        "q": cfg.q,
-        "m": result.m,
-        "n": result.n,
-        "gamma": str(result.gamma),
-        "w": str(result.w),
-        "verified": verified,
-    })
-    return 0 if verified else 2
+    return 0 if verified else 2, {"m": result.m, "n": result.n,
+                                  "gamma": str(result.gamma),
+                                  "w": str(result.w), "verified": verified}
 
 
 def _walk(cx: QuotientComplex):
@@ -159,18 +164,14 @@ def _walk(cx: QuotientComplex):
         yield v, cx.weight(v), stabilizer_order(cx.q, v.m, v.n), rows
 
 
-def cmd_complex(cfg: RunConfig, args) -> int:
-    cx = QuotientComplex(cfg.q, cfg.depth)
-    if cfg.fmt == "json":
-        return _complex_json(cfg, cx)
-    vpath = _open_out(cfg, "complex_vertices.csv")
-    rpath = _open_out(cfg, "complex_rows.csv")
-    with open(vpath, "w", encoding="utf-8") as vf, \
-            open(rpath, "w", encoding="utf-8") as rf:
-        vf.write(_header(cfg))
-        vf.write("m,n,color,weight_num,weight_den,stabilizer_order\n")
-        rf.write(_header(cfg))
-        rf.write("m,n,direction,target_m,target_n,coefficient,masked\n")
+def cmd_complex(args) -> tuple[int, dict]:
+    cx = QuotientComplex(args.q, args.depth)
+    if args.fmt == "json":
+        return _complex_json(args, cx)
+    with _csv(args, "complex_vertices.csv",
+              "m,n,color,weight_num,weight_den,stabilizer_order") as vf, \
+            _csv(args, "complex_rows.csv",
+                 "m,n,direction,target_m,target_n,coefficient,masked") as rf:
         for v, w, order, rows in _walk(cx):
             vf.write(f"{v.m},{v.n},{color(v)},{w.numerator},"
                      f"{w.denominator},{order}\n")
@@ -179,13 +180,11 @@ def cmd_complex(cfg: RunConfig, args) -> int:
                     rf.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},0\n")
                 for tgt, c in row.masked:
                     rf.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},1\n")
-    _emit_json({"seed": cfg.seed, "q": cfg.q, "depth": cfg.depth,
-                "vertices": tri_size(cfg.depth),
-                "files": [str(vpath), str(rpath)]})
-    return 0
+    return 0, {"depth": args.depth, "vertices": tri_size(args.depth),
+               "files": [vf.name, rf.name]}
 
 
-def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
+def _complex_json(args, cx: QuotientComplex) -> tuple[int, dict]:
     vertices = [{
         "m": v.m, "n": v.n, "color": color(v),
         "weight": fraction_str(w),  # exact, never a float
@@ -197,16 +196,15 @@ def _complex_json(cfg: RunConfig, cx: QuotientComplex) -> int:
                        for t, c in row.masked],
         } for label, row in rows},
     } for v, w, order, rows in _walk(cx)]
-    path = _open_out(cfg, "complex.json")
-    payload = {"seed": cfg.seed, "q": cfg.q, "depth": cfg.depth,
+    path = _open_out(args, "complex.json")
+    payload = {"seed": args.seed, "q": args.q, "depth": args.depth,
                "vertices": vertices}
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-    _emit_json({"seed": cfg.seed, "q": cfg.q, "depth": cfg.depth,
-                "vertices": len(vertices), "files": [str(path)]})
-    return 0
+    return 0, {"depth": args.depth, "vertices": len(vertices),
+               "files": [str(path)]}
 
 
-def cmd_eigen(cfg: RunConfig, args) -> int:
+def cmd_eigen(args) -> tuple[int, dict]:
     if (args.s is None) == (getattr(args, "lambda") is None):
         raise ValueError("provide exactly one of --s or --lambda")
     if args.s is not None:
@@ -214,44 +212,36 @@ def cmd_eigen(cfg: RunConfig, args) -> int:
         if len(parts) != 3:
             raise ValueError("--s needs three comma-separated complex numbers")
         s1, s2, s3 = (_parse_complex(p) for p in parts)
-        param = SpectralParam.from_triple(cfg.q, s1, s2, s3)
+        param = SpectralParam.from_triple(args.q, s1, s2, s3)
     else:
-        param = params_from_eigenvalue(cfg.q, _parse_complex(getattr(args, "lambda")))
-    pair = eigenvalue_pair(cfg.q, param)
-    grid = eigenfunction_grid(cfg.q, param, cfg.depth)
-    path = _open_out(cfg, "eigen_values.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_header(cfg))
-        fh.write("m,n,re,im\n")
-        for m in range(cfg.depth + 1):
+        param = params_from_eigenvalue(args.q, _parse_complex(getattr(args, "lambda")))
+    pair = eigenvalue_pair(args.q, param)
+    grid = eigenfunction_grid(args.q, param, args.depth)
+    with _csv(args, "eigen_values.csv", "m,n,re,im") as fh:
+        for m in range(args.depth + 1):
             shell = grid.values[vertex_index(m, 0):vertex_index(m + 1, 0)]
             fh.writelines(f"{m},{n},{z.real!r},{z.imag!r}\n"
                           for n, z in enumerate(shell.tolist()))
     summary = {
-        "seed": cfg.seed,
-        "q": cfg.q,
-        "depth": cfg.depth,
+        "depth": args.depth,
         "stratum": param.stratum.value,
         "s": [_cnum(z) for z in param.s],
         "lambda_plus": _cnum(pair.lambda_plus),
         "lambda_minus": _cnum(pair.lambda_minus),
-        "values_csv": str(path),
+        "values_csv": fh.name,
     }
     if args.check:
         summary["max_relative_residual"] = _grid_residual(
-            L2Space(cfg.q, cfg.depth), param, grid)
-    _emit_json(summary)
-    return 0
+            L2Space(args.q, args.depth), param, grid)
+    return 0, summary
 
 
-def cmd_norm(cfg: RunConfig, args) -> int:
-    space = L2Space(cfg.q, cfg.depth)
+def cmd_norm(args) -> tuple[int, dict]:
+    space = L2Space(args.q, args.depth)
     estimate = space.norm_estimate(args.iters)
-    bound = cfg.q * cfg.q + cfg.q + 1
-    _emit_json({"seed": cfg.seed, "q": cfg.q, "depth": cfg.depth,
-                "iters": args.iters, "estimate": estimate, "bound": bound,
-                "relative_gap": (bound - estimate) / bound})
-    return 0
+    bound = args.q * args.q + args.q + 1
+    return 0, {"depth": args.depth, "iters": args.iters, "estimate": estimate,
+               "bound": bound, "relative_gap": (bound - estimate) / bound}
 
 
 def _spectra_samples(q: int, count: int):
@@ -291,103 +281,79 @@ def _witness_code(rep) -> int:
     return 0 if ok else 2
 
 
-def cmd_spectra(cfg: RunConfig, args) -> int:
+def cmd_spectra(args) -> tuple[int, dict]:
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     eps_list = _eps_list(args)
     code = 0
     outputs = []
-    if cfg.fmt == "svg":
-        outputs.append(render_spectra(cfg.q, _open_out(cfg, "spectra.svg"),
+    if args.fmt == "svg":
+        outputs.append(render_spectra(args.q, _open_out(args, "spectra.svg"),
                                       args.samples))
-    elif cfg.fmt == "csv":
-        path = _open_out(cfg, "spectra_points.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_header(cfg))
-            fh.write("theta,re,im,set_tag\n")
-            for th, z, tag in _spectra_samples(cfg.q, args.samples):
+    elif args.fmt == "csv":
+        with _csv(args, "spectra_points.csv", "theta,re,im,set_tag") as fh:
+            for th, z, tag in _spectra_samples(args.q, args.samples):
                 fh.write(f"{th!r},{z.real!r},{z.imag!r},{tag}\n")
-        outputs.append(str(path))
+        outputs.append(fh.name)
     else:
-        path = _open_out(cfg, "spectra_points.json")
+        path = _open_out(args, "spectra_points.json")
         rows = [{"theta": th, "point": _cnum(z), "set_tag": tag}
-                for th, z, tag in _spectra_samples(cfg.q, args.samples)]
-        path.write_text(json.dumps({"seed": cfg.seed, "q": cfg.q,
+                for th, z, tag in _spectra_samples(args.q, args.samples)]
+        path.write_text(json.dumps({"seed": args.seed, "q": args.q,
                                     "points": rows}, indent=2) + "\n",
                         encoding="utf-8")
         outputs.append(str(path))
 
-    summary = {"seed": cfg.seed, "q": cfg.q, "files": outputs}
-    rep = non_ramanujan_witness(cfg.q, eps_list) if args.witness else None
+    summary = {"files": outputs}
+    rep = non_ramanujan_witness(args.q, eps_list) if args.witness else None
     if args.sweep:
-        center = SpectralParam.from_triple(cfg.q, 1.0, OMEGA, OMEGA * OMEGA)
+        center = SpectralParam.from_triple(args.q, 1.0, OMEGA, OMEGA * OMEGA)
         sweeps = {
-            "sigma2_center": residual_sweep(cfg.q, center, eps_list),
+            "sigma2_center": residual_sweep(args.q, center, eps_list),
             # with --witness the cusp is already swept at these eps
             "sigma1_cusp": (rep.sweep if rep is not None else
-                            residual_sweep(cfg.q, sigma1_cusp(cfg.q), eps_list)),
+                            residual_sweep(args.q, sigma1_cusp(args.q), eps_list)),
         }
-        path = _open_out(cfg, "spectra_sweep.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_header(cfg))
-            fh.write("family,epsilon,depth,residual_plus,residual_minus,"
-                     "norm,truncation_fraction\n")
+        with _csv(args, "spectra_sweep.csv",
+                  "family,epsilon,depth,residual_plus,residual_minus,"
+                  "norm,truncation_fraction") as fh:
             for name, reports in sweeps.items():
                 for r in reports:
                     fh.write(f"{name},{r.epsilon!r},{r.depth},"
                              f"{r.residual_plus!r},{r.residual_minus!r},"
                              f"{r.norm!r},{r.truncation_fraction!r}\n")
-        outputs.append(str(path))
-        summary["sweep_csv"] = str(path)
+        outputs.append(fh.name)
+        summary["sweep_csv"] = fh.name
         summary["sweep_decreasing"] = all(map(is_decreasing, sweeps.values()))
         if not summary["sweep_decreasing"]:
             code = 2
     if rep is not None:
         summary["witness"] = _witness_payload(rep)
         code = max(code, _witness_code(rep))
-    _emit_json(summary)
-    return code
+    return code, summary
 
 
-def cmd_witness(cfg: RunConfig, args) -> int:
-    rep = non_ramanujan_witness(cfg.q, _eps_list(args))
-    _emit_json({"seed": cfg.seed, "q": cfg.q, **_witness_payload(rep)})
-    return _witness_code(rep)
+def cmd_witness(args) -> tuple[int, dict]:
+    rep = non_ramanujan_witness(args.q, _eps_list(args))
+    return _witness_code(rep), _witness_payload(rep)
 
 
 # ---------------------------------------------------------------------------
 
-# name: (function, help, --emit formats (none: only csv), {option: default})
+# name: (function, help, --emit formats (none: only csv), own OPTIONS)
 COMMANDS = {
-    "reduce": (cmd_reduce, "normal form of a matrix class", (),
-               {"matrix": None}),
+    "reduce": (cmd_reduce, "normal form of a matrix class", (), ("matrix",)),
     "complex": (cmd_complex, "emit the weighted complex as CSV or JSON",
-                ("csv", "json"), {}),
+                ("csv", "json"), ()),
     "eigen": (cmd_eigen, "closed-form eigenfunction values", ("csv",),
-              {"s": None, "lambda": None, "check": False}),
+              ("s", "lambda", "check")),
     "norm": (cmd_norm, "operator norm estimate by power iteration", (),
-             {"iters": 200}),
+             ("iters",)),
     "spectra": (cmd_spectra, "spectrum sets as CSV/JSON/SVG",
-                ("csv", "json", "svg"),
-                {"samples": 256, "sweep": False, "witness": False,
-                 "eps": DEFAULT_EPS}),
-    "witness": (cmd_witness, "non-Ramanujan witness report", (),
-                {"eps": DEFAULT_EPS}),
+                ("csv", "json", "svg"), ("samples", "sweep", "witness", "eps")),
+    "witness": (cmd_witness, "non-Ramanujan witness report", (), ("eps",)),
 }
 _ALL_FORMATS = sorted(set().union(*(c[2] for c in COMMANDS.values())))
-
-# the subcommand options; a False default makes a switch, an int one an int
-_OPTION_HELP = {
-    "matrix": "rows separated by ';', entries by ','",
-    "s": "three comma-separated complex numbers a+bi",
-    "lambda": "eigenvalue a+bi instead of --s",
-    "check": "also report the max relative recurrence residual",
-    "iters": "power-iteration steps",
-    "samples": "points on each curve",
-    "sweep": "also run residual sweeps (exit 2 if not decreasing)",
-    "witness": "include the non-Ramanujan witness in the summary",
-    "eps": "comma-separated damping values for the sweep and the witness",
-}
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -400,17 +366,14 @@ def make_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=COMMANDS, help="the subcommand (below)")
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--q", type=int, help="prime field size (default 2)")
-    parser.add_argument("--depth", type=int, help="truncation depth M")
-    parser.add_argument("--seed", type=int, help="run seed recorded in outputs")
-    parser.add_argument("--out", dest="outdir",
-                        help=f"output directory (or ${ENV_OUTDIR})")
-    parser.add_argument("--emit", dest="fmt", choices=_ALL_FORMATS,
-                        help="output format for bulk data")
+    # no defaults here: a setting no flag set comes from _settle
+    for key, (flag, default, text) in SETTINGS.items():
+        parser.add_argument(flag, dest=key, type=type(default),
+                            choices=_ALL_FORMATS if key == "fmt" else None,
+                            help=text % {"default": default})
     own = parser.add_argument_group("options of the subcommands in brackets")
-    for name, text in _OPTION_HELP.items():
-        takers = [c for c, (*_, options) in COMMANDS.items() if name in options]
-        default = COMMANDS[takers[0]][3][name]
+    for name, (default, text) in OPTIONS.items():
+        takers = [c for c, (*_, names) in COMMANDS.items() if name in names]
         kind = ({"action": "store_true"} if default is False else
                 {"type": int} if isinstance(default, int) else {})
         own.add_argument(f"--{name}", default=None,
@@ -422,18 +385,27 @@ def main(argv=None) -> int:
     parser = make_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        # argparse reads a value such as -1+2i after a space as a flag:
+        # attach it, '--lambda=-1+2i'
+        tokens = []
+        for token in argv:
+            if tokens and re.fullmatch(r"--[^=]+", tokens[-1]) \
+                    and re.match(r"-[0-9.]", token):
+                tokens[-1] += "=" + token
+            else:
+                tokens.append(token)
         # argparse alone names the value after an unknown flag: '--foo 3
         # witness' would read 3 as the subcommand
-        for name in (token.split("=", 1)[0] for token in argv):
+        for name in (token.split("=", 1)[0] for token in tokens):
             if name.startswith("--") and not any(
                     s.startswith(name) for s in parser._option_string_actions):
                 parser.error(f"unrecognized arguments: {name}")
-        args = parser.parse_args(argv)
-        func, _, formats, options = COMMANDS[args.command]
-        for name in _OPTION_HELP:
-            if name in options:
+        args = parser.parse_args(tokens)
+        func, _, formats, own = COMMANDS[args.command]
+        for name, (default, _) in OPTIONS.items():
+            if name in own:
                 if getattr(args, name) is None:
-                    setattr(args, name, options[name])
+                    setattr(args, name, default)
             elif getattr(args, name) is not None:
                 parser.error(f"{args.command} does not take --{name}")
     except SystemExit as exc:
@@ -441,11 +413,13 @@ def main(argv=None) -> int:
         # verification failures, so usage errors map to 1
         return 0 if exc.code == 0 else 1
     try:
-        cfg = build_config(args)
-        if cfg.fmt not in (formats or ("csv",)):
-            raise ValueError(f"{args.command} cannot write --emit {cfg.fmt}; it "
+        _settle(args)
+        if args.fmt not in (formats or ("csv",)):
+            raise ValueError(f"{args.command} cannot write --emit {args.fmt}; it "
                              f"writes {' or '.join(formats) or 'no bulk file'}")
-        return func(cfg, args)
+        code, summary = func(args)
+        print(json.dumps({"seed": args.seed, "q": args.q, **summary}, indent=2))
+        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -85,13 +85,18 @@ def weight_factors(q: int) -> tuple[Fraction, ...]:
             Fraction(q + 1))
 
 
-def stabilizer_order(q: int, m: int, n: int) -> int:
-    """Exact order q^(2m+3)(q+1)(q-1)^2 / F of the stabilizer of
-    diag(t^m, t^n, 1), for the weight factor F of its stratum."""
+def _factor(q: int, m: int, n: int) -> Fraction:
+    """The weight factor F of v_mn, for a prime q and 0 <= n <= m."""
     validate_q(q)
     if not 0 <= n <= m:
         raise ValueError("need 0 <= n <= m")
-    f = weight_factors(q)[stratum(m, n)]
+    return weight_factors(q)[stratum(m, n)]
+
+
+def stabilizer_order(q: int, m: int, n: int) -> int:
+    """Exact order q^(2m+3)(q+1)(q-1)^2 / F of the stabilizer of
+    diag(t^m, t^n, 1), for the weight factor F of its stratum."""
+    f = _factor(q, m, n)
     # F is 1/(q^2+q+1), 1 or q+1, so the quotient is an integer
     return q ** (2 * m + 3) * ((q + 1) * (q - 1) ** 2 * f.denominator // f.numerator)
 
@@ -99,7 +104,7 @@ def stabilizer_order(q: int, m: int, n: int) -> int:
 @lru_cache(maxsize=1 << 15)
 def vertex_weight(q: int, m: int, n: int) -> Fraction:
     """Weight F q^(-2m) = q^3(q+1)(q-1)^2 / |stabilizer|, in lowest terms."""
-    return weight_factors(q)[stratum(m, n)] / q ** (2 * m)
+    return _factor(q, m, n) / q ** (2 * m)
 
 
 @lru_cache(maxsize=64)

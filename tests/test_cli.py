@@ -185,6 +185,28 @@ class TestValidation:
         assert runs[0][0] == 0
         assert runs[0] == runs[1]
 
+    @pytest.mark.parametrize("argv, code", [
+        (["eigen", "--lambda", "-1+2i"], 0),
+        (["eigen", "--s", "-1,-1,1"], 0),
+        (["reduce", "--matrix", "-1,0;0,1"], 0),
+        (["witness", "--eps", "-0.1,0.2"], 1),  # a damping outside (0, 1/2)
+    ], ids=["eigen-lambda", "eigen-s", "reduce-matrix", "witness-eps"])
+    def test_value_beginning_with_minus(self, capsys, tmp_path, argv, code):
+        # argparse alone reads such a value after a space as a flag
+        command, flag, value = argv
+        runs = []
+        for where, args in (("space", argv),
+                            ("attached", [command, f"{flag}={value}"])):
+            outdir = tmp_path / where
+            outdir.mkdir()
+            out = run_cli(capsys, "--q", "2", "--depth", "4",
+                          "--out", str(outdir), *args)
+            files = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+            runs.append((out[0], out[1].replace(str(outdir), "<out>"), out[2],
+                         files))
+        assert runs[0][0] == code
+        assert runs[0] == runs[1]
+
     @pytest.mark.parametrize("argv, message", [
         (["--iters", "5", "eigen", "--s", "1,1,1"], "eigen does not take --iters"),
         (["eigen", "--s", "1,1,1", "--iters", "5"], "eigen does not take --iters"),
@@ -474,11 +496,46 @@ class TestWitnessCommand:
         payload = json.loads(out)
         assert payload["q"] == 3 and payload["seed"] == 11
 
+    def test_precedence_chain(self, capsys, tmp_path, monkeypatch):
+        # defaults < config file < A2QUOTIENT_OUTDIR < flags
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(f"q = 3\nfmt = json\noutdir = {tmp_path / 'cfg'}\n")
+        monkeypatch.setenv("A2QUOTIENT_OUTDIR", str(tmp_path / "env"))
+        code, out, _ = run_cli(capsys, "--config", str(cfgfile), "complex")
+        assert code == 0
+        summary = json.loads(out)
+        assert (summary["seed"], summary["q"], summary["depth"]) == (0, 3, 20)
+        assert summary["files"] == [str(tmp_path / "env" / "complex.json")]
+        code, out, _ = run_cli(capsys, "--config", str(cfgfile), "--q", "5",
+                               "--depth", "3", "--out", str(tmp_path / "flag"),
+                               "complex")
+        assert code == 0
+        summary = json.loads(out)
+        assert summary["q"] == 5
+        assert summary["files"] == [str(tmp_path / "flag" / "complex.json")]
+        assert json.loads((tmp_path / "flag" / "complex.json").read_text())["q"] == 5
+        assert not (tmp_path / "cfg").exists()
+
     def test_env_outdir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("A2QUOTIENT_OUTDIR", str(tmp_path / "envout"))
         code, out, _ = run_cli(capsys, "--q", "2", "--depth", "3", "complex")
         assert code == 0
         assert (tmp_path / "envout" / "complex_vertices.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--matrix", "1,0;0,1"],
+    ["complex"],
+    ["eigen", "--s", "1,1,1"],
+    ["norm", "--iters", "5"],
+    ["spectra", "--samples", "8"],
+    ["witness", "--eps", "0.4,0.2"],
+], ids=lambda argv: argv[0])
+def test_summary_starts_with_seed_and_q(capsys, tmp_path, argv):
+    code, out, _ = run_cli(capsys, "--q", "3", "--seed", "7", "--depth", "4",
+                           "--out", str(tmp_path), *argv)
+    assert code == 0
+    assert list(json.loads(out).items())[:2] == [("seed", 7), ("q", 3)]
 
 
 class TestEntryPoint:

@@ -47,6 +47,14 @@ class TestStabilizers:
         assert vertex_weight(2, 2, 1) == Fraction(3, 16)
         assert vertex_weight(2, 3, 3) == Fraction(1, 64)
 
+    @pytest.mark.parametrize("func", [vertex_weight, stabilizer_order])
+    @pytest.mark.parametrize("q, m, n", [(2, -1, 0), (2, 1, 2), (4, 1, 0)],
+                             ids=["negative-m", "n-above-m", "composite-q"])
+    def test_rejects_bad_input(self, func, q, m, n):
+        # a negative m would make the weight a float, not a Fraction
+        with pytest.raises(ValueError):
+            func(q, m, n)
+
     @pytest.mark.parametrize("q", QS)
     def test_weights_in_unit_interval(self, q):
         for v in triangle(10):
