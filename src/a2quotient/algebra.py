@@ -404,12 +404,12 @@ def _top_level_slash(s: str) -> int | None:
 def _signed_terms(s: str):
     out = []
     sign, buf = 1, []
-    for ch in s:
+    for i, ch in enumerate(s):
         if ch in "+-":
             if buf:
                 out.append((sign, "".join(buf)))
                 buf = []
-            elif out:
+            elif i:  # the character before was a sign too
                 raise ValueError(f"dangling operator in {s!r}")
             sign = 1 if ch == "+" else -1
         else:

@@ -6,10 +6,10 @@ the config file keys), ``OPTIONS`` each subcommand option's default and
 help, ``COMMANDS`` each subcommand's function, formats and own options.  One
 parser registers every flag once, so a flag may stand before or after the
 subcommand; a subcommand's own option is a usage error for the others.  A
-value beginning with ``-`` and a digit or ``.`` may follow its flag after a
-space (``--lambda -1+2i``), any value after ``=``.  Bulk output goes to
-files under the output directory; each JSON summary on stdout starts with
-the seed and q.  Exit codes: 0 success, 1 domain or usage error, 2 a
+value beginning with a single ``-`` (``-h`` aside) may follow its flag
+after a space (``--lambda -i``), any value after ``=``.  Bulk output goes
+to files under the output directory; each JSON summary on stdout starts
+with the seed and q.  Exit codes: 0 success, 1 domain or usage error, 2 a
 verification subcommand found a violated property.  Precedence: defaults <
 config file (key = value lines) < environment (A2QUOTIENT_OUTDIR) < flags.
 Exact rationals are emitted as {"num": ..., "den": ...} string pairs.
@@ -21,7 +21,6 @@ import argparse
 import json
 import math
 import os
-import re
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -381,24 +380,31 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _takes_value(known: dict, flag: str) -> bool:
+    """Whether flag names, in full or by a unique prefix, a one-value option."""
+    hits = ({known[flag]} if flag in known else
+            {action for s, action in known.items() if s.startswith(flag)})
+    return len(hits) == 1 and hits.pop().nargs is None
+
+
 def main(argv=None) -> int:
     parser = make_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # argparse reads a value such as -1+2i after a space as a flag:
-        # attach it, '--lambda=-1+2i'
+        # argparse reads a value such as -1+2i or -t after a space as a
+        # flag: attach it to the flag that takes it, '--lambda=-1+2i'
+        known = parser._option_string_actions
         tokens = []
         for token in argv:
-            if tokens and re.fullmatch(r"--[^=]+", tokens[-1]) \
-                    and re.match(r"-[0-9.]", token):
+            if tokens and token.startswith("-") and not token.startswith("--") \
+                    and token not in known and _takes_value(known, tokens[-1]):
                 tokens[-1] += "=" + token
             else:
                 tokens.append(token)
         # argparse alone names the value after an unknown flag: '--foo 3
         # witness' would read 3 as the subcommand
         for name in (token.split("=", 1)[0] for token in tokens):
-            if name.startswith("--") and not any(
-                    s.startswith(name) for s in parser._option_string_actions):
+            if name.startswith("--") and not any(s.startswith(name) for s in known):
                 parser.error(f"unrecognized arguments: {name}")
         args = parser.parse_args(tokens)
         func, _, formats, own = COMMANDS[args.command]
@@ -418,11 +424,16 @@ def main(argv=None) -> int:
             raise ValueError(f"{args.command} cannot write --emit {args.fmt}; it "
                              f"writes {' or '.join(formats) or 'no bulk file'}")
         code, summary = func(args)
-        print(json.dumps({"seed": args.seed, "q": args.q, **summary}, indent=2))
-        return code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        print(json.dumps({"seed": args.seed, "q": args.q, **summary}, indent=2),
+              flush=True)
+    except BrokenPipeError:
+        # the reader is gone and Python flushes stdout at exit (signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

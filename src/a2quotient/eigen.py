@@ -37,7 +37,9 @@ both are exercised against that oracle in the test suite.
 
 Every closed form is evaluated over index arrays (m, n), and each power
 x^m is gathered from one table x^0 .. x^max(m) per base, which equals the
-per-vertex power bit for bit.
+per-vertex power bit for bit.  The cube root of unity w of the triple and
+trivial strata is sum(s)/3 scaled to modulus 1, and its table repeats the
+3-cycle (1, w, w^2), so w^(m+n) carries no rounding that grows with m+n.
 
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
@@ -50,7 +52,6 @@ from __future__ import annotations
 
 import cmath
 import enum
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,10 +68,6 @@ OMEGA = cmath.exp(2j * cmath.pi / 3)
 
 class NotInS(ValueError):
     """Triple violates the product or conjugate-symmetry constraint."""
-
-
-class NearSingularWarning(UserWarning):
-    """Roots close enough to collide that the generic formula is unstable."""
 
 
 class Stratum(enum.Enum):
@@ -116,6 +113,7 @@ def _check_membership(s) -> None:
 
 
 def classify_stratum(q: int, s) -> Stratum:
+    """Trivial first; otherwise three root gaps above TOL_SING mean generic."""
     s1, s2, s3 = s
     scale = max(abs(s1), abs(s2), abs(s3), 1.0)
     # trivial: some rotation of (q, 1, 1/q)
@@ -124,18 +122,11 @@ def classify_stratum(q: int, s) -> Stratum:
             and abs(by_mod[1] - q * by_mod[2]) <= TOL_SING * q * scale
             and abs(by_mod[1] ** 3 - 1) <= 10 * TOL_SING):
         return Stratum.TRIVIAL
-    gaps = sorted([abs(s1 - s2), abs(s1 - s3), abs(s2 - s3)])
+    gaps = (abs(s1 - s2), abs(s1 - s3), abs(s2 - s3))
     distinct = sum(1 for g in gaps if g > TOL_SING * scale)
     if distinct == 3:
-        if gaps[0] <= 10 * TOL_SING * scale:
-            warnings.warn("smallest root gap within 10x of the dispatch "
-                          "tolerance; using the stable singular formula",
-                          NearSingularWarning, stacklevel=3)
-            return Stratum.DOUBLE
         return Stratum.GENERIC
-    if distinct == 0:
-        return Stratum.TRIPLE
-    return Stratum.DOUBLE
+    return Stratum.TRIPLE if distinct == 0 else Stratum.DOUBLE
 
 
 def eigenvalue_pair(q: int, param: SpectralParam) -> EigenPair:
@@ -233,16 +224,17 @@ def _split_double(s):
     return s[2], (s[0] + s[1]) / 2
 
 
-def _trivial_omega(s):
-    by_mod = sorted(s, key=abs, reverse=True)
-    w = by_mod[1]
-    return w / abs(w)
-
-
 def _powers(x, e: np.ndarray) -> np.ndarray:
     """x ** e for each entry of the index array e, gathered from one table
     x ** 0 .. x ** max(e); each entry is the np.power(x, e) value bit for bit."""
     return np.power(x, np.arange(e.max() + 1))[e]
+
+
+def _cycle_powers(s, e: np.ndarray) -> np.ndarray:
+    """w ** e for the cube root of unity w near sum(s)/3, read off (1, w, w^2)."""
+    w = sum(s) / 3
+    w /= abs(w)
+    return np.resize(np.array([1, w, w * w]), e.max() + 1)[e]
 
 
 def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
@@ -250,21 +242,18 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
     """f(v_mn) at each index pair of the arrays m, n."""
     s = param.s
     if param.stratum is Stratum.TRIVIAL:
-        return _powers(_trivial_omega(s), m + n)
+        return _cycle_powers(s, m + n)
 
     mf = m.astype(np.float64)
     nf = n.astype(np.float64)
     qm = _powers(float(q), m)
 
     if param.stratum is Stratum.TRIPLE:
-        w = sum(s) / 3
-        w /= abs(w)
         poly = (2 * (q + 1) * (q * q + q + 1)
                 - 3 * mf * (q - 1) * (q + 1) ** 2
                 + (q - 1) ** 2 * (q + 1) * (mf * mf + 2 * mf * nf - 2 * nf * nf)
                 - (q - 1) ** 3 * (mf * mf * nf - mf * nf * nf))
-        return (_powers(w, m + n) * qm * poly
-                / (2 * (q + 1) * (q * q + q + 1)))
+        return _cycle_powers(s, m + n) * qm * poly / (2 * (q + 1) * (q * q + q + 1))
 
     if param.stratum is Stratum.DOUBLE:
         s1, s2 = _split_double(s)

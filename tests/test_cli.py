@@ -190,7 +190,10 @@ class TestValidation:
         (["eigen", "--s", "-1,-1,1"], 0),
         (["reduce", "--matrix", "-1,0;0,1"], 0),
         (["witness", "--eps", "-0.1,0.2"], 1),  # a damping outside (0, 1/2)
-    ], ids=["eigen-lambda", "eigen-s", "reduce-matrix", "witness-eps"])
+        (["eigen", "--lambda", "-i"], 0),
+        (["reduce", "--matrix", "-t,0;0,1"], 0),
+    ], ids=["eigen-lambda", "eigen-s", "reduce-matrix", "witness-eps",
+            "eigen-lambda-letter", "reduce-matrix-letter"])
     def test_value_beginning_with_minus(self, capsys, tmp_path, argv, code):
         # argparse alone reads such a value after a space as a flag
         command, flag, value = argv
@@ -206,6 +209,15 @@ class TestValidation:
                          files))
         assert runs[0][0] == code
         assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("argv", [["eigen", "--lambda", "--check"],
+                                      ["eigen", "--lambda", "-h"]])
+    def test_option_after_a_flag_is_not_its_value(self, capsys, tmp_path, argv):
+        code, out, err = run_cli(capsys, "--q", "2", "--depth", "4",
+                                 "--out", str(tmp_path), *argv)
+        assert code == 1
+        assert "argument --lambda: expected one argument" in err
+        assert out == "" and list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("argv, message", [
         (["--iters", "5", "eigen", "--s", "1,1,1"], "eigen does not take --iters"),
@@ -543,6 +555,23 @@ class TestEntryPoint:
         proc = run_module("--q", "2", "reduce", "--matrix", "1,0;0,1")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["m"] == 0
+
+    def test_closed_stdout_is_not_an_error(self, tmp_path):
+        # the reader of stdout is gone before the run starts, as in
+        # 'a2quotient ... | head -0': the files are written and the exit
+        # code is the subcommand's own
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "a2quotient.cli", "--q", "2",
+                 "--depth", "4", "--out", str(tmp_path), "eigen", "--lambda", "-i"],
+                env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "eigen_values.csv").exists()
 
     def test_usage_error_prints_help(self):
         proc = run_module()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from a2quotient.eigen import (
-    NearSingularWarning, NotInS, SpectralParam, Stratum, b_coefficients,
+    NotInS, SpectralParam, Stratum, b_coefficients,
     damped_grid, eigenfunction_grid, eigenfunction_value, eigenvalue_pair,
     params_from_eigenvalue, recurrence_residual, solve_unit_cubic,
 )
@@ -66,13 +66,18 @@ class TestMembershipAndStrata:
         assert SpectralParam.from_triple(2, *triple_root(1)).stratum is Stratum.TRIPLE
         assert SpectralParam.from_triple(2, *trivial_triple(2, 2)).stratum is Stratum.TRIVIAL
 
-    def test_near_singular_warning(self):
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_close_pair_is_generic_and_accurate(self, q):
+        # a pair 5e-4 apart, within ten times TOL_SING: three distinct roots
+        # take the generic formula, which reads ~1e-10 here at depth 480
+        # (the double formula reads ~1e-5)
         th = 0.8
         s2 = cmath.exp(-1j * (th + 2.5e-4))
         s3 = cmath.exp(-1j * (th - 2.5e-4))
         s1 = 1 / (s2 * s3)
-        with pytest.warns(NearSingularWarning):
-            SpectralParam.from_triple(2, s1, s2, s3)
+        p = SpectralParam.from_triple(q, s1, s2, s3)
+        assert p.stratum is Stratum.GENERIC
+        assert recurrence_residual(q, p, 480) < 1e-9
 
 
 class TestEigenvalues:
@@ -317,6 +322,23 @@ class TestResidualContract:
         assert recurrence_residual(q, p, 30) < 1e-9
         p = SpectralParam.from_triple(q, *triple_root(0))
         assert recurrence_residual(q, p, 30) < 1e-9
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_triple_depth_480(self, q, k):
+        # w^(m+n) comes from the 3-cycle (1, w, w^2); per-exponent powers of
+        # the rounded w read 5.7e-10 (q=2) and 2.3e-9 (q=3) for w != 1
+        p = SpectralParam.from_triple(q, *triple_root(k))
+        assert p.stratum is Stratum.TRIPLE
+        assert recurrence_residual(q, p, 480) < 1e-10
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_trivial_depth_480(self, q, k):
+        # the same 3-cycle; per-exponent powers read 1.4e-13 for w != 1
+        p = SpectralParam.from_triple(q, *trivial_triple(q, k))
+        assert p.stratum is Stratum.TRIVIAL
+        assert recurrence_residual(q, p, 480) < 1e-14
 
 
 class TestStratumLimits:
