@@ -31,11 +31,11 @@ from .eigen import (
     params_from_eigenvalue,
 )
 from .operator import L2Space, tri_size, vertex_index
-from .quotient import QuotientComplex, color, stabilizer_order
+from .quotient import stabilizer_order, stratum, table, weight_factors
 from .reduction import ProjMat, reduce_matrix, verify_witness
 from .spectra import (
     SetTag, curve_samples, is_decreasing, non_ramanujan_witness,
-    render_spectra, residual_sweep, sigma0, sigma1_cusp,
+    render_spectra, residual_sweep, sigma0, sigma1_cusp, validate_eps,
 )
 
 ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
@@ -154,47 +154,68 @@ def cmd_reduce(args) -> tuple[int, dict]:
                                   "w": str(result.w), "verified": verified}
 
 
-def _walk(cx: QuotientComplex):
-    """One streamed pass over the vertices: each with its exact weight,
-    stabilizer order and (label, row) pairs for A+ and A-."""
-    for v in cx.vertices():
-        rows = [(label, cx.row(v, sign))
-                for sign, label in ((+1, "plus"), (-1, "minus"))]
-        yield v, cx.weight(v), stabilizer_order(cx.q, v.m, v.n), rows
+def _shells(q: int, depth: int):
+    """The complex shell by shell, built per stratum and never per vertex:
+    for each m, the strata of shell m in n order, each as its range of n,
+    exact weight, stabilizer order and the steps (dm, dn, c) of A+ and A-
+    as (label, in range, masked); a step is masked when m + dm > depth.
+    Order within a direction: in-range steps, then masked, each in slot
+    order of ``table``."""
+    factors = weight_factors(q)
+    tables = [(label, table(q, sign))
+              for sign, label in ((+1, "plus"), (-1, "minus"))]
+    for m in range(depth + 1):
+        strata = []
+        # n = 0, the interior 0 < n < m, n = m (the same vertex at m = 0)
+        for ns in filter(None, (range(1), range(1, m), range(max(m, 1), m + 1))):
+            s = stratum(m, ns[0])
+            rows = [(label, [st for st in tab[s] if m + st[0] <= depth],
+                     [st for st in tab[s] if m + st[0] > depth])
+                    for label, tab in tables]
+            strata.append((ns, factors[s] / q ** (2 * m),
+                           stabilizer_order(q, m, ns[0]), rows))
+        yield m, strata
 
 
 def cmd_complex(args) -> tuple[int, dict]:
-    cx = QuotientComplex(args.q, args.depth)
     if args.fmt == "json":
-        return _complex_json(args, cx)
+        return _complex_json(args)
     with _csv(args, "complex_vertices.csv",
               "m,n,color,weight_num,weight_den,stabilizer_order") as vf, \
             _csv(args, "complex_rows.csv",
                  "m,n,direction,target_m,target_n,coefficient,masked") as rf:
-        for v, w, order, rows in _walk(cx):
-            vf.write(f"{v.m},{v.n},{color(v)},{w.numerator},"
-                     f"{w.denominator},{order}\n")
-            for label, row in rows:
-                for tgt, c in row.terms:
-                    rf.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},0\n")
-                for tgt, c in row.masked:
-                    rf.write(f"{v.m},{v.n},{label},{tgt.m},{tgt.n},{c},1\n")
+        for m, strata in _shells(args.q, args.depth):
+            vlines, rlines = [], []
+            for ns, w, order, rows in strata:
+                # format fields: {0} n-1, {1} n, {2} n+1, {3} the color (m+n) % 3
+                vline = f"{m},{{1}},{{3}},{w.numerator},{w.denominator},{order}\n"
+                rline = "".join(f"{m},{{1}},{label},{m + dm},{{{dn + 1}}},{c},{flag}\n"
+                                for label, inside, masked in rows
+                                for flag, part in ((0, inside), (1, masked))
+                                for dm, dn, c in part)
+                for n in ns:
+                    fields = (n - 1, n, n + 1, (m + n) % 3)
+                    vlines.append(vline.format(*fields))
+                    rlines.append(rline.format(*fields))
+            vf.write("".join(vlines))
+            rf.write("".join(rlines))
     return 0, {"depth": args.depth, "vertices": tri_size(args.depth),
                "files": [vf.name, rf.name]}
 
 
-def _complex_json(args, cx: QuotientComplex) -> tuple[int, dict]:
+def _complex_json(args) -> tuple[int, dict]:
     vertices = [{
-        "m": v.m, "n": v.n, "color": color(v),
+        "m": m, "n": n, "color": (m + n) % 3,
         "weight": fraction_str(w),  # exact, never a float
         "stabilizer_order": order,
         "rows": {label: {
-            "terms": [{"m": t.m, "n": t.n, "coefficient": c}
-                      for t, c in row.terms],
-            "masked": [{"m": t.m, "n": t.n, "coefficient": c}
-                       for t, c in row.masked],
-        } for label, row in rows},
-    } for v, w, order, rows in _walk(cx)]
+            "terms": [{"m": m + dm, "n": n + dn, "coefficient": c}
+                      for dm, dn, c in inside],
+            "masked": [{"m": m + dm, "n": n + dn, "coefficient": c}
+                       for dm, dn, c in masked],
+        } for label, inside, masked in rows},
+    } for m, strata in _shells(args.q, args.depth)
+        for ns, w, order, rows in strata for n in ns]
     path = _open_out(args, "complex.json")
     payload = {"seed": args.seed, "q": args.q, "depth": args.depth,
                "vertices": vertices}
@@ -253,10 +274,11 @@ def _spectra_samples(q: int, count: int):
 
 def _eps_list(args) -> tuple[float, ...]:
     try:
-        return tuple(float(e) for e in args.eps.split(","))
+        eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError:
         raise ValueError(f"--eps needs comma-separated numbers, "
                          f"got {args.eps!r}") from None
+    return validate_eps(eps_list)
 
 
 def _witness_payload(rep) -> dict:

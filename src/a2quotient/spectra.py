@@ -164,6 +164,18 @@ def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> Resi
                           truncation_fraction=frac)
 
 
+def validate_eps(eps_list) -> tuple[float, ...]:
+    """The damping values as a tuple, once all are checked: an empty list
+    or any value outside (0, 1/2) raises InvalidEpsilon before any work."""
+    eps_list = tuple(eps_list)
+    if not eps_list:
+        raise InvalidEpsilon("empty damping list")
+    for eps in eps_list:
+        if not 0 < eps < 0.5:
+            raise InvalidEpsilon(f"damping {eps} outside (0, 1/2)")
+    return eps_list
+
+
 def residual_sweep(q: int, param: SpectralParam, eps_list) -> list[ResidualReport]:
     """Damped-family residual ratios for each eps, at depth ceil(DEPTH_COEFF/eps).
 
@@ -172,13 +184,8 @@ def residual_sweep(q: int, param: SpectralParam, eps_list) -> list[ResidualRepor
     and reported with epsilon 0.
     """
     validate_q(q)
-    eps_list = tuple(eps_list)
-    if not eps_list:
-        raise InvalidEpsilon("empty damping list")
     reports = []
-    for eps in eps_list:
-        if not 0 < eps < 0.5:
-            raise InvalidEpsilon(f"damping {eps} outside (0, 1/2)")
+    for eps in validate_eps(eps_list):
         depth = math.ceil(DEPTH_COEFF / eps)
         used = 0.0 if param.stratum is Stratum.TRIVIAL else eps
         reports.append(_damped_report(q, param, used, depth))

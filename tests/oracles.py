@@ -16,9 +16,15 @@ layout and summation the package's gather must reproduce bit for bit.
 unity, and ``trivial_eigenfunction_exact`` packs the trivial eigenfunctions
 w^(k(m+n)) in it, so the trivial eigenvalues (q^2+q+1) w^k are checked
 exactly through ``apply_exact`` and ``forward_solve``.
+``complex_files_ref`` restates the three files of the ``complex``
+subcommand vertex by vertex from the package's per-vertex objects
+(``coeffs``, ``vertex_weight``, ``stabilizer_order``); it checks the
+layout of the shell-by-shell writer, while ``expected_rows`` and
+``weight_of`` check the numbers.
 """
 
 import cmath
+import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -26,6 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from a2quotient.algebra import DegenerateInput, Poly, RatFunc
+from a2quotient.quotient import Vertex, coeffs, stabilizer_order, vertex_weight
 
 _Vertex = namedtuple("_Vertex", "m n")
 
@@ -103,6 +110,43 @@ def gather_ref(q, depth, sign, values):
     padded = np.asarray(values)[pos]
     padded[pos < 0] = 0
     return (coef * padded).sum(axis=1)
+
+
+def complex_files_ref(q, depth, seed):
+    """{file name: text} of complex_vertices.csv, complex_rows.csv and
+    complex.json, one Vertex and one row split at a time: vertices in
+    (m, n) order, plus before minus, and in each direction the targets
+    within the depth before the masked ones, each in slot order."""
+    head = f"# seed={seed} q={q} depth={depth}\n"
+    vlines = [head, "m,n,color,weight_num,weight_den,stabilizer_order\n"]
+    rlines = [head, "m,n,direction,target_m,target_n,coefficient,masked\n"]
+    vertices = []
+    for m in range(depth + 1):
+        for n in range(m + 1):
+            v = Vertex(m, n)
+            w, order = vertex_weight(q, m, n), stabilizer_order(q, m, n)
+            vlines.append(f"{m},{n},{(m + n) % 3},{w.numerator},"
+                          f"{w.denominator},{order}\n")
+            rows = {}
+            for sign, label in ((+1, "plus"), (-1, "minus")):
+                row = coeffs(q, v, sign)
+                inside = [(t, c) for t, c in row if t.m <= depth]
+                masked = [(t, c) for t, c in row if t.m > depth]
+                for flag, part in ((0, inside), (1, masked)):
+                    rlines += [f"{m},{n},{label},{t.m},{t.n},{c},{flag}\n"
+                               for t, c in part]
+                rows[label] = {key: [{"m": t.m, "n": t.n, "coefficient": c}
+                                     for t, c in part]
+                               for key, part in (("terms", inside),
+                                                 ("masked", masked))}
+            vertices.append({
+                "m": m, "n": n, "color": (m + n) % 3,
+                "weight": {"num": str(w.numerator), "den": str(w.denominator)},
+                "stabilizer_order": order, "rows": rows})
+    payload = {"seed": seed, "q": q, "depth": depth, "vertices": vertices}
+    return {"complex_vertices.csv": "".join(vlines),
+            "complex_rows.csv": "".join(rlines),
+            "complex.json": json.dumps(payload, indent=2) + "\n"}
 
 
 def weight_of(q, m, n):

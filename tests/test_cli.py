@@ -12,6 +12,7 @@ import pytest
 from a2quotient import cli, eigen, spectra
 from a2quotient.cli import main
 from a2quotient.operator import _grid_mn
+from oracles import complex_files_ref
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -280,6 +281,21 @@ class TestComplexCommand:
         boundary = payload["vertices"][-1]
         assert boundary["rows"]["minus"]["masked"]
 
+    # depth 2 has an m = 1 shell without interior and a last shell whose
+    # masked terms follow the in-range ones
+    @pytest.mark.parametrize("depth", [2, 3, 4, 7])
+    @pytest.mark.parametrize("q", [2, 3, 5, 11])
+    def test_files_match_vertex_by_vertex_oracle(self, capsys, tmp_path, q, depth):
+        want = complex_files_ref(q, depth, seed=7)
+        for fmt, names in (("csv", ("complex_vertices.csv", "complex_rows.csv")),
+                           ("json", ("complex.json",))):
+            code, _, _ = run_cli(capsys, "--q", str(q), "--depth", str(depth),
+                                 "--seed", "7", "--emit", fmt,
+                                 "--out", str(tmp_path), "complex")
+            assert code == 0
+            for name in names:
+                assert (tmp_path / name).read_bytes() == want[name].encode()
+
 
 class TestEigenCommand:
     def test_lambda_input_with_check(self, capsys, tmp_path):
@@ -474,6 +490,17 @@ class TestEpsFlag:
         assert out == ""
         assert "--eps" in err and repr(text) in err
         assert not any(tmp_path.iterdir())  # rejected before any output
+
+    # spectra checks the damping values even without --sweep or --witness
+    @pytest.mark.parametrize("command", ["witness", "spectra"])
+    @pytest.mark.parametrize("text", ["inf", "0", "0.5", "nan", "0.2,0"])
+    def test_eps_outside_range_fails_up_front(self, capsys, tmp_path, command, text):
+        code, out, err = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
+                                 command, "--eps", text)
+        assert code == 1
+        assert out == ""
+        assert "outside (0, 1/2)" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestWitnessCommand:

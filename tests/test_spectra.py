@@ -16,7 +16,7 @@ from a2quotient.spectra import (
     InvalidEpsilon, ResidualReport, SetTag, TruncationTooCoarse,
     classify_point, is_decreasing, non_ramanujan_witness, norm_divergence,
     render_spectra, residual_sweep, sigma0, sigma1_point,
-    sigma2_boundary_point, sigma2_contains,
+    sigma2_boundary_point, sigma2_contains, validate_eps,
 )
 from oracles import sigma1_distance, trivial_norm_sq_limit
 
@@ -212,6 +212,15 @@ class TestResidualSweep:
             residual_sweep(2, param, (0.6,))
         with pytest.raises(InvalidEpsilon):
             residual_sweep(2, param, (0.0,))
+
+    def test_every_epsilon_checked_before_any_sweep(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectra, "_damped_report", lambda *a: calls.append(a))
+        param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
+        with pytest.raises(InvalidEpsilon, match="damping 0"):
+            residual_sweep(2, param, (0.2, 0.0))
+        assert calls == []
+        assert validate_eps([0.2, 0.1]) == (0.2, 0.1)
 
     def test_empty_eps_list(self):
         # no damping values means no evidence: neither a sweep nor a witness
