@@ -12,92 +12,117 @@ results carry a certificate that ``verify_witness`` checks independently.
 
 The exponents are the row degrees k_0 >= ... >= k_{d-1} of a row-reduced
 basis R of the F_q[t]-lattice spanned by the rows of g (A. K. Lenstra,
-JCSS 30, 1985), shifted so the last is 0.  ``reduce_matrix`` clears
-denominators once and runs the pivot loop of Mulders and Storjohann
-(J. Symbolic Comput. 35, 2003) on the polynomial rows.  The pivot of a row
+JCSS 30, 1985), shifted so the last is 0.  ``reduce_matrix`` runs the pivot
+loop of Mulders and Storjohann (J. Symbolic Comput. 35, 2003) on the rows of
+g's polynomial representative.  The pivot of a row
 is the rightmost column that attains its degree.  While some row has, in the
 pivot column of another row, an entry of at least that row's degree, it
 loses c t^k times the other row, which cancels the entry's top term.  A
 step on a shared pivot lowers the row degree or moves the pivot left; any
 other step keeps both and trades the entry's top term for smaller terms, so
 the loop ends, in Popov form.  The rows then have distinct pivots, so their
-leading coefficients form an invertible matrix and w = diag(t^-k_i) R lies
-in PGL(d, O).  gamma is the inverse of the row transform, built up by the
+leading coefficients form an invertible matrix and w = diag(t^-k_i) R, held
+as diag(t^(k_0-k_i)) R, lies in PGL(d, O).  gamma is the inverse of the row transform, built up by the
 matching column updates.  A singular input shows up as a zero row.
 
-The checks clear denominators once and then test degrees over F_q[t].  With
-P the cleared matrix, D = det P and c the gcd of P's entries, the class lies
-in PGL(d, F_q[t]) iff D != 0 and deg D = d deg c (P/c is its only polynomial
-representative up to a constant), and in PGL(d, O) iff D != 0 and
-deg D = d max deg P_ij.  ``verify_witness`` compares the polynomial product
-of the witnesses with P projectively, cross-multiplying against one pivot.
+A class is stored as its canonical representative: the one polynomial
+matrix P in it whose entries have gcd 1 and whose first nonzero entry, in
+row-major order, is monic.  Denominators are cleared once, at input, and
+projective equality is ``==``.  Any polynomial matrix with unit determinant
+is primitive, so the class lies in PGL(d, F_q[t]) iff deg det P = 0, and in
+PGL(d, O) iff det P != 0 and deg det P = d max deg P_ij.  ``verify_witness``
+canonicalizes the polynomial product of the witnesses and compares it with
+the input's representative.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
-from .algebra import Poly, RatFunc, poly_gcd
+from .algebra import Poly, RatFunc, parse_ratfunc, poly_gcd
 
 
 class Singular(ValueError):
     """Input matrix has determinant zero."""
 
 
+def _eye(q: int, d: int) -> list[list[Poly]]:
+    return [[Poly.one(q) if i == j else Poly.zero(q) for j in range(d)]
+            for i in range(d)]
+
+
 @dataclass(frozen=True)
 class ProjMat:
-    """Invertible d x d matrix over F_q(t) taken modulo scalars (d in {2, 3})."""
+    """Invertible d x d matrix over F_q(t) taken modulo scalars (d in {2, 3}),
+    held as its canonical polynomial representative."""
 
-    entries: tuple[tuple[RatFunc, ...], ...]
+    rows: tuple[tuple[Poly, ...], ...]
 
-    def __post_init__(self):
-        d = len(self.entries)
-        if d not in (2, 3) or any(len(row) != d for row in self.entries):
+    @classmethod
+    def of(cls, P) -> "ProjMat":
+        """The class of a polynomial matrix: divided by the monic gcd of its
+        entries, then by the leading coefficient of its first nonzero entry.
+        The zero matrix stays as it is."""
+        d = len(P)
+        if d not in (2, 3) or any(len(row) != d for row in P):
             raise ValueError("entries must form a 2x2 or 3x3 matrix")
+        c = Poly.zero(P[0][0].q)
+        for p in (p for row in P for p in row):
+            c = poly_gcd(c, p)
+            if c.degree == 0:
+                break
+        if c.is_zero:
+            return cls(tuple(tuple(row) for row in P))
+        if c.degree > 0:
+            P = [[p // c for p in row] for row in P]
+        inv = pow(next(p for row in P for p in row if p).lc(), -1, c.q)
+        return cls(tuple(tuple(p.scale(inv) if inv != 1 else p for p in row)
+                         for row in P))
 
     @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     @property
     def q(self) -> int:
-        return self.entries[0][0].q
+        return self.rows[0][0].q
+
+    @property
+    def entries(self) -> tuple[tuple[RatFunc, ...], ...]:
+        """The representative's entries as rational functions."""
+        return tuple(tuple(RatFunc(p) for p in row) for row in self.rows)
 
     @classmethod
     def from_rows(cls, rows) -> "ProjMat":
-        return cls(tuple(tuple(row) for row in rows))
+        """The class of a matrix of RatFunc entries, its denominators cleared
+        by their lcm."""
+        den = Poly.one(rows[0][0].q)
+        for row in rows:
+            for e in row:
+                if e.den.degree and den % e.den:
+                    den = den // poly_gcd(den, e.den) * e.den
+        return cls.of([[e.num * (den // e.den) for e in row] for row in rows])
 
     @classmethod
     def identity(cls, q: int, dim: int) -> "ProjMat":
-        one, zero = RatFunc.one(q), RatFunc.zero(q)
-        return cls.from_rows([[one if i == j else zero for j in range(dim)]
-                              for i in range(dim)])
+        return cls.of(_eye(q, dim))
 
     @classmethod
     def diagonal(cls, q: int, powers) -> "ProjMat":
         """diag(t^k) for a list of integer exponents."""
-        dim = len(powers)
-        zero = RatFunc.zero(q)
-        return cls.from_rows([[RatFunc.t_power(q, powers[i]) if i == j else zero
-                               for j in range(dim)] for i in range(dim)])
+        low, d = min(powers), len(powers)
+        return cls.of([[Poly.monomial(q, k - low) if i == j else Poly.zero(q)
+                        for j in range(d)] for i, k in enumerate(powers)])
 
     @classmethod
     def from_strings(cls, q: int, rows) -> "ProjMat":
-        from .algebra import parse_ratfunc
         return cls.from_rows([[parse_ratfunc(q, e) for e in row] for row in rows])
 
     def __matmul__(self, other: "ProjMat") -> "ProjMat":
-        return ProjMat.from_rows(_matmul(self.entries, other.entries))
-
-    def scaled(self, lam: RatFunc) -> "ProjMat":
-        return ProjMat.from_rows([[lam * e for e in row] for row in self.entries])
-
-    def det(self) -> RatFunc:
-        return _det(self.entries)
+        return ProjMat.of(_matmul(self.rows, other.rows))
 
     def __str__(self) -> str:
-        return ";".join(",".join(str(e) for e in row) for row in self.entries)
+        return ";".join(",".join(str(p) for p in row) for row in self.rows)
 
 
 def _matmul(A, B):
@@ -139,48 +164,16 @@ class ReductionResult:
 # group membership tests
 # ---------------------------------------------------------------------------
 
-def _cleared(entries) -> list[list[Poly]]:
-    """The entries times the lcm of their denominators: a matrix over F_q[t]
-    in the same projective class."""
-    den = Poly.one(entries[0][0].q)
-    for row in entries:
-        for e in row:
-            if e.den.degree and den % e.den:
-                den = den // poly_gcd(den, e.den) * e.den
-    return [[e.num * (den // e.den if e.den.degree else den) for e in row]
-            for row in entries]
-
-
-def _modular(P: list[list[Poly]]) -> bool:
-    k = _det(P).degree
-    if k <= 0:  # deg det(P/c) = k - d deg c >= 0, so k = 0 forces deg c = 0
-        return k == 0
-    return k == len(P) * reduce(poly_gcd, (p for row in P for p in row)).degree
-
-
-def _compact(P: list[list[Poly]]) -> bool:
-    k = _det(P).degree
-    return k >= 0 and k == len(P) * max(p.degree for row in P for p in row)
-
-
 def in_modular_group(g: ProjMat) -> bool:
     """Does the class contain a matrix over F_q[t] with unit determinant?"""
-    return _modular(_cleared(g.entries))
+    return _det(g.rows).degree == 0
 
 
 def in_maximal_compact(g: ProjMat) -> bool:
     """Does the class contain a matrix with all valuations >= 0 and
     determinant of valuation 0?"""
-    return _compact(_cleared(g.entries))
-
-
-def _proj_eq(A: list[list[Poly]], B: list[list[Poly]]) -> bool:
-    """Is B = lambda A for a nonzero scalar lambda (and A nonzero)?"""
-    pairs = [(a, b) for ra, rb in zip(A, B) for a, b in zip(ra, rb) if a or b]
-    if not pairs or not all(a and b for a, b in pairs):  # zero patterns differ
-        return False
-    pa, pb = pairs[0]
-    return all(a * pb == b * pa for a, b in pairs[1:])
+    k = _det(g.rows).degree
+    return k >= 0 and k == g.dim * max(p.degree for row in g.rows for p in row)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +193,8 @@ def reduce_matrix(g: ProjMat) -> ReductionResult:
     """Normal form diag(t^m, t^n, 1), m >= n >= 0, of an invertible 3x3
     class, or diag(t^m, 1) of a 2x2 class, with witnesses."""
     q, d = g.q, g.dim
-    rows = _cleared(g.entries)
-    gamma = [[Poly.one(q) if i == j else Poly.zero(q) for j in range(d)]
-             for i in range(d)]
+    rows = [list(row) for row in g.rows]
+    gamma = _eye(q, d)
     piv = [_pivot(row) for row in rows]
     while red := [(a, b) for a in range(d) for b in range(d)
                   if a != b and rows[a][piv[b][1]].degree >= piv[b][0]]:
@@ -218,22 +210,22 @@ def reduce_matrix(g: ProjMat) -> ReductionResult:
     k = [piv[i][0] for i in order]
     return ReductionResult(
         m=k[0] - k[-1], n=k[1] - k[-1] if d == 3 else None,
-        gamma=ProjMat.from_rows([[RatFunc(row[i]) for i in order] for row in gamma]),
-        w=ProjMat.from_rows([[RatFunc(p, Poly.monomial(q, ki)) for p in rows[i]]
-                             for i, ki in zip(order, k)]))
+        gamma=ProjMat.of([[row[i] for i in order] for row in gamma]),
+        w=ProjMat.of([[Poly.monomial(q, k[0] - ki) * p for p in rows[i]]
+                      for i, ki in zip(order, k)]))
 
 
 def verify_witness(result: ReductionResult, g: ProjMat) -> bool:
     """Certificate check: witnesses lie in their groups and reassemble g."""
-    gamma, w = _cleared(result.gamma.entries), _cleared(result.w.entries)
+    gamma, w = result.gamma, result.w
     powers = [result.m, 0] if result.n is None else [result.m, result.n, 0]
-    if not (len(gamma) == len(w) == len(powers) == g.dim):
+    if not (gamma.dim == w.dim == len(powers) == g.dim):
         return False
-    if not (_modular(gamma) and _compact(w)):
+    if not (in_modular_group(gamma) and in_maximal_compact(w)):
         return False
     low = min(powers)  # diag(t^k) is taken modulo scalars
-    tw = [[Poly.monomial(g.q, k - low) * p for p in row] for k, row in zip(powers, w)]
-    return _proj_eq(_matmul(gamma, tw), _cleared(g.entries))
+    tw = [[Poly.monomial(g.q, k - low) * p for p in row] for k, row in zip(powers, w.rows)]
+    return ProjMat.of(_matmul(gamma.rows, tw)) == g
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +242,7 @@ def random_poly(q: int, rng) -> Poly:
 
 def random_modular(q: int, dim: int, rng) -> ProjMat:
     """Random product of elementary matrices over F_q[t]."""
-    g = [[Poly.one(q) if i == j else Poly.zero(q) for j in range(dim)]
-         for i in range(dim)]
+    g = _eye(q, dim)
     for _ in range(SAMPLE_STEPS):
         kind = rng.randrange(3)
         i, j = rng.sample(range(dim), 2)
@@ -263,7 +254,7 @@ def random_modular(q: int, dim: int, rng) -> ProjMat:
              else Poly.const(q, rng.randrange(1, q)))
         for row in g:
             row[j] = row[j] - p * row[i]
-    return ProjMat.from_rows([[RatFunc(e) for e in row] for row in g])
+    return ProjMat.of(g)
 
 
 def random_compact(q: int, dim: int, rng) -> ProjMat:

@@ -7,7 +7,8 @@ from the eigenfunction equations and steps shell by shell from f(v00) = 1,
 so it can cross-check both the operator rows and the closed forms.  The
 group-membership references decide membership from the determinant over
 F_q(t) by exact d-th roots (``nth_root``, tested on its own in
-test_algebra), independently of the degree tests in the package.
+test_algebra), independently of the degree tests in the package; they scale
+their own RatFunc entry lists and take determinants with ``det_ref``.
 ``sigma1_distance`` measures the distance to the cusped curve by sampling
 it, independently of the companion cubic that classifies points.
 ``gather_ref`` applies an operator row-major from ``expected_rows``, the
@@ -200,31 +201,48 @@ def nth_root(a, r):
     return b if b ** r == a else None
 
 
+def det_ref(E):
+    """Determinant of a square matrix of RatFunc entries, by Laplace
+    expansion along the first row."""
+    if len(E) == 1:
+        return E[0][0]
+    out = RatFunc.zero(E[0][0].q)
+    for j, e in enumerate(E[0]):
+        minor = det_ref([row[:j] + row[j + 1:] for row in E[1:]])
+        out = out - e * minor if j % 2 else out + e * minor
+    return out
+
+
 def in_modular_group_ref(g):
     """Is the ProjMat class in PGL(d, F_q[t])?  Any polynomial representative
     with unit determinant is lambda g with lambda^d = det(g) up to a
     constant, so numerator and denominator of det(g) must be d-th powers;
-    the candidate lambda is then unique up to constants and checked."""
-    det = g.det()
+    the candidate lambda is then unique up to constants and checked.  Works
+    on g's RatFunc entries, never on its stored representative."""
+    E = [list(row) for row in g.entries]
+    det = det_ref(E)
     if det.is_zero:
         return False
-    a, b = nth_root(det.num.monic(), g.dim), nth_root(det.den, g.dim)
+    a, b = nth_root(det.num.monic(), len(E)), nth_root(det.den, len(E))
     if a is None or b is None:
         return False
-    h = g.scaled(RatFunc(b, a))
-    if any(not e.is_polynomial for row in h.entries for e in row):
+    lam = RatFunc(b, a)
+    h = [[lam * e for e in row] for row in E]
+    if any(not e.is_polynomial for row in h for e in row):
         return False
-    return h.det().is_constant and not h.det().is_zero
+    det = det_ref(h)
+    return det.is_constant and not det.is_zero
 
 
 def in_maximal_compact_ref(g):
     """Is the ProjMat class in PGL(d, O)?  Scaling the least entry valuation
     to 0 is the only freedom, so one candidate decides."""
-    if g.det().is_zero:
+    E = [list(row) for row in g.entries]
+    if det_ref(E).is_zero:
         return False
-    mu = min(e.valuation() for row in g.entries for e in row)
-    h = g.scaled(RatFunc.t_power(g.q, int(mu)))
-    return h.det().valuation() == 0
+    mu = min(e.valuation() for row in E for e in row)
+    lam = RatFunc.t_power(g.q, int(mu))
+    return det_ref([[lam * e for e in row] for row in E]).valuation() == 0
 
 
 def sigma1_distance(q, la, samples=4096):
