@@ -38,8 +38,8 @@ both are exercised against that oracle in the test suite.
 Every closed form is evaluated over index arrays (m, n), and each power
 x^m is gathered from one table x^0 .. x^max(m) per base, which equals the
 per-vertex power bit for bit.  The cube root of unity w of the triple and
-trivial strata is sum(s)/3 scaled to modulus 1, and its table repeats the
-3-cycle (1, w, w^2), so w^(m+n) carries no rounding that grows with m+n.
+trivial strata is sum(s)/3 scaled to modulus 1, and w^(m+n) is read off
+the 3-cycle (1, w, w^2), so it carries no rounding that grows with m+n.
 
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
@@ -57,7 +57,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import validate_q
-from .operator import GridFunction, L2Space, _grid_mn
+from .operator import (
+    GridFunction, L2Space, _apply_into, _grid_mn, _scratch, _take,
+)
 
 TOL_S = 1e-10        # membership in the parameter set
 TOL_SING = 1e-4      # stratum dispatch on pairwise root distances
@@ -224,59 +226,100 @@ def _split_double(s):
     return s[2], (s[0] + s[1]) / 2
 
 
-def _powers(x, e: np.ndarray) -> np.ndarray:
-    """x ** e for each entry of the index array e, gathered from one table
-    x ** 0 .. x ** max(e); each entry is the np.power(x, e) value bit for bit."""
-    return np.power(x, np.arange(e.max() + 1))[e]
-
-
-def _cycle_powers(s, e: np.ndarray) -> np.ndarray:
-    """w ** e for the cube root of unity w near sum(s)/3, read off (1, w, w^2)."""
+def _cycle(s, top: int) -> np.ndarray:
+    """w^0 .. w^top for the cube root of unity w near sum(s)/3, read off the
+    3-cycle (1, w, w^2)."""
     w = sum(s) / 3
     w /= abs(w)
-    return np.resize(np.array([1, w, w * w]), e.max() + 1)[e]
+    return np.resize(np.array([1, w, w * w]), top + 1)
 
 
 def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
                  n: np.ndarray) -> np.ndarray:
-    """f(v_mn) at each index pair of the arrays m, n."""
-    s = param.s
-    if param.stratum is Stratum.TRIVIAL:
-        return _cycle_powers(s, m + n)
+    """f(v_mn) at each index pair of the arrays m, n, as a fresh array.
 
-    mf = m.astype(np.float64)
-    nf = n.astype(np.float64)
-    qm = _powers(float(q), m)
+    Every intermediate of their length is a pool block (see ``operator``),
+    and the result doubles as one.  Each scalar and per-m, per-n or
+    per-(m-n) factor is folded into its table over 0 .. max(m) before the
+    gather, in the order the formulas above multiply, so each value is the
+    per-vertex one bit for bit.  A complex product always goes to an array
+    distinct from both factors: numpy rounds an in-place complex multiply
+    of length 1 differently.
+    """
+    s = param.s
+    size = m.size
+    out = np.empty(size, dtype=np.complex128)
+    top = int(m.max())
+    index = _scratch("index", size, np.intp)
+    if param.stratum is Stratum.TRIVIAL:
+        # clip: every index is in range (see operator._take)
+        return np.take(_cycle(s, 2 * top), np.add(m, n, out=index), out=out,
+                       mode="clip")
+
+    k = np.arange(top + 1)
+    kf = k.astype(np.float64)
+    qk = np.power(float(q), k)
 
     if param.stratum is Stratum.TRIPLE:
-        poly = (2 * (q + 1) * (q * q + q + 1)
-                - 3 * mf * (q - 1) * (q + 1) ** 2
-                + (q - 1) ** 2 * (q + 1) * (mf * mf + 2 * mf * nf - 2 * nf * nf)
-                - (q - 1) ** 3 * (mf * mf * nf - mf * nf * nf))
-        return _cycle_powers(s, m + n) * qm * poly / (2 * (q + 1) * (q * q + q + 1))
+        scale = 2 * (q + 1) * (q * q + q + 1)
+        nf = _take(kf, n, "column")
+        # (q-1)^2 (q+1) (m^2 + 2mn - 2n^2)
+        poly = _take(2 * kf, m, "product")
+        poly *= nf
+        mm = _take(kf * kf, m, "image")
+        poly += mm
+        poly -= _take(2 * kf * kf, n, "absolute")
+        poly *= (q - 1) ** 2 * (q + 1)
+        acc = _take(scale - 3 * kf * (q - 1) * (q + 1) ** 2, m, "absolute")
+        acc += poly
+        # (q-1)^3 (m^2 n - m n^2)
+        mm *= nf
+        mnn = _take(kf, m, "product")
+        mnn *= nf
+        mnn *= nf
+        mm -= mnn
+        mm *= (q - 1) ** 3
+        acc -= mm
+        qm = _take(qk, m, "column")
+        cycle = _take(_cycle(s, 2 * top), np.add(m, n, out=index), "image")
+        x = np.multiply(cycle, qm, out=_scratch("product", size, np.complex128))
+        x = np.multiply(x, acc, out=_scratch("column", size, np.complex128))
+        return np.divide(x, scale, out=out)
 
     if param.stratum is Stratum.DOUBLE:
         s1, s2 = _split_double(s)
         den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
-        p1m, p2m = _powers(s1, m), _powers(s2, m)
-        p1n, p2n = _powers(s1, n), _powers(s2, n)
-        t1 = (s1 - q * s2) ** 2 * ((1 - q) * nf + (q + 1)) * p1m * p2n
-        t2 = (s2 - q * s1) ** 2 * ((1 - q) * (mf - nf) + (q + 1)) * p2m * p2n
-        t3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * mf
+        p1, p2 = np.power(s1, k), np.power(s2, k)
+        lin = (1 - q) * kf + (q + 1)
+        c3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * kf
               + (q + 1) * (q * (s1 * s1 + s2 * s2)
-                           - 2 * (q * q - q + 1) * s1 * s2)) * p1n * p2m
-        return qm * (t1 + t2 + t3) / den
+                           - 2 * (q * q - q + 1) * s1 * s2))
+
+        def term(a, ia, b, ib, c, ic, name):
+            """(a[ia] b[ib]) c[ic] in the pool block name."""
+            x = np.multiply(_take(a, ia, "column"), _take(b, ib, "product"), out=out)
+            return np.multiply(x, _take(c, ic, "column"),
+                               out=_scratch(name, size, np.complex128))
+
+        acc = term((s1 - q * s2) ** 2 * lin, n, p1, m, p2, n, "image")
+        diff = np.subtract(m, n, out=index)
+        acc += term((s2 - q * s1) ** 2 * lin, diff, p2, m, p2, n, "product")
+        acc += term(c3, m, p1, n, p2, m, "product")
+        qm = _take(qk, m, "product")
+        x = np.multiply(qm, acc, out=_scratch("column", size, np.complex128))
+        return np.divide(x, den, out=out)
 
     bs = b_coefficients(q, s)
     cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
-    powers_m = [_powers(si, m) for si in s]
-    powers_n = [_powers(si, n) for si in s]
-    vals = np.zeros(m.shape, dtype=np.complex128)
+    powers = [np.power(si, k) for si in s]
+    acc = _scratch("image", size, np.complex128)
+    acc[...] = 0
     for (i, j), b in bs.items():
         if abs(b) <= cutoff:
             continue  # structural zero; see module docstring
-        vals += b * powers_m[i] * powers_n[j]
-    return qm * vals
+        x = _take(b * powers[i], m, "column")
+        acc += np.multiply(x, _take(powers[j], n, "product"), out=out)
+    return np.multiply(_take(qk, m, "column"), acc, out=out)
 
 
 def eigenfunction_grid(q: int, param: SpectralParam, depth: int) -> GridFunction:
@@ -304,7 +347,9 @@ def damped_grid(q: int, param: SpectralParam, eps: float, depth: int) -> GridFun
     if eps == 0.0:
         return f
     m, _ = _grid_mn(depth)
-    return GridFunction(depth, f.values * _powers(1.0 - eps, m))
+    # real factors: an in-place product rounds as a fresh one does
+    f.values *= _take(np.power(1.0 - eps, np.arange(depth + 1)), m, "absolute")
+    return f
 
 
 def recurrence_residual(q: int, param: SpectralParam, depth: int) -> float:
@@ -317,11 +362,22 @@ def recurrence_residual(q: int, param: SpectralParam, depth: int) -> float:
 def _grid_residual(space: L2Space, param: SpectralParam, f: GridFunction) -> float:
     """recurrence_residual for the grid f of param, already evaluated."""
     pair = eigenvalue_pair(space.q, param)
+    size = f.values.size
+    abs_f = np.abs(f.values, out=_scratch("absolute", size, np.float64))
     worst = 0.0
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        af, _ = space.apply(sign, f)
-        resid = np.abs(af.values - lam * f.values)
-        scale = 1.0 + abs(lam) * np.abs(f.values)
-        worst = max(worst, float((resid / scale)[space.interior].max()))
+        ratio = np.abs(_residual(space, sign, lam, f.values),
+                       out=_scratch("column", size, np.float64))
+        scale = np.multiply(abs(lam), abs_f, out=_scratch("product", size, np.float64))
+        scale += 1.0
+        ratio /= scale
+        worst = max(worst, float(ratio[space.interior].max()))
     return worst
 
+
+def _residual(space: L2Space, sign: int, lam: complex, values) -> np.ndarray:
+    """A f - lam f for the packed values f, in the pool block "image"."""
+    image = _apply_into(space.q, space.depth, sign, values,
+                        _scratch("image", values.size, np.complex128))
+    image -= np.multiply(lam, values, out=_scratch("column", values.size, np.complex128))
+    return image

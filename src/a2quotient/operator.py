@@ -30,11 +30,27 @@ A- is built from its own table rows, not as the weighted transpose
 w(u)/w(v) of A+: the float weights underflow to exactly 0 from m = 538 at
 q = 2 (m = 340 at q = 3), where that ratio is 0/0, and the exact
 adjointness check would compare A+ with itself.
+
+The closed-form evaluation and the residual sweeps (``eigen``, ``spectra``)
+keep their T-length intermediates in one scratch pool instead of mapping
+fresh arrays on every call: ``_scratch(name, size, dtype)`` hands out a
+[:size] view of the named block, which grows to the largest byte count
+asked for and is kept.  The pool is per thread (``threading.local``), so
+two threads never share a block.  It retains a fixed set of six blocks
+sized by the largest depth run: "padded" of T + 1 complex entries,
+"column", "product" and "image" of T, "index" and "absolute" of T 8-byte
+entries, 80 T bytes in all (9.3 MB at depth 480).  A function uses a block
+only while no callee uses it, and nothing a public function returns
+aliases the pool: results are fresh arrays or Python numbers.
+``_apply_into`` is the float gather of ``L2Space.apply`` over pool blocks,
+bit for bit; the public ``apply``, ``inner`` and ``norm`` allocate as
+before.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -165,6 +181,47 @@ def _gather(q: int, depth: int, sign: int, values: np.ndarray):
     image += coef[1] * padded.take(idx[1])
     image += coef[2] * padded.take(idx[2])
     return image, mask
+
+
+_POOL = threading.local()
+
+
+def _scratch(name: str, size: int, dtype) -> np.ndarray:
+    """A [:size] view, as dtype, of this thread's pool block name; the block
+    grows to the largest byte count asked for and is kept."""
+    dtype = np.dtype(dtype)
+    nbytes = size * dtype.itemsize
+    block = vars(_POOL).get(name)
+    if block is None or block.size < nbytes:
+        block = vars(_POOL)[name] = np.empty(nbytes, dtype=np.uint8)
+    return block[:nbytes].view(dtype)
+
+
+def _take(table, index, name: str) -> np.ndarray:
+    """table[index] in the pool block name."""
+    # np.take(out=) in its default mode="raise" buffers the output: 0.59 ms
+    # against 0.17 ms with mode="clip" at depth 480.  "clip" is exact here:
+    # every index is in range by construction.
+    out = _scratch(name, index.size, table.dtype)
+    return np.take(table, index, out=out, mode="clip")
+
+
+def _apply_into(q: int, depth: int, sign: int, values, out):
+    """The image ``_gather`` forms of complex packed values, written into
+    out: the same three column products summed from 0 in slot order, over
+    the pool blocks "padded", "index", "column" and "product"."""
+    idx, coef, _ = _kernel(q, depth, sign)
+    padded = _scratch("padded", values.size + 1, np.complex128)
+    padded[:-1] = values
+    padded[-1] = 0
+    # np.take copies int32 indices to intp; copying into a block maps nothing
+    index = _scratch("index", values.size, np.intp)
+    product = _scratch("product", values.size, np.complex128)
+    out[...] = 0
+    for slot in range(3):
+        np.copyto(index, idx[slot])
+        out += np.multiply(coef[slot], _take(padded, index, "column"), out=product)
+    return out
 
 
 @lru_cache(maxsize=32)

@@ -26,12 +26,14 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, companion_roots, damped_grid,
+    SpectralParam, Stratum, _residual, companion_roots, damped_grid,
     eigenfunction_grid, eigenvalue_pair,
 )
-from .operator import GridFunction, L2Space, tri_size
+from .operator import L2Space, _scratch, tri_size
 
 
 TOL_POINT = 1e-6      # root moduli and the sigma0 distance of a point
@@ -143,21 +145,32 @@ class ResidualReport:
     truncation_fraction: float
 
 
+def _mass(space: L2Space, values) -> np.ndarray:
+    """w |v|^2 per vertex of the leading packed values v, formed as
+    ``L2Space.norm`` forms it, in the pool block "product"."""
+    size = values.size
+    a = np.abs(values, out=_scratch("absolute", size, np.float64))
+    mass = np.multiply(space.weights[:size], a, out=_scratch("product", size, np.float64))
+    mass *= a
+    return mass
+
+
 def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> ResidualReport:
     space = L2Space(q, depth)
     f = damped_grid(q, param, eps, depth)
     pair = eigenvalue_pair(q, param)
-    total_sq = space.norm(f) ** 2
-    kept = space.norm(f, where=space.interior)
+    mass = _mass(space, f.values)
+    # squared as space.norm(f) ** 2 is, so the report keeps its bits
+    total_sq = float(np.sqrt(mass.sum())) ** 2
+    kept = float(np.sqrt(mass[space.interior].sum()))
     frac = 1.0 - kept ** 2 / total_sq if total_sq > 0 else 1.0
     if frac >= TRUNC_LIMIT:
         raise TruncationTooCoarse(
             f"masked shell holds {frac:.3%} of the mass at depth {depth}")
     ratios = []
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        af, _ = space.apply(sign, f)
-        resid = GridFunction(depth, af.values - lam * f.values)
-        ratios.append(space.norm(resid, where=space.interior) / kept)
+        resid = _residual(space, sign, lam, f.values)[space.interior]
+        ratios.append(float(np.sqrt(_mass(space, resid).sum())) / kept)
     return ResidualReport(s=param.s, epsilon=eps, depth=depth,
                           residual_plus=ratios[0], residual_minus=ratios[1],
                           norm=math.sqrt(total_sq),
@@ -213,9 +226,9 @@ def norm_divergence(q: int, param: SpectralParam, depths) -> list[float]:
         raise ValueError(f"depths must be >= 0, got {[d for d in depths if d < 0]}")
     # L2Space needs depth >= 2; the shallower sums are prefixes of its grid
     top = max(depths[-1], 2)
-    space = L2Space(q, top)
-    f = eigenfunction_grid(q, param, top)
-    return [space.norm(f, where=slice(0, tri_size(d))) ** 2 for d in depths]
+    mass = _mass(L2Space(q, top), eigenfunction_grid(q, param, top).values)
+    # space.norm(f, where=...) ** 2 of each prefix, bit for bit
+    return [float(np.sqrt(mass[:tri_size(d)].sum())) ** 2 for d in depths]
 
 
 def sigma1_cusp(q: int) -> SpectralParam:

@@ -17,6 +17,14 @@ layout and summation the package's gather must reproduce bit for bit.
 unity, and ``trivial_eigenfunction_exact`` packs the trivial eigenfunctions
 w^(k(m+n)) in it, so the trivial eigenvalues (q^2+q+1) w^k are checked
 exactly through ``apply_exact`` and ``forward_solve``.
+``closed_form_ref`` is the allocating closed-form evaluator the package
+used before its scratch pool, kept verbatim with its two power rules: the
+package's pooled evaluator must reproduce it bit for bit, NaN and inf
+included.  It shares only the coefficient helpers (``b_coefficients``,
+``_split_double``, ``_B_ZERO``) with the package.  ``damped_ref``,
+``grid_residual_ref`` and ``damped_report_ref`` are the allocating damping,
+recurrence residual and sweep report on its grids, computed through the
+public ``L2Space.apply`` and ``L2Space.norm``.
 ``complex_files_ref`` restates the three files of the ``complex``
 subcommand vertex by vertex from the package's per-vertex objects
 (``coeffs``, ``vertex_weight``, ``stabilizer_order``); it checks the
@@ -33,7 +41,12 @@ from fractions import Fraction
 import numpy as np
 
 from a2quotient.algebra import DegenerateInput, Poly, RatFunc
+from a2quotient.eigen import (
+    _B_ZERO, Stratum, _split_double, b_coefficients, eigenvalue_pair,
+)
+from a2quotient.operator import GridFunction, L2Space, _grid_mn
 from a2quotient.quotient import Vertex, coeffs, stabilizer_order, vertex_weight
+from a2quotient.spectra import TRUNC_LIMIT
 
 _Vertex = namedtuple("_Vertex", "m n")
 
@@ -355,3 +368,99 @@ def trivial_eigenfunction_exact(k, depth):
     return np.array([Eisenstein.omega_power(k * (m + n))
                      for m in range(depth + 1) for n in range(m + 1)],
                     dtype=object)
+
+
+def _powers(x, e):
+    """x ** e for each entry of the index array e, gathered from one table
+    x ** 0 .. x ** max(e)."""
+    return np.power(x, np.arange(e.max() + 1))[e]
+
+
+def _cycle_powers(s, e):
+    """w ** e for the cube root of unity w near sum(s)/3, read off (1, w, w^2)."""
+    w = sum(s) / 3
+    w /= abs(w)
+    return np.resize(np.array([1, w, w * w]), e.max() + 1)[e]
+
+
+def closed_form_ref(q, param, m, n):
+    """f(v_mn) at each index pair of the arrays m, n."""
+    s = param.s
+    if param.stratum is Stratum.TRIVIAL:
+        return _cycle_powers(s, m + n)
+
+    mf = m.astype(np.float64)
+    nf = n.astype(np.float64)
+    qm = _powers(float(q), m)
+
+    if param.stratum is Stratum.TRIPLE:
+        poly = (2 * (q + 1) * (q * q + q + 1)
+                - 3 * mf * (q - 1) * (q + 1) ** 2
+                + (q - 1) ** 2 * (q + 1) * (mf * mf + 2 * mf * nf - 2 * nf * nf)
+                - (q - 1) ** 3 * (mf * mf * nf - mf * nf * nf))
+        return _cycle_powers(s, m + n) * qm * poly / (2 * (q + 1) * (q * q + q + 1))
+
+    if param.stratum is Stratum.DOUBLE:
+        s1, s2 = _split_double(s)
+        den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
+        p1m, p2m = _powers(s1, m), _powers(s2, m)
+        p1n, p2n = _powers(s1, n), _powers(s2, n)
+        t1 = (s1 - q * s2) ** 2 * ((1 - q) * nf + (q + 1)) * p1m * p2n
+        t2 = (s2 - q * s1) ** 2 * ((1 - q) * (mf - nf) + (q + 1)) * p2m * p2n
+        t3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * mf
+              + (q + 1) * (q * (s1 * s1 + s2 * s2)
+                           - 2 * (q * q - q + 1) * s1 * s2)) * p1n * p2m
+        return qm * (t1 + t2 + t3) / den
+
+    bs = b_coefficients(q, s)
+    cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
+    powers_m = [_powers(si, m) for si in s]
+    powers_n = [_powers(si, n) for si in s]
+    vals = np.zeros(m.shape, dtype=np.complex128)
+    for (i, j), b in bs.items():
+        if abs(b) <= cutoff:
+            continue  # structural zero; see the eigen module docstring
+        vals += b * powers_m[i] * powers_n[j]
+    return qm * vals
+
+
+def damped_ref(q, param, eps, depth):
+    """(1 - eps)^m times the closed_form_ref grid, as a GridFunction."""
+    m, n = _grid_mn(depth)
+    f = closed_form_ref(q, param, m, n)
+    if eps != 0.0:
+        f = f * _powers(1.0 - eps, m)
+    return GridFunction(depth, f)
+
+
+def grid_residual_ref(q, param, f):
+    """max over unmasked vertices and both directions of
+    |A f - lambda f| / (1 + |lambda| |f|) for the grid f."""
+    space = L2Space(q, f.depth)
+    pair = eigenvalue_pair(q, param)
+    worst = 0.0
+    for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
+        af, _ = space.apply(sign, f)
+        resid = np.abs(af.values - lam * f.values)
+        scale = 1.0 + abs(lam) * np.abs(f.values)
+        worst = max(worst, float((resid / scale)[space.interior].max()))
+    return worst
+
+
+def damped_report_ref(q, param, eps, depth):
+    """(residual_plus, residual_minus, norm, truncation_fraction) of the
+    damped grid, or the truncation fraction when it reaches TRUNC_LIMIT."""
+    space = L2Space(q, depth)
+    f = damped_ref(q, param, eps, depth)
+    pair = eigenvalue_pair(q, param)
+    total_sq = space.norm(f) ** 2
+    kept = space.norm(f, where=space.interior)
+    frac = 1.0 - kept ** 2 / total_sq if total_sq > 0 else 1.0
+    if frac >= TRUNC_LIMIT:
+        return frac
+    ratios = []
+    for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
+        af, _ = space.apply(sign, f)
+        resid = GridFunction(depth, af.values - lam * f.values)
+        ratios.append(space.norm(resid, where=space.interior) / kept)
+    return ratios[0], ratios[1], math.sqrt(total_sq), frac

@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +13,15 @@ from a2quotient.eigen import (
     damped_grid, eigenfunction_grid, eigenfunction_value, eigenvalue_pair,
     params_from_eigenvalue, recurrence_residual, solve_unit_cubic,
 )
-from a2quotient import eigen
+from a2quotient import eigen, operator
 from a2quotient.operator import _grid_mn, apply_exact
-from oracles import Eisenstein, forward_solve, trivial_eigenfunction_exact
+from a2quotient.spectra import (
+    TruncationTooCoarse, norm_divergence, residual_sweep,
+)
+from oracles import (
+    Eisenstein, closed_form_ref, damped_ref, damped_report_ref, forward_solve,
+    grid_residual_ref, trivial_eigenfunction_exact,
+)
 
 
 def unimodular_generic(rng, min_gap=5e-3):
@@ -300,7 +308,8 @@ class TestEvaluator:
         with np.errstate(over="ignore", invalid="ignore"):
             for x in (*s, cmath.exp(2.1j), 11.0, 2.0, 0.95):
                 for e in (m, n, m + n):
-                    got, want = eigen._powers(x, e), np.power(x, e)
+                    table = np.power(x, np.arange(e.max() + 1))
+                    got, want = operator._take(table, e, "column"), np.power(x, e)
                     assert got.tobytes() == want.tobytes(), x
 
     def test_negative_depth_names_the_depth(self):
@@ -309,6 +318,111 @@ class TestEvaluator:
             eigenfunction_grid(2, p, -1)
         with pytest.raises(ValueError, match="depth"):
             damped_grid(2, p, 0.1, -3)
+
+
+class TestPooledEvaluation:
+    """The closed forms, damping and residuals run over scratch-pool blocks
+    and must reproduce the allocating evaluation bit for bit, non-finite
+    grids included; nothing they return may alias the pool."""
+
+    @staticmethod
+    def params(q):
+        w = cmath.exp(2j * cmath.pi / 3)
+        centre = SpectralParam.from_triple(q, 1.0, w, w * w)
+        return {**stratum_params(q), "sigma2_centre": centre}
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 11])
+    def test_grids_match_the_allocating_oracle(self, q):
+        with np.errstate(all="ignore"):
+            for name, p in self.params(q).items():
+                for depth in (0, 1, 2, 30, 61, 480):
+                    want = closed_form_ref(q, p, *_grid_mn(depth)).tobytes()
+                    got = eigenfunction_grid(q, p, depth).values.tobytes()
+                    assert got == want, (name, depth)
+                    for eps in (0.2, 0.025):
+                        got = damped_grid(q, p, eps, depth).values.tobytes()
+                        want = damped_ref(q, p, eps, depth).values.tobytes()
+                        assert got == want, (name, depth, eps)
+                    if depth >= 2:
+                        want = grid_residual_ref(q, p, damped_ref(q, p, 0.0, depth))
+                        assert recurrence_residual(q, p, depth) == want, (name, depth)
+                # eigenfunction_value evaluates length-1 index arrays
+                for m, n in ((0, 0), (5, 3), (61, 17), (480, 480)):
+                    index = np.array([m]), np.array([n])
+                    got = np.array([eigenfunction_value(q, p, m, n)]).tobytes()
+                    assert got == closed_form_ref(q, p, *index).tobytes(), (name, m, n)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 11])
+    def test_sweep_matches_the_allocating_oracle(self, q):
+        with np.errstate(all="ignore"):
+            for name, p in self.params(q).items():
+                for eps in (0.2, 0.1, 0.05, 0.025):
+                    depth = math.ceil(12.0 / eps)
+                    used = 0.0 if p.stratum is Stratum.TRIVIAL else eps
+                    want = damped_report_ref(q, p, used, depth)
+                    if isinstance(want, float):
+                        with pytest.raises(TruncationTooCoarse, match=f"{want:.3%}"):
+                            residual_sweep(q, p, [eps])
+                        continue
+                    r, = residual_sweep(q, p, [eps])
+                    got = (r.residual_plus, r.residual_minus, r.norm,
+                           r.truncation_fraction)
+                    # repr round-trips every float and compares NaN equal
+                    assert repr(got) == repr(want), (name, eps)
+
+    def test_results_never_alias_the_pool(self):
+        q = 5
+        kept = {}
+        with np.errstate(all="ignore"):
+            for name, p in self.params(q).items():
+                grid = eigenfunction_grid(q, p, 30)
+                damped = damped_grid(q, p, 0.1, 30)
+                kept[name] = (grid, grid.values.tobytes(), damped,
+                              damped.values.tobytes())
+            # later calls at other depths and strata reuse every block
+            for p in self.params(q).values():
+                for depth in (2, 61, 480):
+                    damped_grid(q, p, 0.05, depth)
+                    recurrence_residual(q, p, depth)
+            residual_sweep(2, self.params(2)["sigma1_cusp"], [0.2, 0.1])
+            norm_divergence(3, self.params(3)["generic"], [10, 40])
+        blocks = list(vars(operator._POOL).values())
+        assert blocks
+        for name, (grid, grid_bytes, damped, damped_bytes) in kept.items():
+            assert grid.values.tobytes() == grid_bytes, name
+            assert damped.values.tobytes() == damped_bytes, name
+            for block in blocks:
+                assert not np.shares_memory(grid.values, block), name
+                assert not np.shares_memory(damped.values, block), name
+
+    def test_threads_keep_their_own_blocks(self):
+        # numpy releases the interpreter lock inside take and the ufuncs, so
+        # threads sharing a block would overwrite each other's intermediates
+        params = list(self.params(2).values())
+        want = [(damped_grid(2, p, 0.1, 61).values.tobytes(),
+                 recurrence_residual(2, p, 61)) for p in params]
+        errors = []
+
+        def work(offset):
+            for k in range(3 * len(params)):
+                i = (k + offset) % len(params)
+                got = (damped_grid(2, params[i], 0.1, 61).values.tobytes(),
+                       recurrence_residual(2, params[i], 61))
+                if got != want[i]:
+                    errors.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert errors == []
 
 
 class TestResidualContract:

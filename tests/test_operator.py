@@ -1,4 +1,5 @@
 import random
+import threading
 from collections import Counter
 from fractions import Fraction
 
@@ -97,6 +98,44 @@ class TestApply:
         assert operator._kernel.cache_info().currsize <= 64
         for cache in (operator._grid_mn, operator._weights, vertex_weight):
             assert cache.cache_info().maxsize is not None
+        # the scratch pool: a fresh thread starts from an empty one; sweeps
+        # to depth 480 keep a fixed set of blocks of at most
+        # tri_size(480) + 1 complex entries
+        from a2quotient.eigen import OMEGA, SpectralParam
+        from a2quotient.spectra import non_ramanujan_witness, residual_sweep
+
+        def sweeps():
+            non_ramanujan_witness(2)
+            first = {k: v.nbytes for k, v in vars(operator._POOL).items()}
+            centre = SpectralParam.from_triple(3, 1.0, OMEGA, OMEGA * OMEGA)
+            residual_sweep(3, centre, (0.2, 0.1, 0.05, 0.025))
+            non_ramanujan_witness(3)
+            sizes.append(first)
+            sizes.append({k: v.nbytes for k, v in vars(operator._POOL).items()})
+
+        sizes = []
+        worker = threading.Thread(target=sweeps)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        first, last = sizes
+        assert first == last
+        assert set(first) == {"padded", "index", "column", "product", "image",
+                              "absolute"}
+        assert max(first.values()) <= 16 * (tri_size(480) + 1)
+
+    def test_scratch_pool_is_per_thread(self):
+        blocks = []
+
+        def grab():
+            blocks.append(operator._scratch("column", 8, np.float64))
+
+        worker = threading.Thread(target=grab)
+        worker.start()
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+        grab()
+        assert not np.shares_memory(*blocks)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -146,7 +185,10 @@ class TestGather:
             with np.errstate(invalid="ignore", over="ignore"):
                 got, _ = space.apply(sign, f)
                 want = gather_ref(q, depth, sign, f.values)
+                pooled = operator._apply_into(
+                    q, depth, sign, f.values, np.empty(tri_size(depth), complex))
             assert got.values.tobytes() == want.tobytes()
+            assert pooled.tobytes() == want.tobytes()
             exact = [Fraction(int(a), int(b)) for a, b in zip(
                 rng.integers(-50, 50, tri_size(depth)),
                 rng.integers(1, 9, tri_size(depth)))]

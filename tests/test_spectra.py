@@ -11,6 +11,7 @@ from a2quotient import eigen, spectra
 from a2quotient.eigen import (
     SpectralParam, Stratum, companion_roots, eigenfunction_grid, eigenvalue_pair,
 )
+from a2quotient.operator import L2Space, tri_size
 from a2quotient.quotient import vertex_weight
 from a2quotient.spectra import (
     InvalidEpsilon, ResidualReport, SetTag, TruncationTooCoarse,
@@ -287,15 +288,18 @@ class TestNormDivergence:
     @pytest.mark.parametrize("q", [2, 3])
     def test_matches_exact_weight_sum(self, q):
         # the partial sums against exact vertex weights times the float
-        # values' exact squared moduli
+        # values' exact squared moduli, and bit for bit against the squared
+        # norm of each prefix, which one mass pass now serves
         param = SpectralParam.from_triple(q, *unimodular_generic(random.Random(4)))
-        depths = [3, 7, 12]
+        depths = [0, 1, 3, 5, 7, 10, 12]
         f = eigenfunction_grid(q, param, depths[-1])
+        space = L2Space(q, depths[-1])
         for d, got in zip(depths, norm_divergence(q, param, depths)):
             want = sum(vertex_weight(q, m, n) * (Fraction(f[(m, n)].real) ** 2
                                                  + Fraction(f[(m, n)].imag) ** 2)
                        for m in range(d + 1) for n in range(m + 1))
             assert got == pytest.approx(float(want), rel=1e-14)
+            assert got == space.norm(f, where=slice(0, tri_size(d))) ** 2
 
     def test_no_depths(self):
         param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
