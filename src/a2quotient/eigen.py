@@ -35,11 +35,27 @@ The singular formulas were obtained as on-variety limits of the generic
 sum and verified symbolically against a forward solve of the recurrences;
 both are exercised against that oracle in the test suite.
 
-Every closed form is evaluated over index arrays (m, n), and each power
-x^m is gathered from one table x^0 .. x^max(m) per base, which equals the
-per-vertex power bit for bit.  The cube root of unity w of the triple and
-trivial strata is sum(s)/3 scaled to modulus 1, and w^(m+n) is read off
-the 3-cycle (1, w, w^2), so it carries no rounding that grows with m+n.
+Every closed form is a table of terms over index arrays (m, n): a term is
+a product of factors table[index], each table over 0 .. max(m) with the
+scalar and per-m, per-n or per-(m-n) factors folded in as the formulas
+above multiply, so each value is the per-vertex one bit for bit.
+``_sum_of_products`` sums the terms of a stratum before its final q^m
+factor or divisor.  Generic: one term (B_ij s_i^k)[m] (s_j^k)[n] per B_ij
+that is not a structural zero.  Double: the three terms of the bracket.
+Triple: the bracket as A[m] + B[m] n + C[m] n^2, where
+    A = 2(q+1)(q^2+q+1) - 3(q-1)(q+1)^2 m + (q-1)^2 (q+1) m^2,
+    B = 2(q-1)^2 (q+1) m - (q-1)^3 m^2,    C = (q-1)^3 m - 2(q-1)^2 (q+1);
+entries, products and partial sums are integers below 2^53 wherever q^m
+is finite for q < 2000 (and to depth 20000 for q <= 11), so the summation
+order changes no bit.  The cube root of unity w of the triple and trivial
+strata is sum(s)/3 scaled to modulus 1, and w^(m+n) is read off the
+3-cycle (1, w, w^2), so it carries no rounding that grows with m+n.
+
+The pool blocks of ``operator._scratch`` are named here alone: "padded"
+of T + 1 complex entries, "column", "product" and "image" of T, "index"
+and "absolute" of T 8-byte entries, 80 T bytes (9.3 MB at depth 480).  A
+function uses a block only while no callee uses it; nothing a public
+function returns aliases the pool.
 
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
@@ -58,7 +74,7 @@ import numpy as np
 
 from .algebra import validate_q
 from .operator import (
-    GridFunction, L2Space, _apply_into, _grid_mn, _scratch, _take,
+    GridFunction, L2Space, _grid_mn, _kernel, _scratch, _take,
 )
 
 TOL_S = 1e-10        # membership in the parameter set
@@ -234,18 +250,28 @@ def _cycle(s, top: int) -> np.ndarray:
     return np.resize(np.array([1, w, w * w]), top + 1)
 
 
+def _sum_of_products(terms, out, spare) -> np.ndarray:
+    """Set out to the sum, from the first term on, of the left-to-right
+    products of each term's factors table[index], all of out's dtype.
+    Factors are gathered into "column" and partial products alternate
+    between "product" and spare: numpy rounds a complex product that lands
+    in one of its own factors differently at length 1."""
+    for k, ((table, index), *factors) in enumerate(terms):
+        x = _take(table, index, "product")
+        for table, index in factors:
+            into = spare if x is not spare else _scratch("product", out.size, out.dtype)
+            x = np.multiply(x, _take(table, index, "column"), out=into)
+        if k:
+            out += x
+        else:
+            out[...] = x
+    return out
+
+
 def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
                  n: np.ndarray) -> np.ndarray:
-    """f(v_mn) at each index pair of the arrays m, n, as a fresh array.
-
-    Every intermediate of their length is a pool block (see ``operator``),
-    and the result doubles as one.  Each scalar and per-m, per-n or
-    per-(m-n) factor is folded into its table over 0 .. max(m) before the
-    gather, in the order the formulas above multiply, so each value is the
-    per-vertex one bit for bit.  A complex product always goes to an array
-    distinct from both factors: numpy rounds an in-place complex multiply
-    of length 1 differently.
-    """
+    """f(v_mn) at each index pair of the arrays m, n, as a fresh array: the
+    stratum's term table (see the module docstring), then its final factor."""
     s = param.s
     size = m.size
     out = np.empty(size, dtype=np.complex128)
@@ -262,30 +288,19 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
 
     if param.stratum is Stratum.TRIPLE:
         scale = 2 * (q + 1) * (q * q + q + 1)
-        nf = _take(kf, n, "column")
-        # (q-1)^2 (q+1) (m^2 + 2mn - 2n^2)
-        poly = _take(2 * kf, m, "product")
-        poly *= nf
-        mm = _take(kf * kf, m, "image")
-        poly += mm
-        poly -= _take(2 * kf * kf, n, "absolute")
-        poly *= (q - 1) ** 2 * (q + 1)
-        acc = _take(scale - 3 * kf * (q - 1) * (q + 1) ** 2, m, "absolute")
-        acc += poly
-        # (q-1)^3 (m^2 n - m n^2)
-        mm *= nf
-        mnn = _take(kf, m, "product")
-        mnn *= nf
-        mnn *= nf
-        mm -= mnn
-        mm *= (q - 1) ** 3
-        acc -= mm
-        qm = _take(qk, m, "column")
+        u, v = (q - 1) ** 2 * (q + 1), (q - 1) ** 3
+        bracket = [[(scale - 3 * (q - 1) * (q + 1) ** 2 * kf + u * kf * kf, m)],
+                   [(2 * u * kf - v * kf * kf, m), (kf, n)],
+                   [(v * kf - 2 * u, m), (kf * kf, n)]]
+        acc = _sum_of_products(bracket, _scratch("absolute", size, np.float64),
+                               _scratch("image", size, np.float64))
         cycle = _take(_cycle(s, 2 * top), np.add(m, n, out=index), "image")
-        x = np.multiply(cycle, qm, out=_scratch("product", size, np.complex128))
+        x = np.multiply(cycle, _take(qk, m, "column"),
+                        out=_scratch("product", size, np.complex128))
         x = np.multiply(x, acc, out=_scratch("column", size, np.complex128))
         return np.divide(x, scale, out=out)
 
+    acc = _scratch("image", size, np.complex128)
     if param.stratum is Stratum.DOUBLE:
         s1, s2 = _split_double(s)
         den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
@@ -294,31 +309,22 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
         c3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * kf
               + (q + 1) * (q * (s1 * s1 + s2 * s2)
                            - 2 * (q * q - q + 1) * s1 * s2))
-
-        def term(a, ia, b, ib, c, ic, name):
-            """(a[ia] b[ib]) c[ic] in the pool block name."""
-            x = np.multiply(_take(a, ia, "column"), _take(b, ib, "product"), out=out)
-            return np.multiply(x, _take(c, ic, "column"),
-                               out=_scratch(name, size, np.complex128))
-
-        acc = term((s1 - q * s2) ** 2 * lin, n, p1, m, p2, n, "image")
-        diff = np.subtract(m, n, out=index)
-        acc += term((s2 - q * s1) ** 2 * lin, diff, p2, m, p2, n, "product")
-        acc += term(c3, m, p1, n, p2, m, "product")
-        qm = _take(qk, m, "product")
-        x = np.multiply(qm, acc, out=_scratch("column", size, np.complex128))
+        bracket = [[((s1 - q * s2) ** 2 * lin, n), (p1, m), (p2, n)],
+                   [((s2 - q * s1) ** 2 * lin, np.subtract(m, n, out=index)),
+                    (p2, m), (p2, n)],
+                   [(c3, m), (p1, n), (p2, m)]]
+        _sum_of_products(bracket, acc, out)
+        x = np.multiply(_take(qk, m, "product"), acc,
+                        out=_scratch("column", size, np.complex128))
         return np.divide(x, den, out=out)
 
     bs = b_coefficients(q, s)
     cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
     powers = [np.power(si, k) for si in s]
-    acc = _scratch("image", size, np.complex128)
-    acc[...] = 0
-    for (i, j), b in bs.items():
-        if abs(b) <= cutoff:
-            continue  # structural zero; see module docstring
-        x = _take(b * powers[i], m, "column")
-        acc += np.multiply(x, _take(powers[j], n, "product"), out=out)
+    # structural zeros are left out (see the module docstring), NaN kept
+    terms = [[(b * powers[i], m), (powers[j], n)]
+             for (i, j), b in bs.items() if not abs(b) <= cutoff]
+    _sum_of_products(terms, acc, out)
     return np.multiply(_take(qk, m, "column"), acc, out=out)
 
 
@@ -381,3 +387,29 @@ def _residual(space: L2Space, sign: int, lam: complex, values) -> np.ndarray:
                         _scratch("image", values.size, np.complex128))
     image -= np.multiply(lam, values, out=_scratch("column", values.size, np.complex128))
     return image
+
+
+def _apply_into(q: int, depth: int, sign: int, values, out):
+    """``operator._gather``'s image of complex packed values, bit for bit,
+    written into out over "padded", "index", "column" and "product"."""
+    idx, coef, _ = _kernel(q, depth, sign)
+    padded = _scratch("padded", values.size + 1, np.complex128)
+    padded[:-1] = values
+    padded[-1] = 0
+    # np.take copies int32 indices to intp; copying into a block maps nothing
+    index = _scratch("index", values.size, np.intp)
+    product = _scratch("product", values.size, np.complex128)
+    out[...] = 0
+    for slot in range(3):
+        np.copyto(index, idx[slot])
+        out += np.multiply(coef[slot], _take(padded, index, "column"), out=product)
+    return out
+
+
+def _mass(space: L2Space, values) -> np.ndarray:
+    """w |v|^2 per leading packed value v, as ``L2Space.norm`` forms it."""
+    size = values.size
+    a = np.abs(values, out=_scratch("absolute", size, np.float64))
+    mass = np.multiply(space.weights[:size], a, out=_scratch("product", size, np.float64))
+    mass *= a
+    return mass

@@ -30,10 +30,10 @@ import numpy as np
 
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, _residual, companion_roots, damped_grid,
+    SpectralParam, Stratum, _mass, _residual, companion_roots, damped_grid,
     eigenfunction_grid, eigenvalue_pair,
 )
-from .operator import L2Space, _scratch, tri_size
+from .operator import L2Space, tri_size
 
 
 TOL_POINT = 1e-6      # root moduli and the sigma0 distance of a point
@@ -145,22 +145,12 @@ class ResidualReport:
     truncation_fraction: float
 
 
-def _mass(space: L2Space, values) -> np.ndarray:
-    """w |v|^2 per vertex of the leading packed values v, formed as
-    ``L2Space.norm`` forms it, in the pool block "product"."""
-    size = values.size
-    a = np.abs(values, out=_scratch("absolute", size, np.float64))
-    mass = np.multiply(space.weights[:size], a, out=_scratch("product", size, np.float64))
-    mass *= a
-    return mass
-
-
 def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> ResidualReport:
     space = L2Space(q, depth)
     f = damped_grid(q, param, eps, depth)
     pair = eigenvalue_pair(q, param)
     mass = _mass(space, f.values)
-    # squared as space.norm(f) ** 2 is, so the report keeps its bits
+    # squared as space.norm(f) ** 2 is, so the CLI sweep CSV keeps its bytes
     total_sq = float(np.sqrt(mass.sum())) ** 2
     kept = float(np.sqrt(mass[space.interior].sum()))
     frac = 1.0 - kept ** 2 / total_sq if total_sq > 0 else 1.0
@@ -227,8 +217,7 @@ def norm_divergence(q: int, param: SpectralParam, depths) -> list[float]:
     # L2Space needs depth >= 2; the shallower sums are prefixes of its grid
     top = max(depths[-1], 2)
     mass = _mass(L2Space(q, top), eigenfunction_grid(q, param, top).values)
-    # space.norm(f, where=...) ** 2 of each prefix, bit for bit
-    return [float(np.sqrt(mass[:tri_size(d)].sum())) ** 2 for d in depths]
+    return [float(mass[:tri_size(d)].sum()) for d in depths]
 
 
 def sigma1_cusp(q: int) -> SpectralParam:

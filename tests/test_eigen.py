@@ -331,9 +331,21 @@ class TestPooledEvaluation:
         centre = SpectralParam.from_triple(q, 1.0, w, w * w)
         return {**stratum_params(q), "sigma2_centre": centre}
 
+    # the deepest grid on which q^depth is finite
+    DEEPEST = {2: 1023, 3: 646, 5: 441, 11: 296}
+
     @pytest.mark.parametrize("q", [2, 3, 5, 11])
     def test_grids_match_the_allocating_oracle(self, q):
         with np.errstate(all="ignore"):
+            # the triple bracket's tables stay exact integers that deep
+            depth = self.DEEPEST[q]
+            finite = np.isfinite(np.power(float(q), [depth, depth + 1]))
+            assert finite.tolist() == [True, False]
+            for k in range(3):
+                p = SpectralParam.from_triple(q, *triple_root(k))
+                want = closed_form_ref(q, p, *_grid_mn(depth)).tobytes()
+                got = eigenfunction_grid(q, p, depth).values.tobytes()
+                assert got == want, ("triple", k, depth)
             for name, p in self.params(q).items():
                 for depth in (0, 1, 2, 30, 61, 480):
                     want = closed_form_ref(q, p, *_grid_mn(depth)).tobytes()

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from a2quotient import operator
+from a2quotient import eigen, operator
 from a2quotient.operator import (
     DimensionMismatch, GridFunction, L2Space, ZeroFunction, apply_exact,
     inner_exact, tri_size, vertex_index,
@@ -185,7 +185,7 @@ class TestGather:
             with np.errstate(invalid="ignore", over="ignore"):
                 got, _ = space.apply(sign, f)
                 want = gather_ref(q, depth, sign, f.values)
-                pooled = operator._apply_into(
+                pooled = eigen._apply_into(
                     q, depth, sign, f.values, np.empty(tri_size(depth), complex))
             assert got.values.tobytes() == want.tobytes()
             assert pooled.tobytes() == want.tobytes()
