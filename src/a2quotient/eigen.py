@@ -51,11 +51,11 @@ order changes no bit.  The cube root of unity w of the triple and trivial
 strata is sum(s)/3 scaled to modulus 1, and w^(m+n) is read off the
 3-cycle (1, w, w^2), so it carries no rounding that grows with m+n.
 
-The pool blocks of ``operator._scratch`` are named here alone: "padded"
-of T + 1 complex entries, "column", "product" and "image" of T, "index"
-and "absolute" of T 8-byte entries, 80 T bytes (9.3 MB at depth 480).  A
-function uses a block only while no callee uses it; nothing a public
-function returns aliases the pool.
+The pool blocks of ``operator._scratch`` are named here alone: "column",
+"product" and "image" of T complex entries, "index" and "absolute" of T
+8-byte entries, 64 T bytes (7.4 MB at depth 480).  A function uses a block
+only while no callee uses it; nothing a public function returns aliases
+the pool.
 
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
@@ -74,7 +74,7 @@ import numpy as np
 
 from .algebra import validate_q
 from .operator import (
-    GridFunction, L2Space, _grid_mn, _kernel, _scratch, _take,
+    GridFunction, L2Space, _gather, _grid_mn, _scratch, _take,
 )
 
 TOL_S = 1e-10        # membership in the parameter set
@@ -390,20 +390,10 @@ def _residual(space: L2Space, sign: int, lam: complex, values) -> np.ndarray:
 
 
 def _apply_into(q: int, depth: int, sign: int, values, out):
-    """``operator._gather``'s image of complex packed values, bit for bit,
-    written into out over "padded", "index", "column" and "product"."""
-    idx, coef, _ = _kernel(q, depth, sign)
-    padded = _scratch("padded", values.size + 1, np.complex128)
-    padded[:-1] = values
-    padded[-1] = 0
-    # np.take copies int32 indices to intp; copying into a block maps nothing
-    index = _scratch("index", values.size, np.intp)
-    product = _scratch("product", values.size, np.complex128)
-    out[...] = 0
-    for slot in range(3):
-        np.copyto(index, idx[slot])
-        out += np.multiply(coef[slot], _take(padded, index, "column"), out=product)
-    return out
+    """``operator._gather`` of complex packed values into out, its work in
+    "column"."""
+    return _gather(q, depth, sign, values, out,
+                   _scratch("column", values.size, np.complex128))
 
 
 def _mass(space: L2Space, values) -> np.ndarray:

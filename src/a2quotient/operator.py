@@ -1,21 +1,30 @@
 """Matrix-free application of the weighted adjacency operators.
 
 The triangle {0 <= n <= m <= M} is packed into flat arrays indexed by
-m(m+1)/2 + n.  ``_kernel`` fills, from the one coefficient table
-``quotient.table`` and the vertex-type switch ``quotient.stratum``, at most
-three neighbor slots per row, stored slot-major: a (3, T) int32 index array
-and (3, T) integer coefficients over the T packed vertices.  An absent slot
-points at index T, a zero sentinel the gather appends to the values, so the
-gather is three column products with no masking.  Rows that reference depth
-M+1 are flagged in a boundary mask and evaluate the missing neighbor as zero
-(the compression to the truncated space).  Those rows are exactly the last
+m(m+1)/2 + n.  ``_kernel`` builds the operator of one direction from the
+one coefficient table ``quotient.table`` and the vertex-type switch
+``quotient.stratum``.  Away from the walls every row is the table's
+interior row, so the kernel keeps one integer per interior slot: a
+same-shell step (dm = 0) is a constant shift of the packed index, read as
+a slice of the values, and every other slot keeps one intp index array, 16
+bytes per vertex in all.  The other rows (the origin, the bottom row, the
+diagonal and the last shell, about 3M of them) keep their full rows and
+read a compact copy of the values they touch followed by one zero, so an
+absent slot reads a true zero.  Rows that reference depth M+1 are flagged
+in a boundary mask and evaluate the missing neighbor as zero (the
+compression to the truncated space).  Those rows are exactly the last
 packed shell, so the complete rows are the prefix ``L2Space.interior`` =
 slice(0, tri_size(M-1)).
 
-One gather runs both operators in two arithmetics: ``L2Space.apply`` on
-complex128 grid functions, ``apply_exact`` on object arrays of any exact
-ring values (ints, Fractions, ...).  The exact adjointness check therefore
-gates the very kernel the float work multiplies, at any depth.
+One gather, ``_gather``, runs both operators in two arithmetics:
+``L2Space.apply`` on complex128 grid functions, ``apply_exact`` on object
+arrays of any exact ring values (ints, Fractions, ...), each into fresh
+arrays, and ``eigen._apply_into`` into pool blocks.  The exact adjointness
+check therefore gates the very kernel the float work multiplies, at any
+depth.  Each row is summed from 0 in slot order and every coefficient is
+an integer, so each product component is one rounding whatever numpy loop
+computes it: the image is the row-major sum bit for bit, NaN, infinities
+and signed zeros included.
 
 Float inner products read the one weight array w and multiply by it
 first: <f, g> sums (w f) conj(g), and |f|^2 sums (w |f|) |f|.  For unimodular
@@ -39,9 +48,13 @@ of a named block, grown to the largest size asked for and kept, and
 The public ``apply``, ``inner``, ``norm`` and ``apply_exact`` allocate.  On
 the pool (``apply`` through the pooled gather, ``norm`` through the pooled
 mass), ``operator-power`` went from 451 to 520 MB peak RSS and from 2.17 to
-2.43 s wall time in each of six seed pairs (2-core x86_64, numpy 2.4.6):
-the pooled gather wins at depth 400 (1.7 against 2.8 ms) but loses at depth
-1600 (56-61 against 51-55 ms), and would keep 72 MB of blocks.
+2.43 s wall time in each of six seed pairs (2-core x86_64, numpy 2.4.6).
+Those figures are for the earlier gather over a (3, T) coefficient array
+and a padded copy of the values: pooled, it won at depth 400 (1.7 against
+2.8 ms) but lost at depth 1600 (56-61 against 51-55 ms), and would keep 72
+MB of blocks.  With this kernel the fresh and the pooled apply take the
+same time in-process, 0.9-1.2 ms at depth 400 and 23-26 ms at depth 1600
+(same machine), so the pool would buy nothing.
 """
 
 from __future__ import annotations
@@ -99,10 +112,12 @@ def _check_space(q: int, depth: int):
     validate_q(q)
     if depth < 2:
         raise ValueError("depth must be >= 2")
+    # _kernel's positions run to T, its mark for an absent slot of a fix
+    # row; they are intp, and the int32 bound stays the depth limit
     if tri_size(depth) + 1 > _INDEX_MAX:
         raise ValueError(
             f"depth {depth} is too large: its {tri_size(depth)} vertices and "
-            f"the zero sentinel must be indexable in int32 (at most "
+            f"the absent-slot position must be indexable in int32 (at most "
             f"{_INDEX_MAX})")
 
 
@@ -132,52 +147,93 @@ class GridFunction:
         return complex(self.values[vertex_index(m, n)])
 
 
+@lru_cache(maxsize=16)
+def _last_shell(depth: int):
+    """The boundary mask: the rows of the last shell, which reference
+    depth+1."""
+    mask = np.zeros(tri_size(depth), dtype=bool)
+    mask[vertex_index(depth, 0):] = True
+    mask.setflags(write=False)
+    return mask
+
+
 @lru_cache(maxsize=64)
 def _kernel(q: int, depth: int, sign: int):
-    """Neighbor indices and coefficients for one direction, filled from
-    ``quotient.table``: one slot per step of the vertex's stratum row.
+    """One direction's operator, filled from ``quotient.table``.
 
-    Returns (idx[3,T], coef[3,T], mask[T]), slot-major so each slot is one
-    contiguous column: idx is int32 and points an absent slot at T, the
-    zero sentinel ``_gather`` appends; the coefficients are int64 so both
-    arithmetics read them unrounded; mask flags vertices whose row
-    references depth+1.
+    Returns (slots, fix, touch, local, coef).  slots is the interior row
+    in slot order, pairs (c, read) of an int coefficient and what the slot
+    reads: the shift dn of a same-shell step (dm = 0), read as a slice of
+    the values, else an intp index array over all T rows.  The first slot
+    of either row steps off the shell, so it covers every row.  The rows
+    that are not complete interior rows (the origin, the bottom row, the
+    diagonal and the last shell) are listed in fix and keep their own
+    rows: local (3, F) indexes the compact values[touch] followed by one
+    zero, which an absent slot reads with coefficient 0, and coef (3, F)
+    holds their int64 coefficients.
     """
     m, n = _grid_mn(depth)
-    strata = stratum(m, n).astype(np.int8)
-    idx = np.full((3, m.size), m.size, dtype=np.int32)
-    coef = np.zeros((3, m.size), dtype=np.int64)
-    for s, row in enumerate(table(q, sign)):
-        sel = strata == s
+    rows = table(q, sign)
+    inner = (stratum(m, n) == 3) & (m < depth)
+    slots = []
+    for dm, dn, c in rows[3]:
+        if dm == 0:
+            slots.append((c, dn))
+            continue
+        # a fix row reads its own value here; its image is overwritten
+        read = np.arange(m.size, dtype=np.intp)
+        read[inner] = vertex_index(m[inner] + dm, n[inner] + dn)
+        read.setflags(write=False)
+        slots.append((c, read))
+
+    fix = np.flatnonzero(~inner)
+    fm, fn = m[fix], n[fix]
+    strata = stratum(fm, fn)
+    pos = np.full((3, fix.size), m.size, dtype=np.intp)
+    coef = np.zeros((3, fix.size), dtype=np.int64)
+    for s, row in enumerate(rows):
         for slot, (dm, dn, c) in enumerate(row):
-            # slots falling beyond the depth keep the sentinel and coefficient 0
-            hit = np.flatnonzero(sel & (m <= depth - dm))
-            idx[slot, hit] = vertex_index(m[hit] + dm, n[hit] + dn)
+            # slots falling beyond the depth stay absent: position T
+            hit = np.flatnonzero((strata == s) & (fm <= depth - dm))
+            pos[slot, hit] = vertex_index(fm[hit] + dm, fn[hit] + dn)
             coef[slot, hit] = c
+    # the origin's row has one slot, so T is present and sorts last: the
+    # compact zero
+    touch, local = np.unique(pos, return_inverse=True)
+    touch, local = touch[:-1], local.reshape(pos.shape)
+    for a in (fix, touch, local, coef):
+        a.setflags(write=False)
+    return tuple(slots), fix, touch, local, coef
 
-    mask = m == depth  # every row at the last shell references depth+1
-    idx.setflags(write=False)
-    coef.setflags(write=False)
-    mask.setflags(write=False)
-    return idx, coef, mask
 
-
-def _gather(q: int, depth: int, sign: int, values: np.ndarray):
-    """Apply one operator to packed values of any dtype: per row the sum
-    of coef * values[idx] over the slots, absent slots reading the zero
-    sentinel.
-
-    Returns (image, mask).
-    """
-    idx, coef, mask = _kernel(q, depth, sign)
-    padded = np.zeros(values.size + 1, dtype=values.dtype)
-    padded[:-1] = values
-    # the sum starts from 0, as a row-wise sum does: three -0.0 products
-    # then add up to +0.0, not -0.0
-    image = 0 + coef[0] * padded.take(idx[0])
-    image += coef[1] * padded.take(idx[1])
-    image += coef[2] * padded.take(idx[2])
-    return image, mask
+def _gather(q: int, depth: int, sign: int, values, out, work):
+    """Apply one operator to packed values of any dtype: out[v] is the sum,
+    from 0 and in slot order, of coefficient times value over the row at
+    v, absent slots reading zero.  out and work have values' size and
+    dtype; work is scratch.  Returns out."""
+    slots, fix, touch, local, coef = _kernel(q, depth, sign)
+    for k, (c, read) in enumerate(slots):
+        if isinstance(read, int):
+            lo, hi = max(0, -read), values.size - max(0, read)
+            rows = slice(lo, hi)
+            product = np.multiply(values[lo + read:hi + read], c, out=work[rows])
+        else:
+            # clip: every index is in range (see _take)
+            rows = slice(None)
+            product = np.take(values, read, out=work, mode="clip")
+            product *= c
+        if k:
+            out[rows] += product
+        else:
+            # the sum starts from 0, as a row-wise sum does: three -0.0
+            # products then add up to +0.0, not -0.0
+            np.add(0, product, out=out)
+    compact = np.append(values[touch], 0)
+    fixed = 0 + coef[0] * compact[local[0]]
+    fixed += coef[1] * compact[local[1]]
+    fixed += coef[2] * compact[local[2]]
+    out[fix] = fixed
+    return out
 
 
 _POOL = threading.local()
@@ -233,8 +289,10 @@ class L2Space:
         the missing neighbor counted as zero.
         """
         self._check(f)
-        image, mask = _gather(self.q, self.depth, sign, f.values)
-        return GridFunction(self.depth, image), mask
+        values = f.values
+        image = _gather(self.q, self.depth, sign, values,
+                        np.empty_like(values), np.empty_like(values))
+        return GridFunction(self.depth, image), _last_shell(self.depth)
 
     def _check(self, f: GridFunction):
         if f.depth != self.depth:
@@ -343,7 +401,10 @@ def apply_exact(q: int, depth: int, sign: int, values):
     array; at masked vertices the row referenced depth+1.
     """
     _check_space(q, depth)
-    return _gather(q, depth, sign, _packed(depth, values, object))
+    values = _packed(depth, values, object)
+    image = _gather(q, depth, sign, values,
+                    np.empty_like(values), np.empty_like(values))
+    return image, _last_shell(depth)
 
 
 def inner_exact(q: int, depth: int, f, g):

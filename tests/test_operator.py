@@ -120,8 +120,7 @@ class TestApply:
         assert not worker.is_alive()
         first, last = sizes
         assert first == last
-        assert set(first) == {"padded", "index", "column", "product", "image",
-                              "absolute"}
+        assert set(first) == {"index", "column", "product", "image", "absolute"}
         assert max(first.values()) <= 16 * (tri_size(480) + 1)
 
     def test_scratch_pool_is_per_thread(self):
@@ -175,8 +174,11 @@ def seeded_values(rng, size):
 
 
 class TestGather:
-    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
-    @pytest.mark.parametrize("depth", [2, 3, 10, 40])
+    # depth 120 runs the interior slots, the slice slot and the SIMD tails
+    # over many long shells
+    @pytest.mark.parametrize("depth, q", [
+        (depth, q) for depth in (2, 3, 4, 10, 40) for q in (2, 3, 5, 7, 11)
+    ] + [(120, 2), (120, 3)])
     def test_bit_identical_to_row_major_reference(self, q, depth):
         rng = np.random.default_rng(100 * q + depth)
         space = L2Space(q, depth)
@@ -196,6 +198,20 @@ class TestGather:
             want_exact = gather_ref(q, depth, sign, np.array(exact, dtype=object))
             assert [(type(x), x) for x in got_exact] == \
                 [(type(x), x) for x in want_exact]
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_kernel_stores_one_integer_per_interior_slot(self, sign):
+        # two intp index arrays over the T rows, a shift for the same-shell
+        # slot, and full rows only for the O(depth) fix rows
+        q, depth = 3, 400
+        size = tri_size(depth)
+        slots, *fix_rows = operator._kernel(q, depth, sign)
+        arrays = [read for _, read in slots if isinstance(read, np.ndarray)]
+        arrays += fix_rows
+        assert [type(c) for c, _ in slots] == [int] * 3
+        assert sum(isinstance(read, int) for _, read in slots) == 1
+        assert all(a.shape != (3, size) for a in arrays)
+        assert sum(a.nbytes for a in arrays) <= 16 * size + 256 * depth
 
     def test_three_negative_zero_products_sum_to_plus_zero(self):
         # c * (-0.0 + 1j) has real part -0.0 for every coefficient c
@@ -310,19 +326,25 @@ class TestAdjointness:
         assert L2Space(q, 400).adjoint_defect(trials=2, rng=random.Random(q)) == 0
 
     def test_exact_check_reads_the_kernel(self, monkeypatch):
-        # one coefficient of the A+ kernel off by one must show as a defect
+        # one coefficient of the A+ kernel off by one must show as a
+        # defect: an interior slot's, or the diagonal row's at (3, 3)
         real = operator._kernel
 
         def bent(q, depth, sign):
-            idx, coef, mask = real(q, depth, sign)
-            if sign == +1:
+            slots, fix, touch, local, coef = real(q, depth, sign)
+            if sign == +1 and bend == "interior":
+                (c, read), *rest = slots
+                slots = ((c + 1, read), *rest)
+            elif sign == +1:
                 coef = coef.copy()
-                coef[0, vertex_index(3, 1)] += 1
-            return idx, coef, mask
+                coef[0, np.searchsorted(fix, vertex_index(3, 3))] += 1
+            return slots, fix, touch, local, coef
 
         real.cache_clear()
         monkeypatch.setattr(operator, "_kernel", bent)
-        assert L2Space(2, 12).adjoint_defect(trials=3, rng=random.Random(5)) != 0
+        for bend in ("interior", "diagonal"):
+            space = L2Space(2, 12)
+            assert space.adjoint_defect(trials=3, rng=random.Random(5)) != 0, bend
 
     def test_float_small(self):
         space = L2Space(2, 20)
