@@ -5,6 +5,19 @@ no trailing zeros (the zero polynomial is the empty tuple, degree -1 by
 convention).  Rational functions are kept canonical: denominator monic,
 fraction in lowest terms, so equality and hashing are structural.
 
+Every coefficient is a residue: a Python int in [0, q).  The public
+``Poly(q, coeffs)`` (and ``zero``, ``one``, ``const``, ``t``, ``monomial``,
+which call it) is where outside values enter, so it checks them: q must be
+a prime (``validate_q``, else ValueError) and each coefficient an integer
+(else TypeError); it reduces them mod q and trims.  ``scale`` and
+``shifted`` check their multiplier the same way.  Arithmetic results are
+built by the private ``_poly``, which takes residues already in [0, q) and
+only trims them: ``+``, ``-`` (direct, no negated temporary), ``*``
+(reduced once, after the convolution), ``divmod``, ``monic``, ``scale``
+and ``shifted`` (c t^k p, the pivot step of the normal-form reduction).
+``RatFunc`` skips the gcd when the denominator is constant and the rescale
+when it is already monic.
+
 The valuation is the one attached to the place at infinity of F_q(t),
 
     nu(g/h) = deg(h) - deg(g),        nu(0) = +infinity,
@@ -18,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import index
 
 
 class DegenerateInput(ValueError):
@@ -48,16 +62,28 @@ def _inv_mod(c: int, q: int) -> int:
     return pow(c, q - 2, q)
 
 
+def _poly(q: int, cs: list) -> "Poly":
+    """The polynomial with residues ``cs``, each already in [0, q), trimmed of
+    trailing zeros; ``q`` is taken as already checked."""
+    while cs and not cs[-1]:
+        cs.pop()
+    p = object.__new__(Poly)
+    p.q = q
+    p.coeffs = tuple(cs)
+    return p
+
+
 class Poly:
     """Immutable polynomial over F_q (q prime)."""
 
     __slots__ = ("q", "coeffs")
 
     def __init__(self, q: int, coeffs=()):
-        self.q = q
-        cs = [c % q for c in coeffs]
+        validate_q(q)
+        cs = [index(c) % q for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
+        self.q = q
         self.coeffs = tuple(cs)
 
     # -- constructors -------------------------------------------------
@@ -107,8 +133,11 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero:
             raise DegenerateInput("zero polynomial has no monic form")
-        inv = _inv_mod(self.lc(), self.q)
-        return Poly(self.q, [c * inv for c in self.coeffs])
+        q = self.q
+        inv = _inv_mod(self.lc(), q)
+        if inv == 1:
+            return self
+        return _poly(q, [c * inv % q for c in self.coeffs])
 
     # -- arithmetic ----------------------------------------------------
     def _check(self, other: "Poly") -> None:
@@ -117,38 +146,59 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        a, b = self.coeffs, other.coeffs
+        q, a, b = self.q, self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.q
-        return Poly(self.q, out)
+        out = [(x + y) % q for x, y in zip(a, b)]
+        out += a[len(b):]
+        return _poly(q, out)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.q, [-c for c in self.coeffs])
+        q = self.q
+        return _poly(q, [-c % q for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        self._check(other)
+        q, a, b = self.q, self.coeffs, other.coeffs
+        out = [(x - y) % q for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out += a[len(b):]
+        else:
+            out += [-y % q for y in b[len(a):]]
+        return _poly(q, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(self.q)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Poly(self.q, out)
+        q, a, b = self.q, self.coeffs, other.coeffs
+        if not a or not b:
+            return _poly(q, [])
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _poly(q, [c % q for c in out])
 
     def scale(self, c: int) -> "Poly":
-        return Poly(self.q, [c * a for a in self.coeffs])
+        q = self.q
+        c = index(c) % q
+        return _poly(q, [c * a % q for a in self.coeffs] if c else [])
+
+    def shifted(self, k: int, c: int = 1) -> "Poly":
+        """c t^k times this polynomial, for k >= 0."""
+        if k < 0:
+            raise ValueError("monomial exponent must be >= 0")
+        q = self.q
+        c = index(c) % q
+        if not c or not self.coeffs:
+            return _poly(q, [])
+        cs = self.coeffs if c == 1 else [c * a % q for a in self.coeffs]
+        return _poly(q, [0] * k + list(cs))
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.one(self.q)
+        result = _poly(self.q, [1])
         base = self
         while k:
             if k & 1:
@@ -161,17 +211,18 @@ class Poly:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
+        q = self.q
         q_, rem = [], list(self.coeffs)
-        dlead = _inv_mod(other.lc(), self.q)
+        dlead = _inv_mod(other.lc(), q)
         dd = other.degree
         for k in range(len(rem) - 1 - dd, -1, -1):
-            c = (rem[k + dd] * dlead) % self.q
+            c = (rem[k + dd] * dlead) % q
             if c:
                 for i, b in enumerate(other.coeffs):
-                    rem[k + i] = (rem[k + i] - c * b) % self.q
+                    rem[k + i] = (rem[k + i] - c * b) % q
             q_.append(c)
         q_.reverse()
-        return Poly(self.q, q_), Poly(self.q, rem[:dd] if dd > 0 else [])
+        return _poly(q, q_), _poly(q, rem[:dd] if dd > 0 else [])
 
     def __floordiv__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[0]
@@ -227,20 +278,23 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly | None = None):
+        q = num.q
         if den is None:
-            den = Poly.one(num.q)
-        if num.q != den.q:
+            den = _poly(q, [1])
+        if q != den.q:
             raise ValueError("mixed field sizes")
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
-            num, den = Poly.zero(num.q), Poly.one(num.q)
+            den = _poly(q, [1])
         else:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            inv = _inv_mod(den.lc(), den.q)
-            num, den = num.scale(inv), den.scale(inv)
+            if den.degree > 0:
+                g = poly_gcd(num, den)
+                if g.degree > 0:
+                    num, den = num // g, den // g
+            if den.lc() != 1:
+                inv = _inv_mod(den.lc(), q)
+                num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
 

@@ -28,7 +28,10 @@ matching column updates.  A singular input shows up as a zero row.
 A class is stored as its canonical representative: the one polynomial
 matrix P in it whose entries have gcd 1 and whose first nonzero entry, in
 row-major order, is monic.  Denominators are cleared once, at input, and
-projective equality is ``==``.  Any polynomial matrix with unit determinant
+projective equality is ``==``.  ``ProjMat.of`` takes the content gcd
+starting from a nonzero entry of least degree, which the content divides,
+and stops as soon as the gcd is a constant; so a matrix with a constant
+entry needs no Euclid at all.  Any polynomial matrix with unit determinant
 is primitive, so the class lies in PGL(d, F_q[t]) iff deg det P = 0, and in
 PGL(d, O) iff det P != 0 and deg det P = d max deg P_ij.  ``verify_witness``
 canonicalizes the polynomial product of the witnesses and compares it with
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, RatFunc, parse_ratfunc, poly_gcd
+from .algebra import Poly, RatFunc, _inv_mod, parse_ratfunc, poly_gcd
 
 
 class Singular(ValueError):
@@ -47,8 +50,8 @@ class Singular(ValueError):
 
 
 def _eye(q: int, d: int) -> list[list[Poly]]:
-    return [[Poly.one(q) if i == j else Poly.zero(q) for j in range(d)]
-            for i in range(d)]
+    one, zero = Poly.one(q), Poly.zero(q)
+    return [[one if i == j else zero for j in range(d)] for i in range(d)]
 
 
 @dataclass(frozen=True)
@@ -66,16 +69,18 @@ class ProjMat:
         d = len(P)
         if d not in (2, 3) or any(len(row) != d for row in P):
             raise ValueError("entries must form a 2x2 or 3x3 matrix")
-        c = Poly.zero(P[0][0].q)
-        for p in (p for row in P for p in row):
-            c = poly_gcd(c, p)
+        nonzero = [p for row in P for p in row if p]
+        if not nonzero:
+            return cls(tuple(tuple(row) for row in P))
+        c = min(nonzero, key=lambda p: p.degree)
+        for p in nonzero:
             if c.degree == 0:
                 break
-        if c.is_zero:
-            return cls(tuple(tuple(row) for row in P))
+            if p is not c:
+                c = poly_gcd(p, c)
         if c.degree > 0:
             P = [[p // c for p in row] for row in P]
-        inv = pow(next(p for row in P for p in row if p).lc(), -1, c.q)
+        inv = _inv_mod(next(p for row in P for p in row if p).lc(), c.q)
         return cls(tuple(tuple(p.scale(inv) if inv != 1 else p for p in row)
                          for row in P))
 
@@ -201,17 +206,17 @@ def reduce_matrix(g: ProjMat) -> ReductionResult:
         a, b = red[0]
         kb, j = piv[b]
         top = rows[a][j]
-        s = Poly.monomial(q, top.degree - kb, top.lc() * pow(rows[b][j].lc(), -1, q))
-        rows[a] = [x - s * y for x, y in zip(rows[a], rows[b])]
-        for row in gamma:  # gamma <- gamma . E_ab(s): col b += s * col a
-            row[b] = row[b] + s * row[a]
+        k, c = top.degree - kb, top.lc() * _inv_mod(rows[b][j].lc(), q)
+        rows[a] = [x - y.shifted(k, c) for x, y in zip(rows[a], rows[b])]
+        for row in gamma:  # gamma <- gamma . E_ab(c t^k): col b += c t^k col a
+            row[b] = row[b] + row[a].shifted(k, c)
         piv[a] = _pivot(rows[a])
     order = sorted(range(d), key=lambda i: -piv[i][0])
     k = [piv[i][0] for i in order]
     return ReductionResult(
         m=k[0] - k[-1], n=k[1] - k[-1] if d == 3 else None,
         gamma=ProjMat.of([[row[i] for i in order] for row in gamma]),
-        w=ProjMat.of([[Poly.monomial(q, k[0] - ki) * p for p in rows[i]]
+        w=ProjMat.of([[p.shifted(k[0] - ki) for p in rows[i]]
                       for i, ki in zip(order, k)]))
 
 
@@ -224,7 +229,8 @@ def verify_witness(result: ReductionResult, g: ProjMat) -> bool:
     if not (in_modular_group(gamma) and in_maximal_compact(w)):
         return False
     low = min(powers)  # diag(t^k) is taken modulo scalars
-    tw = [[Poly.monomial(g.q, k - low) * p for p in row] for k, row in zip(powers, w.rows)]
+    diag = [Poly.monomial(g.q, k - low) for k in powers]
+    tw = [[t * p for p in row] for t, row in zip(diag, w.rows)]
     return ProjMat.of(_matmul(gamma.rows, tw)) == g
 
 

@@ -25,6 +25,13 @@ included.  It shares only the coefficient helpers (``b_coefficients``,
 ``grid_residual_ref`` and ``damped_report_ref`` are the allocating damping,
 recurrence residual and sweep report on its grids, computed through the
 public ``L2Space.apply`` and ``L2Space.norm``.
+``add_ref`` through ``shifted_ref`` are F_q[t] arithmetic on plain
+coefficient lists (the product a convolution reduced mod q once, division
+schoolbook from the top term), with no ``Poly`` in them, for checking every
+``Poly`` operation.  ``projmat_of_ref`` is the canonical representative the
+way ``ProjMat.of`` took it before it started its content gcd at the
+lowest-degree entry: a sequential gcd over the entries in row-major order,
+from the zero polynomial, stopped at the first constant.
 ``complex_files_ref`` restates the three files of the ``complex``
 subcommand vertex by vertex from the package's per-vertex objects
 (``coeffs``, ``vertex_weight``, ``stabilizer_order``); it checks the
@@ -224,6 +231,94 @@ def det_ref(E):
         minor = det_ref([row[:j] + row[j + 1:] for row in E[1:]])
         out = out - e * minor if j % 2 else out + e * minor
     return out
+
+
+def _canon_ref(q, cs):
+    """Residues mod q of an integer list, trailing zeros dropped."""
+    out = [c % q for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def add_ref(q, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _canon_ref(q, [x + y for x, y in zip(a, b)])
+
+
+def neg_ref(q, a):
+    return _canon_ref(q, [-x for x in a])
+
+
+def sub_ref(q, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return _canon_ref(q, [x - y for x, y in zip(a, b)])
+
+
+def mul_ref(q, a, b):
+    """The convolution of the two coefficient lists, reduced mod q."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _canon_ref(q, out)
+
+
+def divmod_ref(q, a, b):
+    """Schoolbook division: cancel the remainder's top term until its degree
+    drops below deg b."""
+    b, rem = _canon_ref(q, b), _canon_ref(q, a)
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    inv = pow(b[-1], -1, q)
+    quo = [0] * max(len(rem) - len(b) + 1, 0)
+    while len(rem) >= len(b):
+        k, c = len(rem) - len(b), rem[-1] * inv
+        quo[k] = c
+        rem = sub_ref(q, rem, [0] * k + [c * y for y in b])
+    return _canon_ref(q, quo), rem
+
+
+def scale_ref(q, a, c):
+    return _canon_ref(q, [c * x for x in a])
+
+
+def monic_ref(q, a):
+    return scale_ref(q, a, pow(a[-1], -1, q))
+
+
+def shifted_ref(q, a, k, c):
+    return mul_ref(q, [0] * k + [c], a)
+
+
+def gcd_ref(q, a, b):
+    """Monic gcd by Euclid; gcd(0, 0) = 0."""
+    while b:
+        a, b = b, divmod_ref(q, a, b)[1]
+    return monic_ref(q, a) if a else a
+
+
+def projmat_of_ref(P):
+    """The canonical representative of a square ``Poly`` matrix, as
+    coefficient tuples: the entries divided by their monic gcd, taken in
+    row-major order from 0 and stopped at the first constant, then by the
+    leading coefficient of the first nonzero entry.  The zero matrix stays
+    as it is."""
+    q = P[0][0].q
+    rows = [[p.coeffs for p in row] for row in P]
+    c = ()
+    for a in (a for row in rows for a in row):
+        c = gcd_ref(q, c, a)
+        if len(c) == 1:
+            break
+    if not c:
+        return tuple(tuple(row) for row in rows)
+    if len(c) > 1:
+        rows = [[divmod_ref(q, a, c)[0] for a in row] for row in rows]
+    inv = pow(next(a for row in rows for a in row if a)[-1], -1, q)
+    return tuple(tuple(scale_ref(q, a, inv) for a in row) for row in rows)
 
 
 def in_modular_group_ref(g):

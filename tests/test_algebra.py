@@ -1,12 +1,18 @@
 import math
+import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from a2quotient.algebra import (
-    Poly, RatFunc, parse_poly, parse_ratfunc, poly_gcd, validate_q,
+    DegenerateInput, Poly, RatFunc, parse_poly, parse_ratfunc, poly_gcd,
+    validate_q,
 )
-from oracles import brute_expand_power, nth_root
+from oracles import (
+    add_ref, brute_expand_power, divmod_ref, monic_ref, mul_ref, neg_ref,
+    nth_root, scale_ref, shifted_ref, sub_ref,
+)
 
 QS = [2, 3, 5]
 
@@ -54,6 +60,89 @@ class TestFieldAxioms:
         for bad in (0, 1, 4, 6, 9):
             with pytest.raises(ValueError):
                 validate_q(bad)
+
+
+class TestPolyAgainstOracle:
+    """Every Poly operation equals the coefficient-list oracle and returns
+    canonical residues: each in [0, q), no trailing zero."""
+
+    @staticmethod
+    def operands(q, rng):
+        """Zero, every nonzero constant, and random polynomials."""
+        return ([Poly.zero(q)] + [Poly.const(q, c) for c in range(1, q)]
+                + [rp(q, rng, max_deg=5) for _ in range(10)])
+
+    @staticmethod
+    def check(p, q, ref):
+        assert isinstance(p.coeffs, tuple) and p.q == q
+        assert p.coeffs == ref
+        assert all(isinstance(c, int) and 0 <= c < q for c in p.coeffs)
+        assert not p.coeffs or p.coeffs[-1] != 0
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_binary(self, q):
+        ps = self.operands(q, random.Random(53 * q))
+        for a in ps:
+            for b in ps:
+                x, y = a.coeffs, b.coeffs
+                self.check(a + b, q, add_ref(q, x, y))
+                self.check(a - b, q, sub_ref(q, x, y))
+                self.check(a * b, q, mul_ref(q, x, y))
+                if b.is_zero:
+                    with pytest.raises(ZeroDivisionError):
+                        divmod(a, b)
+                    continue
+                quo, rem = divmod(a, b)
+                ref_quo, ref_rem = divmod_ref(q, x, y)
+                self.check(quo, q, ref_quo)
+                self.check(rem, q, ref_rem)
+                self.check(a // b, q, ref_quo)
+                self.check(a % b, q, ref_rem)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_unary(self, q):
+        for a in self.operands(q, random.Random(59 * q)):
+            x = a.coeffs
+            self.check(-a, q, neg_ref(q, x))
+            if a.is_zero:
+                with pytest.raises(DegenerateInput):
+                    a.monic()
+            else:
+                self.check(a.monic(), q, monic_ref(q, x))
+            for c in (0, 1, q - 1, q + 1, -1, 3 * q):
+                self.check(a.scale(c), q, scale_ref(q, x, c))
+                for k in (0, 1, 3):
+                    self.check(a.shifted(k, c), q, shifted_ref(q, x, k, c))
+            with pytest.raises(ValueError):
+                a.shifted(-1)
+
+    def test_mixed_fields_rejected(self):
+        a, b = Poly(2, [1, 1]), Poly(3, [1, 1])
+        for op in (operator.add, operator.sub, operator.mul, divmod,
+                   operator.floordiv, operator.mod):
+            with pytest.raises(ValueError, match="mixed field sizes"):
+                op(a, b)
+            with pytest.raises(ValueError, match="mixed field sizes"):
+                op(b, a)
+
+    def test_rejects_non_prime_q(self):
+        # with q = 4, Poly(4, [1, 2]).monic() used to return the zero polynomial
+        for q in (0, 1, 4, 6, 9, 2.0, "3"):
+            with pytest.raises(ValueError):
+                Poly(q, [1, 2])
+        with pytest.raises(ValueError):
+            Poly.const(4, 1)
+
+    def test_rejects_non_integer_coefficients(self):
+        # Poly(3, [1.5]) * Poly(3, [2]) used to print 0
+        for bad in (1.5, 2.0, Fraction(1, 2), "1", None):
+            with pytest.raises(TypeError):
+                Poly(3, [1, bad])
+            with pytest.raises(TypeError):
+                Poly(3, [1, 2]).scale(bad)
+            with pytest.raises(TypeError):
+                Poly(3, [1, 2]).shifted(1, bad)
+        assert Poly(5, [-1, 7, True]) == Poly(5, [4, 2, 1])
 
 
 class TestValuation:
@@ -164,6 +253,16 @@ class TestCanonicalForm:
                 assert poly_gcd(f.num, f.den).degree == 0
             lam = RatFunc.const(q, rng.randrange(1, q))
             assert (f * lam) / lam == f
+
+
+    def test_constant_and_monic_denominators(self):
+        # a constant denominator is divided into the numerator; a monic one
+        # keeps its common factor with the numerator cancelled
+        assert RatFunc(Poly(5, [1, 2]), Poly.const(5, 3)) == RatFunc(Poly(5, [2, 4]))
+        f = RatFunc(Poly(5, [1, 2, 1]), Poly(5, [1, 1]))
+        assert (f.num, f.den) == (Poly(5, [1, 1]), Poly.one(5))
+        f = RatFunc(Poly(5, [3]), Poly(5, [0, 2]))
+        assert (f.num, f.den) == (Poly(5, [4]), Poly.t(5))
 
 
 class TestParsing:

@@ -6,10 +6,12 @@ import pytest
 
 from a2quotient.algebra import Poly, RatFunc, poly_gcd
 from a2quotient.reduction import (
-    ProjMat, Singular, in_maximal_compact, in_modular_group, random_compact,
-    random_modular, reduce_matrix, verify_witness,
+    ProjMat, Singular, _matmul, in_maximal_compact, in_modular_group,
+    random_compact, random_modular, random_poly, reduce_matrix, verify_witness,
 )
-from oracles import det_ref, in_maximal_compact_ref, in_modular_group_ref
+from oracles import (
+    det_ref, in_maximal_compact_ref, in_modular_group_ref, projmat_of_ref,
+)
 
 
 def diag(q, *powers):
@@ -109,6 +111,54 @@ class TestCanonicalForm:
             assert not in_modular_group(z) and not in_maximal_compact(z)
             with pytest.raises(Singular):
                 reduce_matrix(z)
+
+
+class TestContentGcd:
+    """ProjMat.of gives the representative of the sequential content gcd."""
+
+    @staticmethod
+    def check(P):
+        g = ProjMat.of(P)
+        assert tuple(tuple(p.coeffs for p in row) for row in g.rows) == projmat_of_ref(P)
+        return g
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_shapes(self, q):
+        rng = random.Random(61 * q)
+        z, t = Poly.zero(q), Poly.t(q)
+        cubic = Poly(q, [1, 0, 1, q - 1])
+        for d in (2, 3):
+            self.check([[z] * d for _ in range(d)])  # the zero matrix
+            for _ in range(20):
+                P = [[random_poly(q, rng) for _ in range(d)] for _ in range(d)]
+                lone = [[z] * d for _ in range(d)]
+                lone[rng.randrange(d)][rng.randrange(d)] = cubic.scale(rng.randrange(1, q))
+                self.check(lone)  # one nonzero entry
+                # the only constant entry comes last
+                last = [[p.shifted(2) + t for p in row] for row in P]
+                last[-1][-1] = Poly.const(q, rng.randrange(1, q))
+                self.check(last)
+                for j in range(4):
+                    factor = Poly.monomial(q, j, rng.randrange(1, q))
+                    self.check([[p * factor for p in row] for row in P])  # content t^j
+                    self.check([[p * cubic * factor for p in row]
+                                for row in P])  # content of higher degree
+                    c = rng.randrange(1, q)
+                    self.check([[p.scale(c) for p in row] for row in P])  # scalar multiples
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_products_print_as_the_oracle(self, q):
+        """gamma . diag(t^k) . w as the benchmark's inputs are built."""
+        rng = random.Random(67 * q)
+        for d in (2, 3):
+            for _ in range(12):
+                gamma, w = random_modular(q, d, rng), random_compact(q, d, rng)
+                D = ProjMat.diagonal(q, [rng.randrange(5) for _ in range(d)])
+                for A, B in ((gamma, D), (gamma @ D, w)):
+                    P = _matmul(A.rows, B.rows)
+                    ref = projmat_of_ref(P)
+                    text = ";".join(",".join(str(Poly(q, a)) for a in row) for row in ref)
+                    assert str(ProjMat.of(P)) == text
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
