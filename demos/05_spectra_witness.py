@@ -21,13 +21,20 @@ for name, z in [("origin", 0j), ("region cusp 3q", complex(3 * q)),
     print(f"  {name:>18} {z:>24.5f}: in region: {sigma2_contains(q, z)!s:>5}, "
           f"tag: {tag}")
 
-print("\n== residual sweep at the region center (lambda = 0) ==")
+print("\n== residual sweeps: region center (lambda = 0), a double root ==")
+print("  (depth '-': a generic sweep sums to infinity, with no grid)")
 w = cmath.exp(2j * cmath.pi / 3)
 param = SpectralParam.from_triple(q, 1.0, w, w * w)
-print(f"  {'eps':>6} {'depth':>6} {'residual+':>12} {'residual-':>12} {'mass frac':>10}")
-for r in residual_sweep(q, param, (0.2, 0.1, 0.05, 0.025)):
-    print(f"  {r.epsilon:>6} {r.depth:>6} {r.residual_plus:>12.5f} "
-          f"{r.residual_minus:>12.5f} {r.truncation_fraction:>10.2e}")
+double = SpectralParam.from_triple(q, cmath.exp(1.4j), cmath.exp(-0.7j),
+                                   cmath.exp(-0.7j))
+print(f"  {'stratum':>8} {'eps':>6} {'depth':>6} {'residual+':>12} "
+      f"{'residual-':>12} {'mass frac':>10}")
+for p in (param, double):
+    for r in residual_sweep(q, p, (0.2, 0.1, 0.05, 0.025)):
+        depth = "-" if r.depth is None else r.depth
+        print(f"  {p.stratum.value:>8} {r.epsilon:>6} {depth:>6} "
+              f"{r.residual_plus:>12.5f} {r.residual_minus:>12.5f} "
+              f"{r.truncation_fraction:>10.2e}")
 
 print("\n== norm dichotomy ==")
 trivial = SpectralParam.from_triple(q, q, 1, 1 / q)
@@ -39,12 +46,15 @@ print(f"  center-family partial masses: "
       "  (diverges)")
 
 print("\n== the witness ==")
-rep = non_ramanujan_witness(q, eps_list=(0.2, 0.1, 0.05))
-print(f"  cusp value        : {rep.lambda_star:.6f}")
-print(f"  inside the region : {rep.in_sigma2}")
-print(f"  margin beyond 3q  : {rep.margin:.6f}")
-print(f"  sweep decreasing  : {rep.decreasing}")
-print(f"  residual+ sequence: {[round(r.residual_plus, 4) for r in rep.sweep]}")
+for q_w in (q, 101):
+    rep = non_ramanujan_witness(q_w)  # eps from default_ladder(q_w)
+    print(f"  q = {q_w}")
+    print(f"    cusp value        : {rep.lambda_star:.6f}")
+    print(f"    inside the region : {rep.in_sigma2}")
+    print(f"    margin beyond 3q  : {rep.margin:.6f}")
+    print(f"    sweep decreasing  : {rep.decreasing}")
+    print(f"    eps ladder        : {[float(f'{r.epsilon:.4g}') for r in rep.sweep]}")
+    print(f"    residual+ sequence: {[round(r.residual_plus, 4) for r in rep.sweep]}")
 
 out = render_spectra(q, "spectra_q2.svg")
 print(f"\nfigure written to {out}")

@@ -19,8 +19,8 @@ from .reduction import (
     reduce_matrix, verify_witness,
 )
 from .spectra import (
-    classify_point, non_ramanujan_witness, norm_divergence, render_spectra,
-    residual_sweep, sigma0, sigma1_point, sigma2_contains,
+    classify_point, default_ladder, non_ramanujan_witness, norm_divergence,
+    render_spectra, residual_sweep, sigma0, sigma1_point, sigma2_contains,
 )
 
 __version__ = "0.1.0"

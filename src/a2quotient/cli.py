@@ -34,7 +34,7 @@ from .operator import L2Space, tri_size, vertex_index
 from .quotient import stabilizer_order, stratum, table, weight_factors
 from .reduction import ProjMat, reduce_matrix, verify_witness
 from .spectra import (
-    SetTag, curve_samples, is_decreasing, non_ramanujan_witness,
+    SetTag, curve_samples, default_ladder, is_decreasing, non_ramanujan_witness,
     render_spectra, residual_sweep, sigma0, sigma1_cusp, validate_eps,
 )
 
@@ -52,9 +52,7 @@ SETTINGS = {
 }
 
 # name: (default, help) of each subcommand option; a False default makes a
-# switch, an int one an int.  The --eps default is shorter than the
-# library's ladder: at depth 480 (eps 0.025) the float eigenfunction
-# overflows for q >= 5
+# switch, an int one an int
 OPTIONS = {
     "matrix": (None, "rows separated by ';', entries by ','"),
     "s": (None, "three comma-separated complex numbers a+bi"),
@@ -64,8 +62,9 @@ OPTIONS = {
     "samples": (256, "points on each curve"),
     "sweep": (False, "also run residual sweeps (exit 2 if not decreasing)"),
     "witness": (False, "include the non-Ramanujan witness in the summary"),
-    "eps": ("0.2,0.1,0.05",
-            "comma-separated damping values for the sweep and the witness"),
+    "eps": (None, "comma-separated damping values for the sweep and the "
+                  "witness (default spectra.default_ladder(q): "
+                  "0.2*2^-k*min(1, (3/q)^1.5), k = 0..3)"),
 }
 
 
@@ -273,6 +272,8 @@ def _spectra_samples(q: int, count: int):
 
 
 def _eps_list(args) -> tuple[float, ...]:
+    if args.eps is None:
+        return default_ladder(args.q)
     try:
         eps_list = [float(e) for e in args.eps.split(",")]
     except ValueError:
@@ -340,7 +341,9 @@ def cmd_spectra(args) -> tuple[int, dict]:
                   "norm,truncation_fraction") as fh:
             for name, reports in sweeps.items():
                 for r in reports:
-                    fh.write(f"{name},{r.epsilon!r},{r.depth},"
+                    # an empty depth cell: the sums ran without truncation
+                    depth = "" if r.depth is None else r.depth
+                    fh.write(f"{name},{r.epsilon!r},{depth},"
                              f"{r.residual_plus!r},{r.residual_minus!r},"
                              f"{r.norm!r},{r.truncation_fraction!r}\n")
         outputs.append(fh.name)

@@ -40,8 +40,8 @@ w(u)/w(v) of A+: the float weights underflow to exactly 0 from m = 538 at
 q = 2 (m = 340 at q = 3), where that ratio is 0/0, and the exact
 adjointness check would compare A+ with itself.
 
-The closed forms and residual sweeps keep their T-length intermediates in a
-per-thread scratch pool: ``_scratch(name, size, dtype)`` is a [:size] view
+Closed forms and float residual sweeps keep their T-length intermediates in
+a per-thread scratch pool: ``_scratch(name, size, dtype)`` is a [:size] view
 of a named block, grown to the largest size asked for and kept, and
 ``_take`` gathers into one; ``eigen`` names the blocks and uses them.
 

@@ -28,7 +28,8 @@ matching column updates.  A singular input shows up as a zero row.
 A class is stored as its canonical representative: the one polynomial
 matrix P in it whose entries have gcd 1 and whose first nonzero entry, in
 row-major order, is monic.  Denominators are cleared once, at input, and
-projective equality is ``==``.  ``ProjMat.of`` takes the content gcd
+projective equality is ``==``.  ``ProjMat.of`` first divides out the least
+power of t that every entry carries, by slicing, then takes the content gcd
 starting from a nonzero entry of least degree, which the content divides,
 and stops as soon as the gcd is a constant; so a matrix with a constant
 entry needs no Euclid at all.  Any polynomial matrix with unit determinant
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Poly, RatFunc, _inv_mod, parse_ratfunc, poly_gcd
+from .algebra import Poly, RatFunc, _inv_mod, _poly, parse_ratfunc, poly_gcd
 
 
 class Singular(ValueError):
@@ -72,6 +73,13 @@ class ProjMat:
         nonzero = [p for row in P for p in row if p]
         if not nonzero:
             return cls(tuple(tuple(row) for row in P))
+        # the least power of t in every entry is sliced off first, so what
+        # is left of the content has a nonzero constant term
+        low = min(next(i for i, a in enumerate(p.coeffs) if a) for p in nonzero)
+        if low:
+            q = nonzero[0].q
+            P = [[_poly(q, list(p.coeffs[low:])) for p in row] for row in P]
+            nonzero = [p for row in P for p in row if p]
         c = min(nonzero, key=lambda p: p.degree)
         for p in nonzero:
             if c.degree == 0:
@@ -201,9 +209,10 @@ def reduce_matrix(g: ProjMat) -> ReductionResult:
     rows = [list(row) for row in g.rows]
     gamma = _eye(q, d)
     piv = [_pivot(row) for row in rows]
-    while red := [(a, b) for a in range(d) for b in range(d)
-                  if a != b and rows[a][piv[b][1]].degree >= piv[b][0]]:
-        a, b = red[0]
+    while pair := next(((a, b) for a in range(d) for b in range(d)
+                        if a != b and rows[a][piv[b][1]].degree >= piv[b][0]),
+                       None):
+        a, b = pair
         kb, j = piv[b]
         top = rows[a][j]
         k, c = top.degree - kb, top.lc() * _inv_mod(rows[b][j].lc(), q)

@@ -17,6 +17,19 @@ and TOL_POINT bounds root moduli, not distances (see classify_point).
 The cusp value q^{3/2} + q + q^{1/2} of sigma1 exceeds the sigma2 cusp 3q
 for every q >= 2, which is the non-Ramanujan margin; the residual sweep
 certifies that the same point is an approximate eigenvalue.
+
+A generic or trivial sweep needs no grid.  With r = 1 - eps the damped
+eigenfunction is r^m q^m sum_t B_t x_t^m y_t^n (generic: B_ij s_i^m s_j^n
+without its structural zeros), and the vertex weight F_s q^(-2m) cancels
+q^(2m) of its squared modulus.  Its residual under a row (dm, dn, c) of the
+stratum s has the same form with amplitudes B_t C_ts, where
+C_ts = sum c (r^dm - 1) q^dm x_t^dm y_t^dn (f itself is exact).  Each
+weighted squared sum is then sum_s F_s sum_(t,u) a_t conj(a_u) G_s(P, PQ)
+with P = r^2 x_t conj(x_u), Q = y_t conj(y_u), and G_s the geometric sum of
+P^m Q^n over the stratum: 1 at the origin, P/(1-P) on the bottom row,
+PQ/(1-PQ) on the diagonal and their product inside (``_closed_masses``).
+The double and triple strata still sweep a float grid of depth
+ceil(DEPTH_COEFF / eps).
 """
 
 from __future__ import annotations
@@ -30,15 +43,16 @@ import numpy as np
 
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, _mass, _residual, companion_roots, damped_grid,
-    eigenfunction_grid, eigenvalue_pair,
+    _B_ZERO, SpectralParam, Stratum, _mass, _residual, b_coefficients,
+    companion_roots, damped_grid, eigenfunction_grid, eigenvalue_pair,
 )
 from .operator import L2Space, tri_size
+from .quotient import table, weight_factors
 
 
 TOL_POINT = 1e-6      # root moduli and the sigma0 distance of a point
 TOL_BOUNDARY = 1e-4   # root gap that tags a sigma2 point Boundary
-DEPTH_COEFF = 12.0    # depth rule M = ceil(12 / eps) keeps boundary mass tiny
+DEPTH_COEFF = 12.0    # double/triple depth rule M = ceil(12 / eps)
 TRUNC_LIMIT = 0.01
 
 
@@ -48,6 +62,11 @@ class InvalidEpsilon(ValueError):
 
 class TruncationTooCoarse(ValueError):
     """Masked boundary shell holds more than the allowed mass fraction."""
+
+
+class NotSquareSummable(ValueError):
+    """A damped term pair has a geometric ratio of modulus >= 1, so its
+    weighted squared sum diverges."""
 
 
 class SetTag(Enum):
@@ -136,9 +155,11 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
 
 @dataclass(frozen=True)
 class ResidualReport:
+    """One damped residual experiment.  depth is None and
+    truncation_fraction 0.0 when the sums run to infinity (no grid)."""
     s: tuple[complex, complex, complex]
     epsilon: float
-    depth: int
+    depth: int | None
     residual_plus: float
     residual_minus: float
     norm: float
@@ -146,11 +167,12 @@ class ResidualReport:
 
 
 def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> ResidualReport:
+    """The float route: the damped grid truncated at depth."""
     space = L2Space(q, depth)
     f = damped_grid(q, param, eps, depth)
     pair = eigenvalue_pair(q, param)
     mass = _mass(space, f.values)
-    # squared as space.norm(f) ** 2 is, so the CLI sweep CSV keeps its bytes
+    # squared as space.norm(f) ** 2 is, so the sweep keeps its bytes
     total_sq = float(np.sqrt(mass.sum())) ** 2
     kept = float(np.sqrt(mass[space.interior].sum()))
     frac = 1.0 - kept ** 2 / total_sq if total_sq > 0 else 1.0
@@ -167,6 +189,64 @@ def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> Resi
                           truncation_fraction=frac)
 
 
+def _expansion(q: int, param: SpectralParam) -> list[tuple[complex, complex, complex]]:
+    """The terms (B_t, x_t, y_t) of f(v_mn) = q^m sum_t B_t x_t^m y_t^n: the
+    generic B_ij s_i^m s_j^n that are not structural zeros (as
+    eigen._closed_form keeps them), or for a trivial parameter the one term
+    (1, 1/q, 1), whose modulus is that of w^(m+n)."""
+    if param.stratum is Stratum.TRIVIAL:
+        return [(1.0, 1.0 / q, 1.0)]
+    bs = b_coefficients(q, param.s)
+    cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
+    return [(b, param.s[i], param.s[j]) for (i, j), b in bs.items()
+            if not abs(b) <= cutoff]
+
+
+def _closed_masses(q: int, terms, r: float, tables) -> list[float]:
+    """sum_v w(v) |r^m q^m sum_t a_t x_t^m y_t^n|^2 over the whole triangle
+    for a_t = B_t, then for a_t = B_t C_ts per operator table in tables (see
+    the module docstring).  Plain scalar arithmetic, no grid and no numpy."""
+    amplitudes = [[(b,) * 4 for b, _, _ in terms]]
+    for rows in tables:
+        amplitudes.append([tuple(
+            b * sum(c * (r ** dm - 1) * q ** dm * x ** dm * y ** dn
+                    for dm, dn, c in row) for row in rows)
+            for b, x, y in terms])
+    sums = [[0j] * 4 for _ in amplitudes]
+    r2 = r * r
+    for t, (_, xt, yt) in enumerate(terms):
+        for u, (_, xu, yu) in enumerate(terms):
+            p = r2 * xt * xu.conjugate()
+            pq = p * yt * yu.conjugate()
+            if not (abs(p) < 1 and abs(pq) < 1):
+                raise NotSquareSummable(
+                    f"damped ratios |P| = {abs(p):.6g}, |PQ| = {abs(pq):.6g} "
+                    f"reach 1 at r = {r}")
+            bottom, diagonal = p / (1 - p), pq / (1 - pq)
+            geometric = (1, bottom, diagonal, bottom * diagonal)
+            for amps, acc in zip(amplitudes, sums):
+                for s, g in enumerate(geometric):
+                    acc[s] += amps[t][s] * amps[u][s].conjugate() * g
+    factors = weight_factors(q)
+    return [sum(f * a for f, a in zip(factors, acc)).real for acc in sums]
+
+
+def _closed_report(q: int, param: SpectralParam, eps: float) -> ResidualReport:
+    """The report of a generic or trivial parameter from the geometric sums;
+    a trivial eigenfunction is exact, so its residuals are 0.0."""
+    terms = _expansion(q, param)
+    if param.stratum is Stratum.TRIVIAL:
+        (mass,) = _closed_masses(q, terms, 1.0 - eps, ())
+        ratios = [0.0, 0.0]
+    else:
+        mass, *squares = _closed_masses(q, terms, 1.0 - eps,
+                                        (table(q, +1), table(q, -1)))
+        ratios = [math.sqrt(sq / mass) for sq in squares]
+    return ResidualReport(s=param.s, epsilon=eps, depth=None,
+                          residual_plus=ratios[0], residual_minus=ratios[1],
+                          norm=math.sqrt(mass), truncation_fraction=0.0)
+
+
 def validate_eps(eps_list) -> tuple[float, ...]:
     """The damping values as a tuple, once all are checked: an empty list
     or any value outside (0, 1/2) raises InvalidEpsilon before any work."""
@@ -180,19 +260,21 @@ def validate_eps(eps_list) -> tuple[float, ...]:
 
 
 def residual_sweep(q: int, param: SpectralParam, eps_list) -> list[ResidualReport]:
-    """Damped-family residual ratios for each eps, at depth ceil(DEPTH_COEFF/eps).
+    """Damped-family residual ratios for each eps.
 
-    Trivial parameters need no damping (the eigenfunction is already
-    square-summable and exact); they are swept undamped at the same depths
-    and reported with epsilon 0.
+    Generic parameters take the geometric sums (no depth); double and
+    triple ones a float grid of depth ceil(DEPTH_COEFF/eps).  Trivial
+    parameters need no damping (the eigenfunction is already square-summable
+    and exact); they are reported undamped, with epsilon 0.
     """
     validate_q(q)
-    reports = []
-    for eps in validate_eps(eps_list):
-        depth = math.ceil(DEPTH_COEFF / eps)
-        used = 0.0 if param.stratum is Stratum.TRIVIAL else eps
-        reports.append(_damped_report(q, param, used, depth))
-    return reports
+    eps_list = validate_eps(eps_list)
+    if param.stratum is Stratum.TRIVIAL:
+        return [_closed_report(q, param, 0.0)] * len(eps_list)
+    if param.stratum is Stratum.GENERIC:
+        return [_closed_report(q, param, eps) for eps in eps_list]
+    return [_damped_report(q, param, eps, math.ceil(DEPTH_COEFF / eps))
+            for eps in eps_list]
 
 
 def is_decreasing(reports, slack: float = 1.05) -> bool:
@@ -237,13 +319,25 @@ class WitnessReport:
     decreasing: bool
 
 
-def non_ramanujan_witness(q: int, eps_list=(0.2, 0.1, 0.05, 0.025)) -> WitnessReport:
+def default_ladder(q: int) -> tuple[float, ...]:
+    """0.2 2^-k min(1, (3/q)^(3/2)) for k = 0..3: (0.2, 0.1, 0.05, 0.025)
+    for q <= 3.  The cusp ratio is about K(q) eps with K(q) growing like
+    q^(3/2), so the last value shrinks with it (last ratio below 0.1)."""
+    validate_q(q)
+    scale = min(1.0, (3 / q) ** 1.5)
+    return tuple(0.2 * 0.5 ** k * scale for k in range(4))
+
+
+def non_ramanujan_witness(q: int, eps_list=None) -> WitnessReport:
     """The cusp of sigma1 sits outside sigma2 by margin q^{3/2}+q^{1/2}-2q > 0
     yet passes the residual sweep: an approximate eigenvalue beyond the
-    region, so the quotient fails the Ramanujan property."""
+    region, so the quotient fails the Ramanujan property.  eps_list defaults
+    to default_ladder(q)."""
     validate_q(q)
     lam = q ** 1.5 + q + q ** 0.5
     margin = q ** 1.5 + q ** 0.5 - 2 * q
+    if eps_list is None:
+        eps_list = default_ladder(q)
     sweep = residual_sweep(q, sigma1_cusp(q), eps_list)
     return WitnessReport(q=q, lambda_star=lam,
                          in_sigma2=sigma2_contains(q, lam),

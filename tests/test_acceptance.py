@@ -218,8 +218,9 @@ def test_criterion_7_containment_evidence():
         families.append((f"sigma1_theta_{th}", sigma1_param(q, th)))
     for name, param in families:
         reports = residual_sweep(q, param, EPS_SWEEP)
-        assert [r.depth for r in reports] == [60, 120, 240, 480]
-        assert all(r.truncation_fraction < 0.01 for r in reports), name
+        # every family is generic: the sums run without truncation
+        assert [r.depth for r in reports] == [None] * 4, name
+        assert all(r.truncation_fraction == 0.0 for r in reports), name
         assert is_decreasing(reports, slack=1.05), name
         # regression bound pinned after the first verified run (observed
         # values 0.09-0.16 at eps=0.025 across the families)

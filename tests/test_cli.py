@@ -424,6 +424,18 @@ class TestSpectraCommand:
         assert payload["sweep_decreasing"] is True
         assert (tmp_path / "spectra_sweep.csv").exists()
 
+    def test_sweep_csv_leaves_depth_empty(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "--q", "5", "--out", str(tmp_path),
+                               "spectra", "--samples", "8", "--sweep")
+        assert code == 0
+        text = (tmp_path / "spectra_sweep.csv").read_text()
+        assert "None" not in text
+        rows = [r.split(",") for r in text.splitlines()[2:]]
+        ladder = [repr(e) for e in spectra.default_ladder(5)]
+        assert [r[0] for r in rows] == ["sigma2_center"] * 4 + ["sigma1_cusp"] * 4
+        assert [r[1] for r in rows] == ladder * 2
+        assert all(r[2] == "" and r[6] == "0.0" for r in rows)
+
     def test_svg_samples(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "--q", "2", "--emit", "svg",
                              "--out", str(tmp_path), "spectra",
@@ -461,13 +473,13 @@ class TestSpectraCommand:
     def test_sweep_and_witness_share_the_cusp_sweep(self, capsys, tmp_path,
                                                     monkeypatch):
         calls = []
-        real = spectra._damped_report
+        real = spectra._closed_report
 
         def counted(*a):
             calls.append(a)
             return real(*a)
 
-        monkeypatch.setattr(spectra, "_damped_report", counted)
+        monkeypatch.setattr(spectra, "_closed_report", counted)
         code, out, _ = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
                                "spectra", "--samples", "8", "--sweep",
                                "--witness", "--eps", "0.4,0.2")
@@ -525,6 +537,17 @@ class TestWitnessCommand:
         assert payload["margin"] == pytest.approx(0.24264068711928477)
         assert payload["decreasing"] is True
         assert len(payload["sweep"]) == 3
+
+    @pytest.mark.parametrize("q", [11, 101])
+    def test_default_ladder(self, capsys, q):
+        # no --eps: spectra.default_ladder(q), swept without a grid
+        code, out, _ = run_cli(capsys, "--q", str(q), "witness")
+        assert code == 0
+        sweep = json.loads(out)["sweep"]
+        assert [r["epsilon"] for r in sweep] == list(spectra.default_ladder(q))
+        assert all(r["depth"] is None and r["truncation_fraction"] == 0.0
+                   for r in sweep)
+        assert max(sweep[-1]["residual_plus"], sweep[-1]["residual_minus"]) < 0.5
 
     def test_config_file(self, capsys, tmp_path):
         cfgfile = tmp_path / "run.cfg"

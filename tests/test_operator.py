@@ -98,18 +98,24 @@ class TestApply:
         assert operator._kernel.cache_info().currsize <= 64
         for cache in (operator._grid_mn, operator._weights, vertex_weight):
             assert cache.cache_info().maxsize is not None
-        # the scratch pool: a fresh thread starts from an empty one; sweeps
-        # to depth 480 keep a fixed set of blocks of at most
-        # tri_size(480) + 1 complex entries
-        from a2quotient.eigen import OMEGA, SpectralParam
-        from a2quotient.spectra import non_ramanujan_witness, residual_sweep
+        # the scratch pool: a fresh thread starts from an empty one; damped
+        # grids and residuals to depth 480 keep a fixed set of blocks of at
+        # most tri_size(480) + 1 complex entries
+        from a2quotient.eigen import (
+            OMEGA, SpectralParam, damped_grid, recurrence_residual,
+        )
+
+        def grids(q):
+            centre = SpectralParam.from_triple(q, 1.0, OMEGA, OMEGA * OMEGA)
+            for depth in (60, 480, 240):
+                damped_grid(q, centre, 0.025, depth)
+                recurrence_residual(q, centre, depth)
 
         def sweeps():
-            non_ramanujan_witness(2)
+            grids(2)
             first = {k: v.nbytes for k, v in vars(operator._POOL).items()}
-            centre = SpectralParam.from_triple(3, 1.0, OMEGA, OMEGA * OMEGA)
-            residual_sweep(3, centre, (0.2, 0.1, 0.05, 0.025))
-            non_ramanujan_witness(3)
+            grids(3)
+            grids(2)
             sizes.append(first)
             sizes.append({k: v.nbytes for k, v in vars(operator._POOL).items()})
 

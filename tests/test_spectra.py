@@ -19,7 +19,7 @@ from a2quotient.spectra import (
     render_spectra, residual_sweep, sigma0, sigma1_point,
     sigma2_boundary_point, sigma2_contains, validate_eps,
 )
-from oracles import sigma1_distance, trivial_norm_sq_limit
+from oracles import damped_report_ref, sigma1_distance, trivial_norm_sq_limit
 
 ROT = cmath.exp(2j * cmath.pi / 3)
 
@@ -182,8 +182,8 @@ class TestResidualSweep:
         w = cmath.exp(2j * cmath.pi / 3)
         param = SpectralParam.from_triple(q, 1.0, w, w * w)  # eigenvalue 0
         reports = residual_sweep(q, param, (0.2, 0.1, 0.05))
-        assert [r.depth for r in reports] == [60, 120, 240]
-        assert all(r.truncation_fraction < 0.01 for r in reports)
+        assert [r.depth for r in reports] == [None] * 3  # no truncation
+        assert all(r.truncation_fraction == 0.0 for r in reports)
         assert is_decreasing(reports)
         ratios = [r.residual_plus for r in reports]
         assert ratios[-1] < ratios[0]
@@ -216,10 +216,12 @@ class TestResidualSweep:
 
     def test_every_epsilon_checked_before_any_sweep(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spectra, "_damped_report", lambda *a: calls.append(a))
-        param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
-        with pytest.raises(InvalidEpsilon, match="damping 0"):
-            residual_sweep(2, param, (0.2, 0.0))
+        for route in ("_damped_report", "_closed_report"):
+            monkeypatch.setattr(spectra, route, lambda *a: calls.append(a))
+        for s in ((1.0, 1.0, 1.0), (1.0, ROT, ROT * ROT), (2.0, 1.0, 0.5)):
+            param = SpectralParam.from_triple(2, *s)
+            with pytest.raises(InvalidEpsilon, match="damping 0"):
+                residual_sweep(2, param, (0.2, 0.0))
         assert calls == []
         assert validate_eps([0.2, 0.1]) == (0.2, 0.1)
 
@@ -232,9 +234,11 @@ class TestResidualSweep:
             non_ramanujan_witness(2, [])
 
     def test_truncation_guard(self, monkeypatch):
-        q = 2
-        w = cmath.exp(2j * cmath.pi / 3)
-        param = SpectralParam.from_triple(q, 1.0, w, w * w)
+        # the double stratum still sweeps a float grid
+        q, th = 2, 0.7
+        param = SpectralParam.from_triple(
+            q, cmath.exp(2j * th), cmath.exp(-1j * th), cmath.exp(-1j * th))
+        assert param.stratum is Stratum.DOUBLE
         monkeypatch.setattr(spectra, "DEPTH_COEFF", 1.0)  # depth 5, far too shallow
         with pytest.raises(TruncationTooCoarse):
             residual_sweep(q, param, (0.2,))
@@ -254,6 +258,130 @@ class TestResidualSweep:
 
         assert is_decreasing([report(0.5, 0.5), report(0.2, 0.52)])  # within 5%
         assert not is_decreasing([report(0.5, 0.5), report(0.2, 0.6)])
+
+
+LADDER = (0.2, 0.1, 0.05, 0.025)
+
+
+def sigma1_param(q, th):
+    r = math.sqrt(q)
+    return SpectralParam.from_triple(
+        q, r * cmath.exp(1j * th), cmath.exp(-2j * th), cmath.exp(1j * th) / r)
+
+
+class TestClosedForm:
+    """Generic and trivial sweeps run on geometric sums over the term
+    tables, with no grid; the allocating float sweep is their oracle."""
+
+    @staticmethod
+    def families(q):
+        rng = random.Random(26)
+        out = {"cusp": spectra.sigma1_cusp(q),
+               "sigma2_centre": SpectralParam.from_triple(q, 1.0, ROT, ROT * ROT),
+               "sigma1_0.7": sigma1_param(q, 0.7),
+               "sigma1_2.1": sigma1_param(q, 2.1)}
+        for k in range(3):
+            # well-separated roots: near a double root both routes lose
+            # digits to the large B_ij, and that is not what this checks
+            out[f"generic_{k}"] = SpectralParam.from_triple(
+                q, *unimodular_generic(rng, min_gap=0.2))
+        return out
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_matches_the_float_oracle(self, q):
+        for name, p in self.families(q).items():
+            assert p.stratum is Stratum.GENERIC, name
+            for eps, r in zip(LADDER, residual_sweep(q, p, LADDER)):
+                want = damped_report_ref(q, p, eps, math.ceil(12 / eps))
+                ratio_tol = norm_tol = 1e-9
+                if (q, eps) == (3, 0.025):
+                    # the oracle's float weights 3^(-2m) underflow to 0 from
+                    # m = 340 on, so its grid drops the mass r^(2m) beyond:
+                    # about 3e-7 of the squared norm of the unimodular
+                    # points, less of their ratios
+                    ratio_tol, norm_tol = 1e-7, 1e-6
+                got = (r.residual_plus, r.residual_minus, r.norm)
+                for g, w, tol in zip(got, want, (ratio_tol, ratio_tol, norm_tol)):
+                    assert g == pytest.approx(w, rel=tol), (name, eps)
+                assert (r.epsilon, r.depth, r.truncation_fraction) == (eps, None, 0.0)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 11])
+    def test_trivial_norm_is_the_exact_limit(self, q):
+        param = SpectralParam.from_triple(q, q * ROT, ROT, ROT / q)
+        assert param.stratum is Stratum.TRIVIAL
+        for r in residual_sweep(q, param, (0.2, 0.025)):
+            assert (r.epsilon, r.depth, r.truncation_fraction) == (0.0, None, 0.0)
+            assert (r.residual_plus, r.residual_minus) == (0.0, 0.0)
+            assert r.norm ** 2 == pytest.approx(float(trivial_norm_sq_limit(q)),
+                                                rel=1e-14)
+
+    def test_route_per_stratum(self, monkeypatch):
+        # generic and trivial: the sums; double and triple: a depth-12/eps
+        # grid, until their derivative sums exist
+        routes = []
+
+        def counted(route):
+            real = getattr(spectra, route)
+
+            def call(*a):
+                routes.append(route)
+                return real(*a)
+            return call
+
+        for route in ("_damped_report", "_closed_report"):
+            monkeypatch.setattr(spectra, route, counted(route))
+        params = {
+            Stratum.GENERIC: SpectralParam.from_triple(2, 1.0, ROT, ROT * ROT),
+            Stratum.TRIVIAL: SpectralParam.from_triple(2, 2.0, 1.0, 0.5),
+            Stratum.DOUBLE: SpectralParam.from_triple(
+                2, cmath.exp(1.4j), cmath.exp(-0.7j), cmath.exp(-0.7j)),
+            Stratum.TRIPLE: SpectralParam.from_triple(2, ROT, ROT, ROT),
+        }
+        for stratum, p in params.items():
+            assert p.stratum is stratum
+            routes.clear()
+            depths = [r.depth for r in residual_sweep(2, p, (0.2, 0.1))]
+            if stratum is Stratum.GENERIC:
+                assert routes == ["_closed_report"] * 2, stratum
+                assert depths == [None, None], stratum
+            elif stratum is Stratum.TRIVIAL:
+                assert routes == ["_closed_report"], stratum  # one undamped report
+                assert depths == [None, None], stratum
+            else:
+                assert routes == ["_damped_report"] * 2, stratum
+                assert depths == [60, 120], stratum
+
+    def test_divergent_pair_raises(self):
+        # a generic point off sigma1 whose largest root has modulus 1.8:
+        # none of its B_ij vanishes, and r^2 1.8^2 > 1 for these eps
+        q, rho, a = 2, 1.8, 0.3
+        p = SpectralParam.from_triple(q, rho * cmath.exp(1j * a),
+                                      cmath.exp(-2j * a), cmath.exp(1j * a) / rho)
+        assert p.stratum is Stratum.GENERIC
+        with pytest.raises(spectra.NotSquareSummable, match=r"\|P\|"):
+            residual_sweep(q, p, (0.2,))
+        # the boundary |P| = 1 and a NaN ratio raise too, never a continuation
+        for x in (1.0, complex("nan")):
+            with pytest.raises(spectra.NotSquareSummable):
+                spectra._closed_masses(q, [(1.0, x, 1.0)], 1.0, ())
+
+    def test_default_ladder(self):
+        assert spectra.default_ladder(2) == LADDER
+        assert spectra.default_ladder(3) == LADDER
+        for q in (5, 11, 101):
+            ladder = spectra.default_ladder(q)
+            assert ladder[0] == pytest.approx(0.2 * (3 / q) ** 1.5)
+            assert all(b == a / 2 for a, b in zip(ladder, ladder[1:]))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 31, 101])
+    def test_witness_scan(self, q):
+        rep = non_ramanujan_witness(q)
+        assert [r.epsilon for r in rep.sweep] == list(spectra.default_ladder(q))
+        ratios = [(r.residual_plus, r.residual_minus) for r in rep.sweep]
+        assert all(math.isfinite(x) for pair in ratios for x in pair)
+        assert all(b[0] < a[0] and b[1] < a[1] for a, b in zip(ratios, ratios[1:]))
+        assert max(ratios[-1]) < 0.5
+        assert rep.decreasing and not rep.in_sigma2 and rep.margin > 0
 
 
 class TestNormDivergence:
