@@ -51,12 +51,6 @@ order changes no bit.  The cube root of unity w of the triple and trivial
 strata is sum(s)/3 scaled to modulus 1, and w^(m+n) is read off the
 3-cycle (1, w, w^2), so it carries no rounding that grows with m+n.
 
-The pool blocks of ``operator._scratch`` are named here alone: "column",
-"product" and "image" of T complex entries, "index" and "absolute" of T
-8-byte entries, 64 T bytes (7.4 MB at depth 480).  A function uses a block
-only while no callee uses it; nothing a public function returns aliases
-the pool.
-
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
 (sqrt(q) e^{i a}, e^{-2 i a}, e^{i a}/sqrt(q)) three of the six products
@@ -73,9 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import validate_q
-from .operator import (
-    GridFunction, L2Space, _gather, _grid_mn, _scratch, _take,
-)
+from .operator import GridFunction, L2Space, _grid_mn
 
 TOL_S = 1e-10        # membership in the parameter set
 TOL_SING = 1e-4      # stratum dispatch on pairwise root distances
@@ -250,22 +242,22 @@ def _cycle(s, top: int) -> np.ndarray:
     return np.resize(np.array([1, w, w * w]), top + 1)
 
 
-def _sum_of_products(terms, out, spare) -> np.ndarray:
-    """Set out to the sum, from the first term on, of the left-to-right
-    products of each term's factors table[index], all of out's dtype.
-    Factors are gathered into "column" and partial products alternate
-    between "product" and spare: numpy rounds a complex product that lands
-    in one of its own factors differently at length 1."""
-    for k, ((table, index), *factors) in enumerate(terms):
-        x = _take(table, index, "product")
+def _sum_of_products(terms) -> np.ndarray:
+    """The sum, from the first term on, of the left-to-right products of
+    each term's factors table[index]."""
+    total = None
+    for (table, index), *factors in terms:
+        x = table[index]
         for table, index in factors:
-            into = spare if x is not spare else _scratch("product", out.size, out.dtype)
-            x = np.multiply(x, _take(table, index, "column"), out=into)
-        if k:
-            out += x
+            # not x * table[index]: from 256 KiB numpy elides the temporary
+            # and computes it as table[index] * x, written into it, and its
+            # complex product is not bitwise commutative
+            x = np.multiply(x, table[index])
+        if total is None:
+            total = x
         else:
-            out[...] = x
-    return out
+            total += x
+    return total
 
 
 def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
@@ -273,14 +265,9 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
     """f(v_mn) at each index pair of the arrays m, n, as a fresh array: the
     stratum's term table (see the module docstring), then its final factor."""
     s = param.s
-    size = m.size
-    out = np.empty(size, dtype=np.complex128)
     top = int(m.max())
-    index = _scratch("index", size, np.intp)
     if param.stratum is Stratum.TRIVIAL:
-        # clip: every index is in range (see operator._take)
-        return np.take(_cycle(s, 2 * top), np.add(m, n, out=index), out=out,
-                       mode="clip")
+        return _cycle(s, 2 * top)[m + n]
 
     k = np.arange(top + 1)
     kf = k.astype(np.float64)
@@ -292,15 +279,9 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
         bracket = [[(scale - 3 * (q - 1) * (q + 1) ** 2 * kf + u * kf * kf, m)],
                    [(2 * u * kf - v * kf * kf, m), (kf, n)],
                    [(v * kf - 2 * u, m), (kf * kf, n)]]
-        acc = _sum_of_products(bracket, _scratch("absolute", size, np.float64),
-                               _scratch("image", size, np.float64))
-        cycle = _take(_cycle(s, 2 * top), np.add(m, n, out=index), "image")
-        x = np.multiply(cycle, _take(qk, m, "column"),
-                        out=_scratch("product", size, np.complex128))
-        x = np.multiply(x, acc, out=_scratch("column", size, np.complex128))
-        return np.divide(x, scale, out=out)
+        x = np.multiply(_cycle(s, 2 * top)[m + n], qk[m])
+        return np.divide(np.multiply(x, _sum_of_products(bracket)), scale)
 
-    acc = _scratch("image", size, np.complex128)
     if param.stratum is Stratum.DOUBLE:
         s1, s2 = _split_double(s)
         den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
@@ -310,13 +291,9 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
               + (q + 1) * (q * (s1 * s1 + s2 * s2)
                            - 2 * (q * q - q + 1) * s1 * s2))
         bracket = [[((s1 - q * s2) ** 2 * lin, n), (p1, m), (p2, n)],
-                   [((s2 - q * s1) ** 2 * lin, np.subtract(m, n, out=index)),
-                    (p2, m), (p2, n)],
+                   [((s2 - q * s1) ** 2 * lin, m - n), (p2, m), (p2, n)],
                    [(c3, m), (p1, n), (p2, m)]]
-        _sum_of_products(bracket, acc, out)
-        x = np.multiply(_take(qk, m, "product"), acc,
-                        out=_scratch("column", size, np.complex128))
-        return np.divide(x, den, out=out)
+        return np.divide(np.multiply(qk[m], _sum_of_products(bracket)), den)
 
     bs = b_coefficients(q, s)
     cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
@@ -324,8 +301,7 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
     # structural zeros are left out (see the module docstring), NaN kept
     terms = [[(b * powers[i], m), (powers[j], n)]
              for (i, j), b in bs.items() if not abs(b) <= cutoff]
-    _sum_of_products(terms, acc, out)
-    return np.multiply(_take(qk, m, "column"), acc, out=out)
+    return np.multiply(qk[m], _sum_of_products(terms))
 
 
 def eigenfunction_grid(q: int, param: SpectralParam, depth: int) -> GridFunction:
@@ -354,7 +330,7 @@ def damped_grid(q: int, param: SpectralParam, eps: float, depth: int) -> GridFun
         return f
     m, _ = _grid_mn(depth)
     # real factors: an in-place product rounds as a fresh one does
-    f.values *= _take(np.power(1.0 - eps, np.arange(depth + 1)), m, "absolute")
+    f.values *= np.power(1.0 - eps, np.arange(depth + 1))[m]
     return f
 
 
@@ -368,38 +344,17 @@ def recurrence_residual(q: int, param: SpectralParam, depth: int) -> float:
 def _grid_residual(space: L2Space, param: SpectralParam, f: GridFunction) -> float:
     """recurrence_residual for the grid f of param, already evaluated."""
     pair = eigenvalue_pair(space.q, param)
-    size = f.values.size
-    abs_f = np.abs(f.values, out=_scratch("absolute", size, np.float64))
+    abs_f = np.abs(f.values)
     worst = 0.0
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        ratio = np.abs(_residual(space, sign, lam, f.values),
-                       out=_scratch("column", size, np.float64))
-        scale = np.multiply(abs(lam), abs_f, out=_scratch("product", size, np.float64))
-        scale += 1.0
-        ratio /= scale
+        ratio = np.abs(_residual(space, sign, lam, f).values)
+        ratio /= abs(lam) * abs_f + 1.0
         worst = max(worst, float(ratio[space.interior].max()))
     return worst
 
 
-def _residual(space: L2Space, sign: int, lam: complex, values) -> np.ndarray:
-    """A f - lam f for the packed values f, in the pool block "image"."""
-    image = _apply_into(space.q, space.depth, sign, values,
-                        _scratch("image", values.size, np.complex128))
-    image -= np.multiply(lam, values, out=_scratch("column", values.size, np.complex128))
+def _residual(space: L2Space, sign: int, lam: complex, f: GridFunction) -> GridFunction:
+    """A f - lam f."""
+    image, _ = space.apply(sign, f)
+    image.values -= np.multiply(lam, f.values)
     return image
-
-
-def _apply_into(q: int, depth: int, sign: int, values, out):
-    """``operator._gather`` of complex packed values into out, its work in
-    "column"."""
-    return _gather(q, depth, sign, values, out,
-                   _scratch("column", values.size, np.complex128))
-
-
-def _mass(space: L2Space, values) -> np.ndarray:
-    """w |v|^2 per leading packed value v, as ``L2Space.norm`` forms it."""
-    size = values.size
-    a = np.abs(values, out=_scratch("absolute", size, np.float64))
-    mass = np.multiply(space.weights[:size], a, out=_scratch("product", size, np.float64))
-    mass *= a
-    return mass

@@ -18,8 +18,7 @@ slice(0, tri_size(M-1)).
 
 One gather, ``_gather``, runs both operators in two arithmetics:
 ``L2Space.apply`` on complex128 grid functions, ``apply_exact`` on object
-arrays of any exact ring values (ints, Fractions, ...), each into fresh
-arrays, and ``eigen._apply_into`` into pool blocks.  The exact adjointness
+arrays of any exact ring values (ints, Fractions, ...).  The exact adjointness
 check therefore gates the very kernel the float work multiplies, at any
 depth.  Each row is summed from 0 in slot order and every coefficient is
 an integer, so each product component is one rounding whatever numpy loop
@@ -27,7 +26,8 @@ computes it: the image is the row-major sum bit for bit, NaN, infinities
 and signed zeros included.
 
 Float inner products read the one weight array w and multiply by it
-first: <f, g> sums (w f) conj(g), and |f|^2 sums (w |f|) |f|.  For unimodular
+first: <f, g> sums (w f) conj(g), and ``L2Space.mass`` forms w |f|^2 as
+(w |f|) |f|, which ``norm`` and the residual sweeps sum.  For unimodular
 spectral data |f| grows like q^m while w |f|^2 stays of order one, so the
 intermediate w |f| is small; squaring |f| first overflows to inf once |f|
 passes 1.3e154 (m = 323 at q = 3, where depth 480 reaches 3^480 = 1e229).
@@ -39,28 +39,11 @@ A- is built from its own table rows, not as the weighted transpose
 w(u)/w(v) of A+: the float weights underflow to exactly 0 from m = 538 at
 q = 2 (m = 340 at q = 3), where that ratio is 0/0, and the exact
 adjointness check would compare A+ with itself.
-
-Closed forms and float residual sweeps keep their T-length intermediates in
-a per-thread scratch pool: ``_scratch(name, size, dtype)`` is a [:size] view
-of a named block, grown to the largest size asked for and kept, and
-``_take`` gathers into one; ``eigen`` names the blocks and uses them.
-
-The public ``apply``, ``inner``, ``norm`` and ``apply_exact`` allocate.  On
-the pool (``apply`` through the pooled gather, ``norm`` through the pooled
-mass), ``operator-power`` went from 451 to 520 MB peak RSS and from 2.17 to
-2.43 s wall time in each of six seed pairs (2-core x86_64, numpy 2.4.6).
-Those figures are for the earlier gather over a (3, T) coefficient array
-and a padded copy of the values: pooled, it won at depth 400 (1.7 against
-2.8 ms) but lost at depth 1600 (56-61 against 51-55 ms), and would keep 72
-MB of blocks.  With this kernel the fresh and the pooled apply take the
-same time in-process, 0.9-1.2 ms at depth 400 and 23-26 ms at depth 1600
-(same machine), so the pool would buy nothing.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -206,11 +189,12 @@ def _kernel(q: int, depth: int, sign: int):
     return tuple(slots), fix, touch, local, coef
 
 
-def _gather(q: int, depth: int, sign: int, values, out, work):
+def _gather(q: int, depth: int, sign: int, values):
     """Apply one operator to packed values of any dtype: out[v] is the sum,
     from 0 and in slot order, of coefficient times value over the row at
-    v, absent slots reading zero.  out and work have values' size and
-    dtype; work is scratch.  Returns out."""
+    v, absent slots reading zero.  Returns out, a fresh array of values'
+    size and dtype."""
+    out, work = np.empty_like(values), np.empty_like(values)
     slots, fix, touch, local, coef = _kernel(q, depth, sign)
     for k, (c, read) in enumerate(slots):
         if isinstance(read, int):
@@ -218,7 +202,9 @@ def _gather(q: int, depth: int, sign: int, values, out, work):
             rows = slice(lo, hi)
             product = np.multiply(values[lo + read:hi + read], c, out=work[rows])
         else:
-            # clip: every index is in range (see _take)
+            # np.take(out=) in its default mode="raise" buffers the output:
+            # 0.59 ms against 0.17 ms with mode="clip" at depth 480.  "clip"
+            # is exact here: every index is in range by construction.
             rows = slice(None)
             product = np.take(values, read, out=work, mode="clip")
             product *= c
@@ -234,29 +220,6 @@ def _gather(q: int, depth: int, sign: int, values, out, work):
     fixed += coef[2] * compact[local[2]]
     out[fix] = fixed
     return out
-
-
-_POOL = threading.local()
-
-
-def _scratch(name: str, size: int, dtype) -> np.ndarray:
-    """A [:size] view, as dtype, of this thread's pool block name; the block
-    grows to the largest byte count asked for and is kept."""
-    dtype = np.dtype(dtype)
-    nbytes = size * dtype.itemsize
-    block = vars(_POOL).get(name)
-    if block is None or block.size < nbytes:
-        block = vars(_POOL)[name] = np.empty(nbytes, dtype=np.uint8)
-    return block[:nbytes].view(dtype)
-
-
-def _take(table, index, name: str) -> np.ndarray:
-    """table[index] in the pool block name."""
-    # np.take(out=) in its default mode="raise" buffers the output: 0.59 ms
-    # against 0.17 ms with mode="clip" at depth 480.  "clip" is exact here:
-    # every index is in range by construction.
-    out = _scratch(name, index.size, table.dtype)
-    return np.take(table, index, out=out, mode="clip")
 
 
 @lru_cache(maxsize=32)
@@ -289,9 +252,7 @@ class L2Space:
         the missing neighbor counted as zero.
         """
         self._check(f)
-        values = f.values
-        image = _gather(self.q, self.depth, sign, values,
-                        np.empty_like(values), np.empty_like(values))
+        image = _gather(self.q, self.depth, sign, f.values)
         return GridFunction(self.depth, image), _last_shell(self.depth)
 
     def _check(self, f: GridFunction):
@@ -307,12 +268,16 @@ class L2Space:
         prod *= np.conjugate(g.values[where])
         return complex(prod.sum())
 
-    def norm(self, f: GridFunction, where=slice(None)) -> float:
+    def mass(self, f: GridFunction, where=slice(None)) -> np.ndarray:
+        """w |f|^2 at the vertices of where, formed as (w |f|) |f|."""
         self._check(f)
         a = np.abs(f.values[where])
         mass = self.weights[where] * a
         mass *= a
-        return float(np.sqrt(mass.sum()))
+        return mass
+
+    def norm(self, f: GridFunction, where=slice(None)) -> float:
+        return float(np.sqrt(self.mass(f, where).sum()))
 
     def rayleigh(self, sign: int, f: GridFunction) -> complex:
         """<A f, f> / <f, f> over the interior vertices."""
@@ -401,9 +366,7 @@ def apply_exact(q: int, depth: int, sign: int, values):
     array; at masked vertices the row referenced depth+1.
     """
     _check_space(q, depth)
-    values = _packed(depth, values, object)
-    image = _gather(q, depth, sign, values,
-                    np.empty_like(values), np.empty_like(values))
+    image = _gather(q, depth, sign, _packed(depth, values, object))
     return image, _last_shell(depth)
 
 

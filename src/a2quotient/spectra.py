@@ -43,7 +43,7 @@ import numpy as np
 
 from .algebra import validate_q
 from .eigen import (
-    _B_ZERO, SpectralParam, Stratum, _mass, _residual, b_coefficients,
+    _B_ZERO, SpectralParam, Stratum, _residual, b_coefficients,
     companion_roots, damped_grid, eigenfunction_grid, eigenvalue_pair,
 )
 from .operator import L2Space, tri_size
@@ -171,7 +171,7 @@ def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> Resi
     space = L2Space(q, depth)
     f = damped_grid(q, param, eps, depth)
     pair = eigenvalue_pair(q, param)
-    mass = _mass(space, f.values)
+    mass = space.mass(f)
     # squared as space.norm(f) ** 2 is, so the sweep keeps its bytes
     total_sq = float(np.sqrt(mass.sum())) ** 2
     kept = float(np.sqrt(mass[space.interior].sum()))
@@ -181,8 +181,8 @@ def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> Resi
             f"masked shell holds {frac:.3%} of the mass at depth {depth}")
     ratios = []
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        resid = _residual(space, sign, lam, f.values)[space.interior]
-        ratios.append(float(np.sqrt(_mass(space, resid).sum())) / kept)
+        resid = _residual(space, sign, lam, f)
+        ratios.append(space.norm(resid, where=space.interior) / kept)
     return ResidualReport(s=param.s, epsilon=eps, depth=depth,
                           residual_plus=ratios[0], residual_minus=ratios[1],
                           norm=math.sqrt(total_sq),
@@ -288,17 +288,18 @@ def is_decreasing(reports, slack: float = 1.05) -> bool:
 
 
 def norm_divergence(q: int, param: SpectralParam, depths) -> list[float]:
-    """Partial sums of the squared norm of the undamped eigenfunction up to
-    each requested depth (strictly increasing; bounded only for trivial s)."""
+    """Partial sums of the squared norm of the undamped eigenfunction, one
+    per requested depth in the order asked for (strictly increasing in the
+    depth; bounded only for trivial s)."""
     validate_q(q)
-    depths = sorted(depths)
+    depths = list(depths)
     if not depths:
         raise ValueError("norm_divergence needs at least one depth")
-    if depths[0] < 0:
+    if min(depths) < 0:
         raise ValueError(f"depths must be >= 0, got {[d for d in depths if d < 0]}")
     # L2Space needs depth >= 2; the shallower sums are prefixes of its grid
-    top = max(depths[-1], 2)
-    mass = _mass(L2Space(q, top), eigenfunction_grid(q, param, top).values)
+    top = max(2, *depths)
+    mass = L2Space(q, top).mass(eigenfunction_grid(q, param, top))
     return [float(mass[:tri_size(d)].sum()) for d in depths]
 
 

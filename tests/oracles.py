@@ -17,10 +17,9 @@ layout and summation the package's gather must reproduce bit for bit.
 unity, and ``trivial_eigenfunction_exact`` packs the trivial eigenfunctions
 w^(k(m+n)) in it, so the trivial eigenvalues (q^2+q+1) w^k are checked
 exactly through ``apply_exact`` and ``forward_solve``.
-``closed_form_ref`` is the allocating closed-form evaluator the package
-used before its scratch pool, kept verbatim with its two power rules: the
-package's pooled evaluator must reproduce it bit for bit, NaN and inf
-included.  It shares only the coefficient helpers (``b_coefficients``,
+``closed_form_ref`` is an allocating closed-form evaluator written per
+formula, with its two power rules: the package's term-table evaluator must
+reproduce it bit for bit, NaN and inf included.  It shares only the coefficient helpers (``b_coefficients``,
 ``_split_double``, ``_B_ZERO``) with the package.  ``damped_ref``,
 ``grid_residual_ref`` and ``damped_report_ref`` are the allocating damping,
 recurrence residual and sweep report on its grids, computed through the

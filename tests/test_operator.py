@@ -1,12 +1,11 @@
 import random
-import threading
 from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from a2quotient import eigen, operator
+from a2quotient import operator
 from a2quotient.operator import (
     DimensionMismatch, GridFunction, L2Space, ZeroFunction, apply_exact,
     inner_exact, tri_size, vertex_index,
@@ -98,49 +97,6 @@ class TestApply:
         assert operator._kernel.cache_info().currsize <= 64
         for cache in (operator._grid_mn, operator._weights, vertex_weight):
             assert cache.cache_info().maxsize is not None
-        # the scratch pool: a fresh thread starts from an empty one; damped
-        # grids and residuals to depth 480 keep a fixed set of blocks of at
-        # most tri_size(480) + 1 complex entries
-        from a2quotient.eigen import (
-            OMEGA, SpectralParam, damped_grid, recurrence_residual,
-        )
-
-        def grids(q):
-            centre = SpectralParam.from_triple(q, 1.0, OMEGA, OMEGA * OMEGA)
-            for depth in (60, 480, 240):
-                damped_grid(q, centre, 0.025, depth)
-                recurrence_residual(q, centre, depth)
-
-        def sweeps():
-            grids(2)
-            first = {k: v.nbytes for k, v in vars(operator._POOL).items()}
-            grids(3)
-            grids(2)
-            sizes.append(first)
-            sizes.append({k: v.nbytes for k, v in vars(operator._POOL).items()})
-
-        sizes = []
-        worker = threading.Thread(target=sweeps)
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        first, last = sizes
-        assert first == last
-        assert set(first) == {"index", "column", "product", "image", "absolute"}
-        assert max(first.values()) <= 16 * (tri_size(480) + 1)
-
-    def test_scratch_pool_is_per_thread(self):
-        blocks = []
-
-        def grab():
-            blocks.append(operator._scratch("column", 8, np.float64))
-
-        worker = threading.Thread(target=grab)
-        worker.start()
-        worker.join(timeout=10)
-        assert not worker.is_alive()
-        grab()
-        assert not np.shares_memory(*blocks)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     @pytest.mark.parametrize("sign", [+1, -1])
@@ -193,10 +149,7 @@ class TestGather:
             with np.errstate(invalid="ignore", over="ignore"):
                 got, _ = space.apply(sign, f)
                 want = gather_ref(q, depth, sign, f.values)
-                pooled = eigen._apply_into(
-                    q, depth, sign, f.values, np.empty(tri_size(depth), complex))
             assert got.values.tobytes() == want.tobytes()
-            assert pooled.tobytes() == want.tobytes()
             exact = [Fraction(int(a), int(b)) for a, b in zip(
                 rng.integers(-50, 50, tri_size(depth)),
                 rng.integers(1, 9, tri_size(depth)))]

@@ -431,6 +431,12 @@ class TestNormDivergence:
             assert got == pytest.approx(float(want), rel=1e-14)
             assert got == mass[:tri_size(d)].sum()
 
+    def test_sums_in_the_order_asked(self):
+        param = SpectralParam.from_triple(2, 1.0, ROT, ROT * ROT)
+        ordered = norm_divergence(2, param, [10, 20, 40])
+        assert norm_divergence(2, param, [40, 10, 20]) == \
+            [ordered[2], ordered[0], ordered[1]]
+
     def test_no_depths(self):
         param = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="depth"):
