@@ -7,8 +7,9 @@
 import cmath
 
 from a2quotient import (
-    SpectralParam, classify_point, non_ramanujan_witness, norm_divergence,
-    render_spectra, residual_sweep, sigma1_point, sigma2_contains,
+    SpectralParam, classify_point, default_ladder, non_ramanujan_witness,
+    norm_divergence, render_spectra, residual_sweep, sigma1_point,
+    sigma2_contains,
 )
 
 q = 2
@@ -21,20 +22,22 @@ for name, z in [("origin", 0j), ("region cusp 3q", complex(3 * q)),
     print(f"  {name:>18} {z:>24.5f}: in region: {sigma2_contains(q, z)!s:>5}, "
           f"tag: {tag}")
 
-print("\n== residual sweeps: region center (lambda = 0), a double root ==")
-print("  (depth '-': a generic sweep sums to infinity, with no grid)")
+print("\n== residual sweeps: the region's center, boundary and cusp ==")
+print("  (one route for every stratum: sums over the whole triangle, no grid,")
+print("  hence no depth; eps from default_ladder(q))")
 w = cmath.exp(2j * cmath.pi / 3)
 param = SpectralParam.from_triple(q, 1.0, w, w * w)
-double = SpectralParam.from_triple(q, cmath.exp(1.4j), cmath.exp(-0.7j),
-                                   cmath.exp(-0.7j))
-print(f"  {'stratum':>8} {'eps':>6} {'depth':>6} {'residual+':>12} "
-      f"{'residual-':>12} {'mass frac':>10}")
-for p in (param, double):
-    for r in residual_sweep(q, p, (0.2, 0.1, 0.05, 0.025)):
-        depth = "-" if r.depth is None else r.depth
-        print(f"  {p.stratum.value:>8} {r.epsilon:>6} {depth:>6} "
-              f"{r.residual_plus:>12.5f} {r.residual_minus:>12.5f} "
-              f"{r.truncation_fraction:>10.2e}")
+print(f"  {'q':>4} {'stratum':>8} {'eps':>9} {'depth':>6} {'residual+':>10} "
+      f"{'residual-':>10}")
+for q_s in (q, 101):
+    for s in ((1.0, w, w * w),                       # lambda = 0, the center
+              (cmath.exp(1.4j), cmath.exp(-0.7j), cmath.exp(-0.7j)),  # boundary
+              (w, w, w)):                            # a cusp, lambda = 3 q w
+        p = SpectralParam.from_triple(q_s, *s)
+        for r in residual_sweep(q_s, p, default_ladder(q_s)):
+            depth = "-" if r.depth is None else r.depth
+            print(f"  {q_s:>4} {p.stratum.value:>8} {r.epsilon:>9.4g} {depth:>6} "
+                  f"{r.residual_plus:>10.3e} {r.residual_minus:>10.3e}")
 
 print("\n== norm dichotomy ==")
 trivial = SpectralParam.from_triple(q, q, 1, 1 / q)

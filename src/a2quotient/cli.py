@@ -39,6 +39,8 @@ from .spectra import (
 )
 
 ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
+# the witness passes only if the last ratio of its sweep falls below this
+WITNESS_LAST_RATIO = 0.5
 
 # key: (flag, default, help) of each run setting; the keys are the config
 # file keys, each setting's type is its default's type, and a help text may
@@ -61,7 +63,8 @@ OPTIONS = {
     "iters": (200, "power-iteration steps"),
     "samples": (256, "points on each curve"),
     "sweep": (False, "also run residual sweeps (exit 2 if not decreasing)"),
-    "witness": (False, "include the non-Ramanujan witness in the summary"),
+    "witness": (False, "include the non-Ramanujan witness in the summary "
+                       "(exit 2 unless its last residual ratio is below 0.5)"),
     "eps": (None, "comma-separated damping values for the sweep and the "
                   "witness (default spectra.default_ladder(q): "
                   "0.2*2^-k*min(1, (3/q)^1.5), k = 0..3)"),
@@ -299,7 +302,9 @@ def _witness_payload(rep) -> dict:
 
 
 def _witness_code(rep) -> int:
-    ok = (not rep.in_sigma2) and rep.margin > 0 and rep.decreasing
+    last = rep.sweep[-1]
+    ok = ((not rep.in_sigma2) and rep.margin > 0 and rep.decreasing
+          and max(last.residual_plus, last.residual_minus) < WITNESS_LAST_RATIO)
     return 0 if ok else 2
 
 
@@ -341,9 +346,8 @@ def cmd_spectra(args) -> tuple[int, dict]:
                   "norm,truncation_fraction") as fh:
             for name, reports in sweeps.items():
                 for r in reports:
-                    # an empty depth cell: the sums ran without truncation
-                    depth = "" if r.depth is None else r.depth
-                    fh.write(f"{name},{r.epsilon!r},{depth},"
+                    # an empty depth cell: the sums run without truncation
+                    fh.write(f"{name},{r.epsilon!r},,"
                              f"{r.residual_plus!r},{r.residual_minus!r},"
                              f"{r.norm!r},{r.truncation_fraction!r}\n")
         outputs.append(fh.name)

@@ -295,13 +295,42 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
                    [(c3, m), (p1, n), (p2, m)]]
         return np.divide(np.multiply(qk[m], _sum_of_products(bracket)), den)
 
+    powers = {z: np.power(z, k) for z in s}  # the terms' x and y are roots
+    terms = [[(p[0, 0] * powers[x], m), (powers[y], n)]
+             for p, x, y in _expansion(q, param)]
+    return np.multiply(qk[m], _sum_of_products(terms))
+
+
+def _expansion(q: int, param: SpectralParam) -> list[tuple[dict, complex, complex]]:
+    """The formulas above as terms (p_t, x_t, y_t) of f(v_mn) = q^m sum_t
+    p_t(m - n, n) x_t^m y_t^n, p_t = {(a, b): c} for sum c k^a n^b on monomials
+    closed under lowering a or b (so shifts keep them): generic B_ij at (s_i, s_j)
+    without structural zeros, NaN kept; trivial (1, w/q, w); double at (s1, s2),
+    (s2, s2), (s2, s1); triple at (w, w), with m^2 + 2mn - 2n^2 = k^2 + 4kn + n^2
+    and m^2 n - m n^2 = k^2 n + k n^2 (m = k + n)."""
+    s = param.s
+    if param.stratum in (Stratum.TRIVIAL, Stratum.TRIPLE):
+        w = complex(_cycle(s, 1)[-1])
+        if param.stratum is Stratum.TRIVIAL:
+            return [({(0, 0): 1.0}, w / q, w)]
+        scale = 2 * (q + 1) * (q * q + q + 1)
+        lin = -3 * (q - 1) * (q + 1) ** 2 / scale
+        u, v = (q - 1) ** 2 * (q + 1) / scale, -(q - 1) ** 3 / scale
+        return [({(0, 0): 1.0, (1, 0): lin, (0, 1): lin, (2, 0): u,
+                  (1, 1): 4 * u, (0, 2): u, (2, 1): v, (1, 2): v}, w, w)]
+    if param.stratum is Stratum.DOUBLE:
+        s1, s2 = _split_double(s)
+        den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
+        a1, a2 = (s1 - q * s2) ** 2 / den, (s2 - q * s1) ** 2 / den
+        c1 = (q - 1) * (s1 - q * s2) * (s2 - q * s1) / den
+        c0 = (q + 1) * (q * (s1 * s1 + s2 * s2) - 2 * (q * q - q + 1) * s1 * s2) / den
+        return [({(0, 0): (q + 1) * a1, (0, 1): (1 - q) * a1}, s1, s2),
+                ({(0, 0): (q + 1) * a2, (1, 0): (1 - q) * a2}, s2, s2),
+                ({(0, 0): c0, (1, 0): c1, (0, 1): c1}, s2, s1)]
     bs = b_coefficients(q, s)
     cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
-    powers = [np.power(si, k) for si in s]
-    # structural zeros are left out (see the module docstring), NaN kept
-    terms = [[(b * powers[i], m), (powers[j], n)]
-             for (i, j), b in bs.items() if not abs(b) <= cutoff]
-    return np.multiply(qk[m], _sum_of_products(terms))
+    return [({(0, 0): b}, s[i], s[j]) for (i, j), b in bs.items()
+            if not abs(b) <= cutoff]
 
 
 def eigenfunction_grid(q: int, param: SpectralParam, depth: int) -> GridFunction:
@@ -347,14 +376,10 @@ def _grid_residual(space: L2Space, param: SpectralParam, f: GridFunction) -> flo
     abs_f = np.abs(f.values)
     worst = 0.0
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        ratio = np.abs(_residual(space, sign, lam, f).values)
+        image, _ = space.apply(sign, f)  # A f - lam f
+        image.values -= np.multiply(lam, f.values)
+        ratio = np.abs(image.values)
+        del image  # freed before the next apply, so its block is reused
         ratio /= abs(lam) * abs_f + 1.0
         worst = max(worst, float(ratio[space.interior].max()))
     return worst
-
-
-def _residual(space: L2Space, sign: int, lam: complex, f: GridFunction) -> GridFunction:
-    """A f - lam f."""
-    image, _ = space.apply(sign, f)
-    image.values -= np.multiply(lam, f.values)
-    return image

@@ -10,26 +10,25 @@ Membership in sigma1 and sigma2 reduces to one companion cubic,
 X^3 - (lambda/q) X^2 + (conj(lambda)/q) X - 1 (eigen.companion_roots):
 lambda lies in the region iff every root is unimodular (for unimodular
 roots with product one the linear coefficient is forced to be the
-conjugate of the quadratic one, so the single cubic is exhaustive), and on
-the curve iff the root moduli are (sqrt q, 1, 1/sqrt q), as the root set
-is closed under s -> 1/conj(s).  Both tests run in floats on one solve,
-and TOL_POINT bounds root moduli, not distances (see classify_point).
+conjugate of the quadratic one, so the single cubic is exhaustive), that is
+iff the cubic's discriminant D(lambda/q) = |z|^4 - 8 Re z^3 + 18 |z|^2 - 27
+is at most 0, and on the curve iff the root moduli are (sqrt q, 1,
+1/sqrt q), as the root set is closed under s -> 1/conj(s).  The curve test
+bounds root moduli by TOL_POINT, the region test D by TOL_DELTOID (see
+classify_point).
 The cusp value q^{3/2} + q + q^{1/2} of sigma1 exceeds the sigma2 cusp 3q
 for every q >= 2, which is the non-Ramanujan margin; the residual sweep
 certifies that the same point is an approximate eigenvalue.
 
-A generic or trivial sweep needs no grid.  With r = 1 - eps the damped
-eigenfunction is r^m q^m sum_t B_t x_t^m y_t^n (generic: B_ij s_i^m s_j^n
-without its structural zeros), and the vertex weight F_s q^(-2m) cancels
-q^(2m) of its squared modulus.  Its residual under a row (dm, dn, c) of the
-stratum s has the same form with amplitudes B_t C_ts, where
-C_ts = sum c (r^dm - 1) q^dm x_t^dm y_t^dn (f itself is exact).  Each
-weighted squared sum is then sum_s F_s sum_(t,u) a_t conj(a_u) G_s(P, PQ)
-with P = r^2 x_t conj(x_u), Q = y_t conj(y_u), and G_s the geometric sum of
-P^m Q^n over the stratum: 1 at the origin, P/(1-P) on the bottom row,
-PQ/(1-PQ) on the diagonal and their product inside (``_closed_masses``).
-The double and triple strata still sweep a float grid of depth
-ceil(DEPTH_COEFF / eps).
+A sweep needs no grid.  With r = 1 - eps the damped eigenfunction is
+r^m q^m sum_t p_t(k, n) x_t^m y_t^n, k = m - n (eigen._expansion), and the
+weight F_s q^(-2m) cancels q^(2m) of its squared modulus.  Its residual
+under the row of the stratum s has the amplitudes sum c (r^dm - 1) q^dm
+x^dm y^dn p_t(k + dm - dn, n + dn) over the row's steps (dm, dn, c), as f
+itself is exact.  As P^m Q^n = P^k (PQ)^n for P = r^2 x_t conj(x_u),
+Q = y_t conj(y_u), each weighted squared sum pairs a_t conj(a_u) with
+moments sum_(j >= 1) j^a X^j: the (0, 0) coefficient at the origin, of P in
+k on the bottom row, of PQ in n on the diagonal, their product inside.
 """
 
 from __future__ import annotations
@@ -39,29 +38,21 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .algebra import validate_q
 from .eigen import (
-    _B_ZERO, SpectralParam, Stratum, _residual, b_coefficients,
-    companion_roots, damped_grid, eigenfunction_grid, eigenvalue_pair,
+    SpectralParam, Stratum, _expansion, companion_roots, eigenfunction_grid,
 )
 from .operator import L2Space, tri_size
 from .quotient import table, weight_factors
 
 
-TOL_POINT = 1e-6      # root moduli and the sigma0 distance of a point
+TOL_POINT = 1e-6      # sigma1 root moduli and the sigma0 distance of a point
 TOL_BOUNDARY = 1e-4   # root gap that tags a sigma2 point Boundary
-DEPTH_COEFF = 12.0    # double/triple depth rule M = ceil(12 / eps)
-TRUNC_LIMIT = 0.01
+TOL_DELTOID = 1e-9    # largest discriminant D(lambda/q) of a sigma2 point
 
 
 class InvalidEpsilon(ValueError):
     """Damping parameter outside (0, 1/2)."""
-
-
-class TruncationTooCoarse(ValueError):
-    """Masked boundary shell holds more than the allowed mass fraction."""
 
 
 class NotSquareSummable(ValueError):
@@ -101,8 +92,14 @@ def sigma1_point(q: int, theta: float) -> complex:
 
 
 def sigma2_contains(q: int, la: complex) -> bool:
-    """Companion-cubic test: all three roots unimodular within TOL_POINT."""
-    return all(abs(abs(r) - 1) <= TOL_POINT for r in companion_roots(q, la))
+    """The closed region: D(la/q) = |z|^4 - 8 Re z^3 + 18 |z|^2 - 27, the
+    discriminant of the companion cubic, is at most TOL_DELTOID."""
+    validate_q(q)
+    z = complex(la) / q
+    if not cmath.isfinite(z):
+        raise ValueError(f"eigenvalue {la} is not finite")
+    size = abs(z) ** 2
+    return size * size - 8 * (z * z * z).real + 18 * size - 27 <= TOL_DELTOID
 
 
 def sigma2_boundary_point(q: int, phi: float) -> complex:
@@ -125,13 +122,18 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
     """Tag a point; membership in neither set is reported as Outside
     (the classification makes no claim about such points).
 
-    Sigma0 means within distance TOL_POINT of a sigma0 point.  The other
-    tags come from one solve of the companion cubic, with TOL_POINT bounding
-    each root modulus: Sigma1 within it of (sqrt q, 1, 1/sqrt q), Sigma2
-    within it of 1 (Boundary when two roots lie within TOL_BOUNDARY).  Near
-    sigma1 the largest modulus deviation is 1/(q-1) to (q+1)/(q-1)^2 times
-    the distance from the curve, so the bound 1e-6 tags points up to
-    3e-7..1e-6 from it at q=2 and 8e-6..1e-5 at q=11.
+    Sigma0 means within distance TOL_POINT of a sigma0 point.  Sigma1 means
+    each root modulus of the companion cubic within TOL_POINT of
+    (sqrt q, 1, 1/sqrt q).  Near sigma1 the largest modulus deviation is
+    1/(q-1) to (q+1)/(q-1)^2 times the distance from the curve, so the bound
+    1e-6 tags points up to 3e-7..1e-6 from it at q=2 and 8e-6..1e-5 at q=11.
+    Sigma2 means sigma2_contains, D(lambda/q) <= TOL_DELTOID = 1e-9, and
+    Boundary that two roots lie within TOL_BOUNDARY.  On sigma2's boundary
+    D is at most about 1e-13 in floats, while moving 0.1% out raises it to
+    3.8e-8 or more even beside a cusp (where D vanishes to third order), so
+    any bound in [1e-12, 1e-9] separates the two; a root-modulus test
+    cannot, as beside a cusp the three roots coalesce and each modulus
+    drifts by more than TOL_POINT.
     """
     la = complex(la)
     if min(abs(la - p) for p in sigma0(q)) <= TOL_POINT:
@@ -141,7 +143,7 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
     r = math.sqrt(q)
     if all(abs(m - t) <= TOL_POINT for m, t in zip(moduli, (r, 1.0, 1.0 / r))):
         return SpectrumPoint(la, SetTag.SIGMA1)
-    if all(abs(m - 1) <= TOL_POINT for m in moduli):
+    if sigma2_contains(q, la):
         a, b, c = roots
         near = min(abs(a - b), abs(a - c), abs(b - c)) <= TOL_BOUNDARY
         return SpectrumPoint(la, SetTag.SIGMA2_BOUNDARY if near
@@ -155,8 +157,7 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """One damped residual experiment.  depth is None and
-    truncation_fraction 0.0 when the sums run to infinity (no grid)."""
+    """One damped residual experiment; depth is None, truncation_fraction 0.0."""
     s: tuple[complex, complex, complex]
     epsilon: float
     depth: int | None
@@ -166,82 +167,75 @@ class ResidualReport:
     truncation_fraction: float
 
 
-def _damped_report(q: int, param: SpectralParam, eps: float, depth: int) -> ResidualReport:
-    """The float route: the damped grid truncated at depth."""
-    space = L2Space(q, depth)
-    f = damped_grid(q, param, eps, depth)
-    pair = eigenvalue_pair(q, param)
-    mass = space.mass(f)
-    # squared as space.norm(f) ** 2 is, so the sweep keeps its bytes
-    total_sq = float(np.sqrt(mass.sum())) ** 2
-    kept = float(np.sqrt(mass[space.interior].sum()))
-    frac = 1.0 - kept ** 2 / total_sq if total_sq > 0 else 1.0
-    if frac >= TRUNC_LIMIT:
-        raise TruncationTooCoarse(
-            f"masked shell holds {frac:.3%} of the mass at depth {depth}")
-    ratios = []
-    for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        resid = _residual(space, sign, lam, f)
-        ratios.append(space.norm(resid, where=space.interior) / kept)
-    return ResidualReport(s=param.s, epsilon=eps, depth=depth,
-                          residual_plus=ratios[0], residual_minus=ratios[1],
-                          norm=math.sqrt(total_sq),
-                          truncation_fraction=frac)
+def _shifted(p: dict, dk: int, dn: int, i: int, j: int):
+    """The coefficient of k^i n^j in p(k + dk, n + dn)."""
+    return sum(c * math.comb(a, i) * dk ** (a - i) * math.comb(b, j) * dn ** (b - j)
+               for (a, b), c in p.items() if a >= i and b >= j)
 
 
-def _expansion(q: int, param: SpectralParam) -> list[tuple[complex, complex, complex]]:
-    """The terms (B_t, x_t, y_t) of f(v_mn) = q^m sum_t B_t x_t^m y_t^n: the
-    generic B_ij s_i^m s_j^n that are not structural zeros (as
-    eigen._closed_form keeps them), or for a trivial parameter the one term
-    (1, 1/q, 1), whose modulus is that of w^(m+n)."""
-    if param.stratum is Stratum.TRIVIAL:
-        return [(1.0, 1.0 / q, 1.0)]
-    bs = b_coefficients(q, param.s)
-    cutoff = _B_ZERO * sum(abs(b) for b in bs.values())
-    return [(b, param.s[i], param.s[j]) for (i, j), b in bs.items()
-            if not abs(b) <= cutoff]
+def _residual_steps(q: int, terms, sign: int):
+    """Per term, monomial of p and stratum the coefficients (A_1, A_-1) in
+    sum c q^dm x^dm y^dn p(k + dm - dn, n + dn) over the row's steps with
+    dm = 1 and dm = -1: the residual amplitude is (r - 1) A_1 + (1/r - 1) A_-1."""
+    return [[tuple(tuple(sum(c * q ** dm * x ** dm * y ** dn
+                             * _shifted(p, dm - dn, dn, *key)
+                             for dm, dn, c in row if dm == side)
+                         for side in (1, -1)) for row in table(q, sign))
+             for key in p] for p, x, y in terms]
 
 
-def _closed_masses(q: int, terms, r: float, tables) -> list[float]:
-    """sum_v w(v) |r^m q^m sum_t a_t x_t^m y_t^n|^2 over the whole triangle
-    for a_t = B_t, then for a_t = B_t C_ts per operator table in tables (see
-    the module docstring).  Plain scalar arithmetic, no grid and no numpy."""
-    amplitudes = [[(b,) * 4 for b, _, _ in terms]]
-    for rows in tables:
-        amplitudes.append([tuple(
-            b * sum(c * (r ** dm - 1) * q ** dm * x ** dm * y ** dn
-                    for dm, dn, c in row) for row in rows)
-            for b, x, y in terms])
-    sums = [[0j] * 4 for _ in amplitudes]
-    r2 = r * r
-    for t, (_, xt, yt) in enumerate(terms):
-        for u, (_, xu, yu) in enumerate(terms):
-            p = r2 * xt * xu.conjugate()
+def _moments(x: complex, top: int) -> list[complex]:
+    """sum_(j >= 1) j^a x^j for a = 0 .. top <= 4: x/(1 - x), then sum_i
+    i! S(a, i) x^i/(1 - x)^(i+1), S(a, i) the Stirling numbers of the 2nd kind."""
+    z = x / (1 - x)
+    return [z] + [sum(c * z ** i for i, c in enumerate(row, 1)) / (1 - x)
+                  for row in ((1,), (1, 2), (1, 6, 6), (1, 14, 36, 24))[:top]]
+
+
+def _closed_masses(q: int, terms, r: float, residuals=()) -> list[float]:
+    """sum_v w(v) |r^m q^m sum_t a_t(m - n, n) x_t^m y_t^n|^2 over the whole
+    triangle for a_t = p_t, then per residual set (per term, monomial, stratum)."""
+    top = 2 * max(max(key) for p, _, _ in terms for key in p)
+    amplitudes = [[[(c,) * 4 for c in p.values()] for p, _, _ in terms],
+                  *residuals]
+    conjugates = [[[tuple(a.conjugate() for a in strata) for strata in term]
+                   for term in amps] for amps in amplitudes]
+    factors = [float(f) for f in weight_factors(q)]
+    origin = [1] + [0] * top  # the one j = 0 of sum j^a x^j
+    sums = [0j] * len(amplitudes)
+    for t, (pt, xt, yt) in enumerate(terms):
+        for u in range(t, len(terms)):
+            pu, xu, yu = terms[u]
+            p = r * r * xt * xu.conjugate()
             pq = p * yt * yu.conjugate()
             if not (abs(p) < 1 and abs(pq) < 1):
                 raise NotSquareSummable(
                     f"damped ratios |P| = {abs(p):.6g}, |PQ| = {abs(pq):.6g} "
                     f"reach 1 at r = {r}")
-            bottom, diagonal = p / (1 - p), pq / (1 - pq)
-            geometric = (1, bottom, diagonal, bottom * diagonal)
-            for amps, acc in zip(amplitudes, sums):
-                for s, g in enumerate(geometric):
-                    acc[s] += amps[t][s] * amps[u][s].conjugate() * g
-    factors = weight_factors(q)
-    return [sum(f * a for f, a in zip(factors, acc)).real for acc in sums]
+            twice = 1 if u == t else 2  # (u, t) adds the conjugate; real parts count
+            kp, npq = _moments(p, top), _moments(pq, top)
+            # k- and n-moments over the origin, bottom row, diagonal, interior
+            strata = ((origin, origin), (kp, origin), (origin, npq), (kp, npq))
+            for i, (a1, b1) in enumerate(pt):
+                for j, (a2, b2) in enumerate(pu):
+                    g = [twice * f * gk[a1 + a2] * gn[b1 + b2]
+                         for f, (gk, gn) in zip(factors, strata)]
+                    for k, (amps, conj) in enumerate(zip(amplitudes, conjugates)):
+                        a, c = amps[t][i], conj[u][j]
+                        sums[k] += (a[0] * c[0] * g[0] + a[1] * c[1] * g[1]
+                                    + a[2] * c[2] * g[2] + a[3] * c[3] * g[3])
+    return [acc.real for acc in sums]
 
 
-def _closed_report(q: int, param: SpectralParam, eps: float) -> ResidualReport:
-    """The report of a generic or trivial parameter from the geometric sums;
-    a trivial eigenfunction is exact, so its residuals are 0.0."""
-    terms = _expansion(q, param)
-    if param.stratum is Stratum.TRIVIAL:
-        (mass,) = _closed_masses(q, terms, 1.0 - eps, ())
-        ratios = [0.0, 0.0]
-    else:
-        mass, *squares = _closed_masses(q, terms, 1.0 - eps,
-                                        (table(q, +1), table(q, -1)))
-        ratios = [math.sqrt(sq / mass) for sq in squares]
+def _closed_report(q: int, param: SpectralParam, terms, steps,
+                   eps: float) -> ResidualReport:
+    """The report at eps; no steps (residuals 0.0) for an exact trivial s."""
+    r = 1.0 - eps
+    up, down = r - 1, r ** -1 - 1
+    mass, *squares = _closed_masses(q, terms, r, [
+        [[tuple(up * a + down * b for a, b in strata) for strata in term]
+         for term in table_steps] for table_steps in steps])
+    ratios = [math.sqrt(sq / mass) for sq in squares] or [0.0, 0.0]
     return ResidualReport(s=param.s, epsilon=eps, depth=None,
                           residual_plus=ratios[0], residual_minus=ratios[1],
                           norm=math.sqrt(mass), truncation_fraction=0.0)
@@ -260,25 +254,19 @@ def validate_eps(eps_list) -> tuple[float, ...]:
 
 
 def residual_sweep(q: int, param: SpectralParam, eps_list) -> list[ResidualReport]:
-    """Damped-family residual ratios for each eps.
-
-    Generic parameters take the geometric sums (no depth); double and
-    triple ones a float grid of depth ceil(DEPTH_COEFF/eps).  Trivial
-    parameters need no damping (the eigenfunction is already square-summable
-    and exact); they are reported undamped, with epsilon 0.
-    """
+    """Damped-family residual ratios for each eps, summed over the whole triangle;
+    trivial s (square-summable and exact) is reported undamped, with epsilon 0."""
     validate_q(q)
     eps_list = validate_eps(eps_list)
+    terms = _expansion(q, param)
     if param.stratum is Stratum.TRIVIAL:
-        return [_closed_report(q, param, 0.0)] * len(eps_list)
-    if param.stratum is Stratum.GENERIC:
-        return [_closed_report(q, param, eps) for eps in eps_list]
-    return [_damped_report(q, param, eps, math.ceil(DEPTH_COEFF / eps))
-            for eps in eps_list]
+        return [_closed_report(q, param, terms, (), 0.0)] * len(eps_list)
+    steps = [_residual_steps(q, terms, sign) for sign in (+1, -1)]
+    return [_closed_report(q, param, terms, steps, eps) for eps in eps_list]
 
 
 def is_decreasing(reports, slack: float = 1.05) -> bool:
-    """Residual ratios decrease along the sweep, up to 5% truncation slack."""
+    """No residual ratio grows by more than the factor slack along the sweep."""
     for a, b in zip(reports, reports[1:]):
         if b.residual_plus > slack * a.residual_plus:
             return False

@@ -52,9 +52,12 @@ from a2quotient.eigen import (
 )
 from a2quotient.operator import GridFunction, L2Space, _grid_mn
 from a2quotient.quotient import Vertex, coeffs, stabilizer_order, vertex_weight
-from a2quotient.spectra import TRUNC_LIMIT
 
 _Vertex = namedtuple("_Vertex", "m n")
+
+# the largest mass fraction on the masked last shell that damped_report_ref
+# accepts as a truncation of the infinite sums
+TRUNC_LIMIT = 0.01
 
 
 def forward_solve(q, lam_plus, lam_minus, depth):

@@ -171,7 +171,7 @@ class TestValidation:
         ("norm", ["--iters", "5"]),
         ("eigen", ["--s", "1,1,1", "--check"]),
         ("eigen", ["--lambda=7"]),
-        ("spectra", ["--witness", "--eps", "0.4,0.2"]),
+        ("spectra", ["--witness", "--eps", "0.4,0.1"]),
     ], ids=["norm-iters", "eigen-s-check", "eigen-lambda", "spectra-witness-eps"])
     def test_flag_position_does_not_matter(self, capsys, tmp_path, command, flags):
         runs = []
@@ -464,10 +464,10 @@ class TestSpectraCommand:
     def test_witness_reads_eps(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "--q", "2", "--emit", "json",
                                "--out", str(tmp_path), "spectra",
-                               "--samples", "8", "--witness", "--eps", "0.4,0.2")
+                               "--samples", "8", "--witness", "--eps", "0.4,0.1")
         assert code == 0
         witness = json.loads(out)["witness"]
-        assert [r["epsilon"] for r in witness["sweep"]] == [0.4, 0.2]
+        assert [r["epsilon"] for r in witness["sweep"]] == [0.4, 0.1]
         assert witness["margin_exact_check"] is True
 
     def test_sweep_and_witness_share_the_cusp_sweep(self, capsys, tmp_path,
@@ -482,7 +482,7 @@ class TestSpectraCommand:
         monkeypatch.setattr(spectra, "_closed_report", counted)
         code, out, _ = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
                                "spectra", "--samples", "8", "--sweep",
-                               "--witness", "--eps", "0.4,0.2")
+                               "--witness", "--eps", "0.4,0.1")
         assert code == 0
         assert len(calls) == 4  # two eps for each of the two families
         witness = json.loads(out)["witness"]
@@ -523,14 +523,29 @@ class TestWitnessCommand:
         monkeypatch.setattr(cli, "non_ramanujan_witness", lambda *a, **kw: replace(
             real(*a, **kw), decreasing=False))
         code, out, _ = run_cli(capsys, "--q", "2", "--out", str(tmp_path),
-                               *argv, "--eps", "0.4,0.2")
+                               *argv, "--eps", "0.4,0.1")
         assert code == 2
         payload = json.loads(out)
         assert payload.get("witness", payload)["decreasing"] is False
 
+    @pytest.mark.parametrize("argv", [["witness"], ["spectra", "--witness"]],
+                             ids=["witness", "spectra"])
+    @pytest.mark.parametrize("q, code", [(5, 0), (7, 2), (11, 2)])
+    def test_last_ratio_decides_the_exit(self, capsys, tmp_path, argv, q, code):
+        # one ladder for every q: its last ratio is 0.33 at q=5, 0.57 at
+        # q=7 and 1.16 at q=11, each sweep decreasing
+        got, out, _ = run_cli(capsys, "--q", str(q), "--out", str(tmp_path),
+                              *argv, "--eps", "0.2,0.1,0.05")
+        payload = json.loads(out)
+        witness = payload.get("witness", payload)
+        last = witness["sweep"][-1]
+        assert witness["decreasing"] is True
+        assert (max(last["residual_plus"], last["residual_minus"]) < 0.5) == (code == 0)
+        assert got == code
+
     def test_witness_q2(self, capsys):
         code, out, _ = run_cli(capsys, "--q", "2", "witness",
-                               "--eps", "0.4,0.3,0.2")
+                               "--eps", "0.4,0.2,0.1")
         assert code == 0
         payload = json.loads(out)
         assert payload["sigma2_contains"] is False
@@ -553,7 +568,7 @@ class TestWitnessCommand:
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("q = 3\nseed = 11\n")
         code, out, _ = run_cli(capsys, "--config", str(cfgfile), "witness",
-                               "--eps", "0.4,0.3")
+                               "--eps", "0.2,0.1")
         assert code == 0
         payload = json.loads(out)
         assert payload["q"] == 3 and payload["seed"] == 11
@@ -591,7 +606,7 @@ class TestWitnessCommand:
     ["eigen", "--s", "1,1,1"],
     ["norm", "--iters", "5"],
     ["spectra", "--samples", "8"],
-    ["witness", "--eps", "0.4,0.2"],
+    ["witness", "--eps", "0.2,0.1"],
 ], ids=lambda argv: argv[0])
 def test_summary_starts_with_seed_and_q(capsys, tmp_path, argv):
     code, out, _ = run_cli(capsys, "--q", "3", "--seed", "7", "--depth", "4",

@@ -15,9 +15,7 @@ from a2quotient.eigen import (
 )
 from a2quotient import eigen
 from a2quotient.operator import _grid_mn, apply_exact
-from a2quotient.spectra import (
-    TruncationTooCoarse, norm_divergence, residual_sweep,
-)
+from a2quotient.spectra import norm_divergence, residual_sweep
 from oracles import (
     Eisenstein, closed_form_ref, damped_ref, damped_report_ref, forward_solve,
     grid_residual_ref, trivial_eigenfunction_exact,
@@ -300,6 +298,26 @@ class TestEvaluator:
             for m, n in points:
                 assert eigenfunction_value(q, p, m, n) == grid[(m, n)], (name, m, n)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 11])
+    def test_expansion_is_the_closed_form(self, q):
+        # the residual sums' expansion q^m sum_t p_t(m - n, n) x_t^m y_t^n
+        # against the term tables, in every stratum
+        degree = {Stratum.GENERIC: 0, Stratum.TRIVIAL: 0, Stratum.DOUBLE: 1,
+                  Stratum.TRIPLE: 3}
+        points = [(0, 0), (1, 0), (1, 1), (2, 1), (17, 0), (17, 9), (17, 17),
+                  (40, 23), (60, 60)]
+        for name, p in stratum_params(q).items():
+            terms = eigen._expansion(q, p)
+            assert max(a + b for poly, _, _ in terms for a, b in poly) == degree[
+                p.stratum], name
+            for m, n in points:
+                k = m - n
+                got = q ** m * sum(
+                    sum(c * k ** a * n ** b for (a, b), c in poly.items())
+                    * x ** m * y ** n for poly, x, y in terms)
+                want = eigenfunction_value(q, p, m, n)
+                assert got == pytest.approx(want, rel=1e-12), (name, m, n)
+
     @pytest.mark.parametrize("depth", [30, 400])
     def test_gathered_powers_are_bit_identical(self, depth):
         m, n = _grid_mn(depth)
@@ -367,26 +385,24 @@ class TestPooledEvaluation:
                     got = np.array([eigenfunction_value(q, p, m, n)]).tobytes()
                     assert got == closed_form_ref(q, p, *index).tobytes(), (name, m, n)
 
-    @pytest.mark.parametrize("q", [2, 3, 5, 11])
-    def test_sweep_matches_the_allocating_oracle(self, q):
-        # the double and triple strata sweep float grids; the others take
-        # the geometric sums (test_spectra.TestClosedForm)
-        with np.errstate(all="ignore"):
-            for name, p in self.params(q).items():
-                if p.stratum not in (Stratum.DOUBLE, Stratum.TRIPLE):
-                    continue
-                for eps in (0.2, 0.1, 0.05, 0.025):
-                    depth = math.ceil(12.0 / eps)
-                    want = damped_report_ref(q, p, eps, depth)
-                    if isinstance(want, float):
-                        with pytest.raises(TruncationTooCoarse, match=f"{want:.3%}"):
-                            residual_sweep(q, p, [eps])
-                        continue
-                    r, = residual_sweep(q, p, [eps])
-                    got = (r.residual_plus, r.residual_minus, r.norm,
-                           r.truncation_fraction)
-                    # repr round-trips every float and compares NaN equal
-                    assert repr(got) == repr(want), (name, eps)
+    @pytest.mark.parametrize("q, eps_list, depth", [
+        (2, (0.2, 0.1, 0.05), 530), (3, (0.2, 0.1), 300), (5, (0.2, 0.1), 225)],
+        ids=["2", "3", "5"])
+    def test_sweep_matches_the_allocating_oracle(self, q, eps_list, depth):
+        # the double and triple sums against the float sweep on a grid deep
+        # enough that its masked shell and its underflowing weights q^(-2m)
+        # drop no more than rounding (the generic gate is in test_spectra)
+        params = [SpectralParam.from_triple(q, *unimodular_double(th))
+                  for th in (0.7, 2.0)]
+        params += [SpectralParam.from_triple(q, *triple_root(k)) for k in range(3)]
+        for p in params:
+            assert p.stratum in (Stratum.DOUBLE, Stratum.TRIPLE), p.s
+            for eps, r in zip(eps_list, residual_sweep(q, p, eps_list)):
+                want = damped_report_ref(q, p, eps, depth)
+                assert not isinstance(want, float), (p.s, eps)  # not truncated
+                got = (r.residual_plus, r.residual_minus, r.norm)
+                assert got == pytest.approx(want[:3], rel=1e-12), (p.s, eps)
+                assert (r.depth, r.truncation_fraction) == (None, 0.0)
 
     def test_results_never_alias_the_pool(self):
         q = 5

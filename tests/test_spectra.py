@@ -14,9 +14,9 @@ from a2quotient.eigen import (
 from a2quotient.operator import L2Space, tri_size
 from a2quotient.quotient import vertex_weight
 from a2quotient.spectra import (
-    InvalidEpsilon, ResidualReport, SetTag, TruncationTooCoarse,
-    classify_point, is_decreasing, non_ramanujan_witness, norm_divergence,
-    render_spectra, residual_sweep, sigma0, sigma1_point,
+    InvalidEpsilon, ResidualReport, SetTag, classify_point, is_decreasing,
+    non_ramanujan_witness, norm_divergence, render_spectra, residual_sweep,
+    sigma0, sigma1_point,
     sigma2_boundary_point, sigma2_contains, validate_eps,
 )
 from oracles import damped_report_ref, sigma1_distance, trivial_norm_sq_limit
@@ -114,6 +114,22 @@ class TestClassify:
         # between the curve and the region: no claim, hence Outside
         mid = 0.5 * (6.0 + 2 ** 1.5 + 2 + 2 ** 0.5)
         assert classify_point(q, complex(mid, 0)).set_tag is SetTag.OUTSIDE
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
+    def test_boundary_beside_the_cusps(self, q):
+        # phi = cusp +- 10^(-k/4): the roots coalesce towards the cusp and
+        # their moduli drift past TOL_POINT, while the discriminant stays
+        # below 1e-12 on the boundary and above 3e-8 a factor 1.001 out
+        for cusp in (0.0, 2 * math.pi / 3, 4 * math.pi / 3):
+            for k in range(36):
+                for sign in (1, -1):
+                    z = sigma2_boundary_point(q, cusp + sign * 10 ** (-k / 4))
+                    for scale, tag in ((1.0, SetTag.SIGMA2_BOUNDARY),
+                                       (0.999, SetTag.SIGMA2_INTERIOR),
+                                       (1.001, SetTag.OUTSIDE)):
+                        got = classify_point(q, scale * z).set_tag
+                        assert got is tag, (cusp, k, sign, scale)
+                    assert sigma2_contains(q, z) and not sigma2_contains(q, 1.001 * z)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
     def test_sigma1_curve_points(self, q):
@@ -216,9 +232,9 @@ class TestResidualSweep:
 
     def test_every_epsilon_checked_before_any_sweep(self, monkeypatch):
         calls = []
-        for route in ("_damped_report", "_closed_report"):
-            monkeypatch.setattr(spectra, route, lambda *a: calls.append(a))
-        for s in ((1.0, 1.0, 1.0), (1.0, ROT, ROT * ROT), (2.0, 1.0, 0.5)):
+        monkeypatch.setattr(spectra, "_closed_report", lambda *a: calls.append(a))
+        for s in ((1.0, 1.0, 1.0), (1.0, ROT, ROT * ROT), (2.0, 1.0, 0.5),
+                  (cmath.exp(1.4j), cmath.exp(-0.7j), cmath.exp(-0.7j))):
             param = SpectralParam.from_triple(2, *s)
             with pytest.raises(InvalidEpsilon, match="damping 0"):
                 residual_sweep(2, param, (0.2, 0.0))
@@ -232,16 +248,6 @@ class TestResidualSweep:
             residual_sweep(2, param, [])
         with pytest.raises(InvalidEpsilon, match="empty"):
             non_ramanujan_witness(2, [])
-
-    def test_truncation_guard(self, monkeypatch):
-        # the double stratum still sweeps a float grid
-        q, th = 2, 0.7
-        param = SpectralParam.from_triple(
-            q, cmath.exp(2j * th), cmath.exp(-1j * th), cmath.exp(-1j * th))
-        assert param.stratum is Stratum.DOUBLE
-        monkeypatch.setattr(spectra, "DEPTH_COEFF", 1.0)  # depth 5, far too shallow
-        with pytest.raises(TruncationTooCoarse):
-            residual_sweep(q, param, (0.2,))
 
     def test_slack_detector(self):
         q = 2
@@ -270,8 +276,9 @@ def sigma1_param(q, th):
 
 
 class TestClosedForm:
-    """Generic and trivial sweeps run on geometric sums over the term
-    tables, with no grid; the allocating float sweep is their oracle."""
+    """Every sweep runs on geometric sums over the expansion of its
+    stratum, with no grid; the allocating float sweep is their oracle (for
+    the double and triple strata in test_eigen)."""
 
     @staticmethod
     def families(q):
@@ -316,20 +323,15 @@ class TestClosedForm:
                                                 rel=1e-14)
 
     def test_route_per_stratum(self, monkeypatch):
-        # generic and trivial: the sums; double and triple: a depth-12/eps
-        # grid, until their derivative sums exist
+        # one route: the sums, one report per eps (one undamped for trivial)
         routes = []
+        real = spectra._closed_report
 
-        def counted(route):
-            real = getattr(spectra, route)
+        def counted(*a):
+            routes.append(a[1].stratum)
+            return real(*a)
 
-            def call(*a):
-                routes.append(route)
-                return real(*a)
-            return call
-
-        for route in ("_damped_report", "_closed_report"):
-            monkeypatch.setattr(spectra, route, counted(route))
+        monkeypatch.setattr(spectra, "_closed_report", counted)
         params = {
             Stratum.GENERIC: SpectralParam.from_triple(2, 1.0, ROT, ROT * ROT),
             Stratum.TRIVIAL: SpectralParam.from_triple(2, 2.0, 1.0, 0.5),
@@ -340,16 +342,11 @@ class TestClosedForm:
         for stratum, p in params.items():
             assert p.stratum is stratum
             routes.clear()
-            depths = [r.depth for r in residual_sweep(2, p, (0.2, 0.1))]
-            if stratum is Stratum.GENERIC:
-                assert routes == ["_closed_report"] * 2, stratum
-                assert depths == [None, None], stratum
-            elif stratum is Stratum.TRIVIAL:
-                assert routes == ["_closed_report"], stratum  # one undamped report
-                assert depths == [None, None], stratum
-            else:
-                assert routes == ["_damped_report"] * 2, stratum
-                assert depths == [60, 120], stratum
+            reports = residual_sweep(2, p, (0.2, 0.1))
+            calls = 1 if stratum is Stratum.TRIVIAL else 2
+            assert routes == [stratum] * calls, stratum
+            assert [(r.depth, r.truncation_fraction) for r in reports] == [
+                (None, 0.0)] * 2, stratum
 
     def test_divergent_pair_raises(self):
         # a generic point off sigma1 whose largest root has modulus 1.8:
@@ -363,7 +360,7 @@ class TestClosedForm:
         # the boundary |P| = 1 and a NaN ratio raise too, never a continuation
         for x in (1.0, complex("nan")):
             with pytest.raises(spectra.NotSquareSummable):
-                spectra._closed_masses(q, [(1.0, x, 1.0)], 1.0, ())
+                spectra._closed_masses(q, [({(0, 0): 1.0}, x, 1.0)], 1.0, ())
 
     def test_default_ladder(self):
         assert spectra.default_ladder(2) == LADDER
@@ -372,6 +369,25 @@ class TestClosedForm:
             ladder = spectra.default_ladder(q)
             assert ladder[0] == pytest.approx(0.2 * (3 / q) ** 1.5)
             assert all(b == a / 2 for a, b in zip(ladder, ladder[1:]))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 31, 101])
+    def test_double_and_triple_scan(self, q):
+        # the boundary and the cusps of sigma2 on the default ladder
+        params = [SpectralParam.from_triple(
+            q, cmath.exp(2j * th), cmath.exp(-1j * th), cmath.exp(-1j * th))
+            for th in (0.7, 2.0)]
+        params += [SpectralParam.from_triple(q, w, w, w)
+                   for w in (1.0, ROT, ROT * ROT)]
+        for p in params:
+            assert p.stratum in (Stratum.DOUBLE, Stratum.TRIPLE), p.s
+            reports = residual_sweep(q, p, spectra.default_ladder(q))
+            assert all(r.depth is None for r in reports), p.s
+            ratios = [(r.residual_plus, r.residual_minus) for r in reports]
+            assert all(math.isfinite(x) for r in reports
+                       for x in (r.residual_plus, r.residual_minus, r.norm)), p.s
+            assert all(b[0] < a[0] and b[1] < a[1]
+                       for a, b in zip(ratios, ratios[1:])), p.s
+            assert max(ratios[-1]) < 0.5, p.s
 
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13, 31, 101])
     def test_witness_scan(self, q):
