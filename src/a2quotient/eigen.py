@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import validate_q
-from .operator import GridFunction, L2Space, _grid_mn
+from .operator import GridFunction, L2Space, _blocks, _grid_mn
 
 TOL_S = 1e-10        # membership in the parameter set
 TOL_SING = 1e-4      # stratum dispatch on pairwise root distances
@@ -262,12 +262,21 @@ def _sum_of_products(terms) -> np.ndarray:
 
 def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
                  n: np.ndarray) -> np.ndarray:
-    """f(v_mn) at each index pair of the arrays m, n, as a fresh array: the
-    stratum's term table (see the module docstring), then its final factor."""
+    """f(v_mn) at each index pair of the arrays m, n, block by block."""
+    form = _form(q, param, int(m.max()))
+    out = np.empty(m.shape, dtype=np.complex128)
+    for b in _blocks(m.size):
+        out[b] = form(m[b], n[b])
+    return out
+
+
+def _form(q: int, param: SpectralParam, top: int):
+    """The closed form of param on index arrays with entries in 0 .. top: the
+    stratum's tables, then its term table and its final factor."""
     s = param.s
-    top = int(m.max())
     if param.stratum is Stratum.TRIVIAL:
-        return _cycle(s, 2 * top)[m + n]
+        cycle = _cycle(s, 2 * top)
+        return lambda m, n: cycle[m + n]
 
     k = np.arange(top + 1)
     kf = k.astype(np.float64)
@@ -276,29 +285,31 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
     if param.stratum is Stratum.TRIPLE:
         scale = 2 * (q + 1) * (q * q + q + 1)
         u, v = (q - 1) ** 2 * (q + 1), (q - 1) ** 3
-        bracket = [[(scale - 3 * (q - 1) * (q + 1) ** 2 * kf + u * kf * kf, m)],
-                   [(2 * u * kf - v * kf * kf, m), (kf, n)],
-                   [(v * kf - 2 * u, m), (kf * kf, n)]]
-        x = np.multiply(_cycle(s, 2 * top)[m + n], qk[m])
-        return np.divide(np.multiply(x, _sum_of_products(bracket)), scale)
+        a = scale - 3 * (q - 1) * (q + 1) ** 2 * kf + u * kf * kf
+        b, c, kk = 2 * u * kf - v * kf * kf, v * kf - 2 * u, kf * kf
+        cycle = _cycle(s, 2 * top)
+        return lambda m, n: np.divide(np.multiply(
+            np.multiply(cycle[m + n], qk[m]),
+            _sum_of_products([[(a, m)], [(b, m), (kf, n)], [(c, m), (kk, n)]])),
+            scale)
 
     if param.stratum is Stratum.DOUBLE:
         s1, s2 = _split_double(s)
         den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
         p1, p2 = np.power(s1, k), np.power(s2, k)
         lin = (1 - q) * kf + (q + 1)
+        c1, c2 = (s1 - q * s2) ** 2 * lin, (s2 - q * s1) ** 2 * lin
         c3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * kf
               + (q + 1) * (q * (s1 * s1 + s2 * s2)
                            - 2 * (q * q - q + 1) * s1 * s2))
-        bracket = [[((s1 - q * s2) ** 2 * lin, n), (p1, m), (p2, n)],
-                   [((s2 - q * s1) ** 2 * lin, m - n), (p2, m), (p2, n)],
-                   [(c3, m), (p1, n), (p2, m)]]
-        return np.divide(np.multiply(qk[m], _sum_of_products(bracket)), den)
+        return lambda m, n: np.divide(np.multiply(qk[m], _sum_of_products([
+            [(c1, n), (p1, m), (p2, n)], [(c2, m - n), (p2, m), (p2, n)],
+            [(c3, m), (p1, n), (p2, m)]])), den)
 
     powers = {z: np.power(z, k) for z in s}  # the terms' x and y are roots
-    terms = [[(p[0, 0] * powers[x], m), (powers[y], n)]
-             for p, x, y in _expansion(q, param)]
-    return np.multiply(qk[m], _sum_of_products(terms))
+    tables = [(p[0, 0] * powers[x], powers[y]) for p, x, y in _expansion(q, param)]
+    return lambda m, n: np.multiply(
+        qk[m], _sum_of_products([[(x, m), (y, n)] for x, y in tables]))
 
 
 def _expansion(q: int, param: SpectralParam) -> list[tuple[dict, complex, complex]]:
@@ -358,8 +369,9 @@ def damped_grid(q: int, param: SpectralParam, eps: float, depth: int) -> GridFun
     if eps == 0.0:
         return f
     m, _ = _grid_mn(depth)
-    # real factors: an in-place product rounds as a fresh one does
-    f.values *= np.power(1.0 - eps, np.arange(depth + 1))[m]
+    damp = np.power(1.0 - eps, np.arange(depth + 1))
+    for b in _blocks(m.size):  # not *=, see the operator module docstring
+        f.values[b] = np.multiply(f.values[b], damp[m[b]])
     return f
 
 
@@ -373,13 +385,13 @@ def recurrence_residual(q: int, param: SpectralParam, depth: int) -> float:
 def _grid_residual(space: L2Space, param: SpectralParam, f: GridFunction) -> float:
     """recurrence_residual for the grid f of param, already evaluated."""
     pair = eigenvalue_pair(space.q, param)
-    abs_f = np.abs(f.values)
     worst = 0.0
     for sign, lam in ((+1, pair.lambda_plus), (-1, pair.lambda_minus)):
-        image, _ = space.apply(sign, f)  # A f - lam f
-        image.values -= np.multiply(lam, f.values)
-        ratio = np.abs(image.values)
-        del image  # freed before the next apply, so its block is reused
-        ratio /= abs(lam) * abs_f + 1.0
-        worst = max(worst, float(ratio[space.interior].max()))
+        image = space.apply(sign, f)[0].values
+        maxima = [np.max(np.abs(image[b] - np.multiply(lam, f.values[b]))
+                         / (abs(lam) * np.abs(f.values[b]) + 1.0))
+                  for b in _blocks(space.interior.stop)]
+        del image  # freed before the next apply, so its memory is reused
+        # np.max keeps a NaN block maximum, as one max over the rows does
+        worst = max(worst, float(np.max(maxima)))
     return worst

@@ -31,6 +31,10 @@ schoolbook from the top term), with no ``Poly`` in them, for checking every
 way ``ProjMat.of`` took it before it started its content gcd at the
 lowest-degree entry: a sequential gcd over the entries in row-major order,
 from the zero polynomial, stopped at the first constant.
+``same_bits`` compares float or complex arrays bit for bit, except that any
+NaN matches any NaN.
+``traced_peak`` is the peak of the memory a call allocates, numpy arrays
+included, as tracemalloc sees it.
 ``complex_files_ref`` restates the three files of the ``complex``
 subcommand vertex by vertex from the package's per-vertex objects
 (``coeffs``, ``vertex_weight``, ``stabilizer_order``); it checks the
@@ -41,6 +45,7 @@ layout of the shell-by-shell writer, while ``expected_rows`` and
 import cmath
 import json
 import math
+import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 
@@ -561,3 +566,32 @@ def damped_report_ref(q, param, eps, depth):
         resid = GridFunction(depth, af.values - lam * f.values)
         ratios.append(space.norm(resid, where=space.interior) / kept)
     return ratios[0], ratios[1], math.sqrt(total_sq), frac
+
+
+def same_bits(got, want):
+    """Bitwise equality of two float or complex arrays, except that a NaN
+    matches any NaN: IEEE 754 leaves the sign and payload of a NaN result
+    open, and numpy's vector loops and the scalar loop that ends a call
+    (every entry of a call shorter than a vector) pick them differently."""
+    a = np.ascontiguousarray(got).view(np.float64)
+    b = np.ascontiguousarray(want).view(np.float64)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and np.array_equal(nan, np.isnan(b))
+            and a[~nan].tobytes() == b[~nan].tobytes())
+
+
+def traced_peak(call):
+    """Bytes above the starting level at the peak of call(), made after one
+    untraced warm-up call that fills the caches it reads."""
+    call()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

@@ -13,12 +13,14 @@ from a2quotient.eigen import (
     damped_grid, eigenfunction_grid, eigenfunction_value, eigenvalue_pair,
     params_from_eigenvalue, recurrence_residual, solve_unit_cubic,
 )
-from a2quotient import eigen
-from a2quotient.operator import _grid_mn, apply_exact
+from a2quotient import eigen, operator
+from a2quotient.operator import (
+    GridFunction, L2Space, _grid_mn, apply_exact, tri_size,
+)
 from a2quotient.spectra import norm_divergence, residual_sweep
 from oracles import (
     Eisenstein, closed_form_ref, damped_ref, damped_report_ref, forward_solve,
-    grid_residual_ref, trivial_eigenfunction_exact,
+    grid_residual_ref, same_bits, traced_peak, trivial_eigenfunction_exact,
 )
 
 
@@ -341,7 +343,9 @@ class TestEvaluator:
 class TestPooledEvaluation:
     """The closed forms, damping and residuals gather their term tables and
     must reproduce the allocating oracles bit for bit, non-finite grids
-    included; nothing they return changes under later calls."""
+    included; nothing they return changes under later calls.  (Named for a
+    scratch pool the evaluators once shared; each call now makes its own
+    arrays, block-sized apart from what it returns.)"""
 
     @staticmethod
     def params(q):
@@ -405,6 +409,8 @@ class TestPooledEvaluation:
                 assert (r.depth, r.truncation_fraction) == (None, 0.0)
 
     def test_results_never_alias_the_pool(self):
+        """Returned grids are fresh arrays: later calls leave them as they
+        were."""
         q = 5
         kept = {}
         with np.errstate(all="ignore"):
@@ -425,8 +431,9 @@ class TestPooledEvaluation:
             assert damped.values.tobytes() == damped_bytes, name
 
     def test_threads_keep_their_own_blocks(self):
-        # numpy releases the interpreter lock inside take and the ufuncs, so
-        # threads sharing a block would overwrite each other's intermediates
+        """Concurrent threads get the single-threaded results: numpy
+        releases the interpreter lock inside take and the ufuncs, so
+        intermediates shared between calls would be overwritten."""
         params = list(self.params(2).values())
         want = [(damped_grid(2, p, 0.1, 61).values.tobytes(),
                  recurrence_residual(2, p, 61)) for p in params]
@@ -452,6 +459,70 @@ class TestPooledEvaluation:
             sys.setswitchinterval(interval)
         assert not any(w.is_alive() for w in workers)
         assert errors == []
+
+
+class TestBlocks:
+    """The closed forms, damping and residuals at block sizes that end
+    blocks inside every grid (see test_operator.TestBlocks), against the
+    allocating oracles; NaN matches NaN (``same_bits``)."""
+
+    @pytest.fixture(params=[1, 2, 7, 64])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(operator, "_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("q", [2, 3, 11])
+    def test_grids_damping_and_residuals(self, block, q):
+        params = {**TestPooledEvaluation.params(q),
+                  "cube_root": SpectralParam.from_triple(q, *triple_root(2))}
+        for name, p in params.items():
+            for depth in (2, 23):
+                want = closed_form_ref(q, p, *_grid_mn(depth))
+                got = eigenfunction_grid(q, p, depth).values
+                assert same_bits(got, want), (name, depth)
+                got = damped_grid(q, p, 0.1, depth).values
+                want = damped_ref(q, p, 0.1, depth).values
+                assert same_bits(got, want), (name, depth)
+                want = grid_residual_ref(q, p, damped_ref(q, p, 0.0, depth))
+                assert recurrence_residual(q, p, depth) == want, (name, depth)
+            for m, n in ((0, 0), (5, 3), (23, 17)):
+                index = np.array([m]), np.array([n])
+                got = np.array([eigenfunction_value(q, p, m, n)])
+                assert same_bits(got, closed_form_ref(q, p, *index)), (name, m, n)
+
+    @pytest.mark.parametrize("q", [2, 11])
+    def test_residual_of_nonfinite_grids(self, block, q):
+        # a NaN row makes its direction's maximum NaN, over blocks as over
+        # all rows, and max(worst, nan) then drops it, as in the oracle
+        # (ROADMAP item 1's defect)
+        rng = np.random.default_rng(block)
+        depth = 23
+        space = L2Space(q, depth)
+        for name, p in TestPooledEvaluation.params(q).items():
+            values = eigenfunction_grid(q, p, depth).values.copy()
+            values[rng.integers(0, values.size, 9)] = [
+                np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 1.0),
+                complex(0.0, np.nan), 1e308, -1e308, 0.0]
+            f = GridFunction(depth, values)
+            with np.errstate(all="ignore"):
+                want = grid_residual_ref(q, p, f)
+                assert eigen._grid_residual(space, p, f) == want, name
+
+    def test_temporaries_are_block_sized(self, monkeypatch):
+        # a grid, and for the residual its image, are the only T-length
+        # arrays; the rest is O(_BLOCK) plus O(depth) tables and fix rows
+        block, depth = 1024, 480
+        monkeypatch.setattr(operator, "_BLOCK", block)
+        size = tri_size(depth)
+        slack = 4 * 16 * block + 512 * depth
+        assert slack < 8 * size
+        for name, p in TestPooledEvaluation.params(3).items():
+            grid = traced_peak(lambda: eigenfunction_grid(3, p, depth))
+            damped = traced_peak(lambda: damped_grid(3, p, 0.1, depth))
+            residual = traced_peak(lambda: recurrence_residual(3, p, depth))
+            assert grid <= 16 * size + slack, name
+            assert damped <= 16 * size + slack, name
+            assert residual <= 32 * size + slack, name
 
 
 class TestResidualContract:

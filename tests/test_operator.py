@@ -10,9 +10,10 @@ from a2quotient.operator import (
     DimensionMismatch, GridFunction, L2Space, ZeroFunction, apply_exact,
     inner_exact, tri_size, vertex_index,
 )
-from a2quotient.quotient import Vertex, vertex_weight
+from a2quotient.quotient import Vertex, stratum, vertex_weight, weight_factors
 from oracles import (
-    Eisenstein, expected_rows, gather_ref, trivial_norm_sq_limit, weight_of,
+    Eisenstein, expected_rows, gather_ref, same_bits, traced_peak,
+    trivial_norm_sq_limit, weight_of,
 )
 
 
@@ -135,6 +136,25 @@ def seeded_values(rng, size):
     return z
 
 
+def check_gather(q, depth, rng, same):
+    """apply on seeded_values against gather_ref, compared by same, and
+    apply_exact on Fractions against it exactly, in both directions."""
+    space = L2Space(q, depth)
+    for sign in (+1, -1):
+        f = GridFunction(depth, seeded_values(rng, tri_size(depth)))
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, _ = space.apply(sign, f)
+            want = gather_ref(q, depth, sign, f.values)
+        assert same(got.values, want), sign
+        exact = [Fraction(int(a), int(b)) for a, b in zip(
+            rng.integers(-50, 50, tri_size(depth)),
+            rng.integers(1, 9, tri_size(depth)))]
+        got_exact, _ = apply_exact(q, depth, sign, exact)
+        want_exact = gather_ref(q, depth, sign, np.array(exact, dtype=object))
+        assert [(type(x), x) for x in got_exact] == \
+            [(type(x), x) for x in want_exact]
+
+
 class TestGather:
     # depth 120 runs the interior slots, the slice slot and the SIMD tails
     # over many long shells
@@ -142,21 +162,8 @@ class TestGather:
         (depth, q) for depth in (2, 3, 4, 10, 40) for q in (2, 3, 5, 7, 11)
     ] + [(120, 2), (120, 3)])
     def test_bit_identical_to_row_major_reference(self, q, depth):
-        rng = np.random.default_rng(100 * q + depth)
-        space = L2Space(q, depth)
-        for sign in (+1, -1):
-            f = GridFunction(depth, seeded_values(rng, tri_size(depth)))
-            with np.errstate(invalid="ignore", over="ignore"):
-                got, _ = space.apply(sign, f)
-                want = gather_ref(q, depth, sign, f.values)
-            assert got.values.tobytes() == want.tobytes()
-            exact = [Fraction(int(a), int(b)) for a, b in zip(
-                rng.integers(-50, 50, tri_size(depth)),
-                rng.integers(1, 9, tri_size(depth)))]
-            got_exact, _ = apply_exact(q, depth, sign, exact)
-            want_exact = gather_ref(q, depth, sign, np.array(exact, dtype=object))
-            assert [(type(x), x) for x in got_exact] == \
-                [(type(x), x) for x in want_exact]
+        check_gather(q, depth, np.random.default_rng(100 * q + depth),
+                     lambda got, want: got.tobytes() == want.tobytes())
 
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_kernel_stores_one_integer_per_interior_slot(self, sign):
@@ -209,6 +216,73 @@ class TestGather:
             operator._check_space(2, 65_535)
 
 
+class TestBlocks:
+    """The float kernels run over blocks of ``operator._BLOCK`` entries.  At
+    depth 120 and below the production block never ends inside the grid,
+    so these tests shrink it: every kernel then crosses many block
+    boundaries, and blocks of one entry meet numpy's different rounding of
+    an in-place complex product of length 1.  Blocks shorter than a vector
+    run numpy's scalar loops, which pick another NaN than its vector loops
+    when two meet, so NaN matches NaN here (``same_bits``)."""
+
+    @pytest.fixture(params=[1, 2, 7, 64])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(operator, "_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("q, depth", [(2, 10), (3, 23), (7, 4)])
+    def test_gather_matches_the_row_major_reference(self, block, q, depth):
+        check_gather(q, depth, np.random.default_rng(7 * block + depth),
+                     same_bits)
+
+    @pytest.mark.parametrize("q, depth", [(2, 10), (3, 23), (11, 3)])
+    def test_inner_mass_and_norm_match_the_allocating_formulas(self, block, q,
+                                                               depth):
+        # over the full space, the interior and each single vertex: a sum
+        # of many products can hide a last-bit change in one of them
+        rng = np.random.default_rng(11 * block + depth)
+        space = L2Space(q, depth)
+        size = tri_size(depth)
+        special = [seeded_values(rng, size) for _ in range(2)]
+        finite = [rng.standard_normal(size) + 1j * rng.standard_normal(size)
+                  for _ in range(2)]
+        wheres = [slice(None), space.interior]
+        wheres += [slice(k, k + 1) for k in range(size)]
+        with np.errstate(invalid="ignore", over="ignore"):
+            for f, g in (special, finite):
+                f, g = GridFunction(depth, f), GridFunction(depth, g)
+                for where in wheres:
+                    w, fv = space.weights[where], f.values[where]
+                    prod = np.multiply(np.multiply(w, fv),
+                                       np.conjugate(g.values[where]))
+                    a = np.abs(fv)
+                    mass = np.multiply(np.multiply(w, a), a)
+                    got = [space.inner(f, g, where), space.norm(f, where)]
+                    want = [complex(prod.sum()), float(np.sqrt(mass.sum()))]
+                    assert same_bits(np.array(got), np.array(want)), where
+                    assert same_bits(space.mass(f, where), mass), where
+
+    @pytest.mark.parametrize("block", [1024, 2048])
+    def test_temporaries_are_block_sized(self, monkeypatch, block):
+        # beside the array it returns, each kernel allocates O(_BLOCK) plus
+        # O(depth) for the fix rows: a T-length float temporary alone
+        # (8 T = 645 KB at depth 400) exceeds that slack
+        monkeypatch.setattr(operator, "_BLOCK", block)
+        depth = 400
+        size = tri_size(depth)
+        space = L2Space(3, depth)
+        f = GridFunction(depth, np.random.default_rng(1).standard_normal(size))
+        slack = 4 * 16 * block + 512 * depth
+        assert slack < 8 * size
+        assert traced_peak(lambda: space.apply(+1, f)) <= 16 * size + slack
+        assert traced_peak(lambda: space.apply(-1, f)) <= 16 * size + slack
+        # inner keeps its one T-length product, for numpy's pairwise sum
+        assert traced_peak(lambda: space.inner(f, f)) <= 16 * size + slack
+        assert traced_peak(lambda: space.mass(f)) <= 8 * size + slack
+        assert traced_peak(lambda: space.norm(f, space.interior)) <= \
+            8 * size + slack
+
+
 class TestInner:
     def test_indicator_weight(self):
         space = L2Space(2, 3)
@@ -231,6 +305,15 @@ class TestInner:
                     assert space.inner(f, f) == pytest.approx(
                         float(weight_of(q, m, n)), rel=1e-14)
                     assert weight_of(q, m, n) == vertex_weight(q, m, n)
+
+    @pytest.mark.parametrize("q", [2, 3, 7, 101])
+    def test_weights_gather_the_per_vertex_powers(self, q):
+        # q^(-2m) from a table over m, bit for bit, into the subnormals
+        depth = 480
+        m, n = operator._grid_mn(depth)
+        factor = np.array([float(c) for c in weight_factors(q)])
+        want = factor[stratum(m, n)] * np.power(float(q), -2.0 * m)
+        assert L2Space(q, depth).weights.tobytes() == want.tobytes()
 
     def test_constant_norm_limit(self):
         # total mass of the constant function tends to 8/7 at q=2
