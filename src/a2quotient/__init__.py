@@ -5,9 +5,8 @@ eigenfunctions, and the spectrum sets with the non-Ramanujan witness."""
 
 from .algebra import Poly, RatFunc, parse_poly, parse_ratfunc
 from .eigen import (
-    SpectralParam, Stratum, damped_grid, eigenfunction_grid,
-    eigenfunction_value, eigenvalue_pair, params_from_eigenvalue,
-    recurrence_residual,
+    SpectralParam, Stratum, eigenfunction_grid, eigenfunction_value,
+    eigenvalue_pair, params_from_eigenvalue, recurrence_residual,
 )
 from .operator import GridFunction, L2Space, apply_exact, inner_exact
 from .quotient import (

@@ -31,7 +31,7 @@ from .eigen import (
     params_from_eigenvalue,
 )
 from .operator import L2Space, tri_size, vertex_index
-from .quotient import stabilizer_order, stratum, table, weight_factors
+from .quotient import QuotientComplex
 from .reduction import ProjMat, reduce_matrix, verify_witness
 from .spectra import (
     SetTag, curve_samples, default_ladder, is_decreasing, non_ramanujan_witness,
@@ -156,29 +156,6 @@ def cmd_reduce(args) -> tuple[int, dict]:
                                   "w": str(result.w), "verified": verified}
 
 
-def _shells(q: int, depth: int):
-    """The complex shell by shell, built per stratum and never per vertex:
-    for each m, the strata of shell m in n order, each as its range of n,
-    exact weight, stabilizer order and the steps (dm, dn, c) of A+ and A-
-    as (label, in range, masked); a step is masked when m + dm > depth.
-    Order within a direction: in-range steps, then masked, each in slot
-    order of ``table``."""
-    factors = weight_factors(q)
-    tables = [(label, table(q, sign))
-              for sign, label in ((+1, "plus"), (-1, "minus"))]
-    for m in range(depth + 1):
-        strata = []
-        # n = 0, the interior 0 < n < m, n = m (the same vertex at m = 0)
-        for ns in filter(None, (range(1), range(1, m), range(max(m, 1), m + 1))):
-            s = stratum(m, ns[0])
-            rows = [(label, [st for st in tab[s] if m + st[0] <= depth],
-                     [st for st in tab[s] if m + st[0] > depth])
-                    for label, tab in tables]
-            strata.append((ns, factors[s] / q ** (2 * m),
-                           stabilizer_order(q, m, ns[0]), rows))
-        yield m, strata
-
-
 def cmd_complex(args) -> tuple[int, dict]:
     if args.fmt == "json":
         return _complex_json(args)
@@ -186,7 +163,7 @@ def cmd_complex(args) -> tuple[int, dict]:
               "m,n,color,weight_num,weight_den,stabilizer_order") as vf, \
             _csv(args, "complex_rows.csv",
                  "m,n,direction,target_m,target_n,coefficient,masked") as rf:
-        for m, strata in _shells(args.q, args.depth):
+        for m, strata in QuotientComplex(args.q, args.depth).shells():
             vlines, rlines = [], []
             for ns, w, order, rows in strata:
                 # format fields: {0} n-1, {1} n, {2} n+1, {3} the color (m+n) % 3
@@ -216,7 +193,7 @@ def _complex_json(args) -> tuple[int, dict]:
             "masked": [{"m": m + dm, "n": n + dn, "coefficient": c}
                        for dm, dn, c in masked],
         } for label, inside, masked in rows},
-    } for m, strata in _shells(args.q, args.depth)
+    } for m, strata in QuotientComplex(args.q, args.depth).shells()
         for ns, w, order, rows in strata for n in ns]
     path = _open_out(args, "complex.json")
     payload = {"seed": args.seed, "q": args.q, "depth": args.depth,

@@ -361,20 +361,6 @@ def eigenfunction_value(q: int, param: SpectralParam, m: int, n: int) -> complex
     return complex(_closed_form(q, param, *index)[0])
 
 
-def damped_grid(q: int, param: SpectralParam, eps: float, depth: int) -> GridFunction:
-    """(1 - eps)^m times the eigenfunction; square-summable for eps > 0."""
-    if not 0 <= eps < 0.5:
-        raise ValueError("damping must lie in [0, 1/2)")
-    f = eigenfunction_grid(q, param, depth)
-    if eps == 0.0:
-        return f
-    m, _ = _grid_mn(depth)
-    damp = np.power(1.0 - eps, np.arange(depth + 1))
-    for b in _blocks(m.size):  # not *=, see the operator module docstring
-        f.values[b] = np.multiply(f.values[b], damp[m[b]])
-    return f
-
-
 def recurrence_residual(q: int, param: SpectralParam, depth: int) -> float:
     """max over unmasked vertices and both directions of
     |A f - lambda f| / (1 + |lambda| |f|) for the closed-form f."""

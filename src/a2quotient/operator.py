@@ -27,7 +27,7 @@ signed zeros included, and NaN where it is NaN (which of two NaNs
 survives depends on the numpy loop).
 
 The float kernels (the gather, ``inner``, ``mass``; in ``eigen`` the closed
-forms, damping and residuals) run over blocks of ``_BLOCK`` = 2^14 entries,
+forms and residuals) run over blocks of ``_BLOCK`` = 2^14 entries,
 256 KiB of complex128, that stay in the L2 cache: only what they return is
 T long.  ``inner`` keeps one T-length product and sums it once, so numpy's
 pairwise summation gives the unblocked sum.  Complex products go to a
@@ -349,7 +349,8 @@ class L2Space:
     def norm_estimate(self, iters: int) -> float:
         """Power iteration on the compression of A- A+ started at the
         constant function; returns the square root of the top-eigenvalue
-        estimate.  Non-decreasing in depth, never above q^2 + q + 1."""
+        estimate.  Non-decreasing in depth, at most q^2 + q + 1 up to
+        rounding (it reads 13.000000000000002 at q = 3)."""
         if iters < 1:
             raise ValueError("need at least one iteration")
         f = GridFunction(self.depth, np.ones(tri_size(self.depth)))

@@ -15,7 +15,11 @@ only on the stratum.  ``table(q, sign)`` is the one copy of the integer
 coefficients in the package: the rows here and the operator kernel in
 :mod:`a2quotient.operator` both read it, and ``weight_factors(q)`` holds
 the per-stratum weight factors from which the vertex weights, the
-stabilizer orders and both inner products derive.  Displayed:
+stabilizer orders and both inner products derive.  ``QuotientComplex``
+owns the truncation at depth M: ``row`` splits one vertex's row into the
+terms within the depth and the masked ones, and ``shells`` gives the same
+split shell by shell and stratum by stratum, the view the ``complex``
+subcommand writes.  Displayed:
 
     A+ : v00 -> (v10, q^2+q+1)
          v_m0 -> (v_{m+1,0}, 1), (v_m1, q^2+q)
@@ -130,10 +134,7 @@ def table(q: int, sign: int) -> tuple[tuple[tuple[int, int, int], ...], ...]:
 def neighbors(v: Vertex) -> list[Vertex]:
     """All vertices joined to v by an edge (no truncation): the targets of
     the two operator rows at v, whose steps are the same for every q."""
-    m, n = v
-    s = stratum(m, n)
-    return [Vertex(m + dm, n + dn)
-            for sign in (+1, -1) for dm, dn, _ in table(2, sign)[s]]
+    return [t for sign in (+1, -1) for t, _ in coeffs(2, v, sign)]
 
 
 def is_adjacent(u: Vertex, v: Vertex) -> bool:
@@ -237,6 +238,15 @@ class CoeffRow:
     masked: tuple[tuple[Vertex, int], ...]
 
 
+def _split(steps, m: int, depth: int) -> tuple[list, list]:
+    """The steps (dm, dn, c) of a row on shell m as (in range, masked),
+    each in slot order: a step is masked when m + dm > depth."""
+    inside, masked = [], []
+    for step in steps:
+        (masked if m + step[0] > depth else inside).append(step)
+    return inside, masked
+
+
 class QuotientComplex:
     """Truncated weighted complex at prime q, depth M >= 2."""
 
@@ -256,7 +266,28 @@ class QuotientComplex:
     def row(self, v: Vertex, sign: int) -> CoeffRow:
         if v.m > self.depth:
             raise ValueError("vertex beyond truncation depth")
-        inside, outside = [], []
-        for term in coeffs(self.q, v, sign):
-            (inside if term[0].m <= self.depth else outside).append(term)
-        return CoeffRow(terms=tuple(inside), masked=tuple(outside))
+        m, n = v
+        terms, masked = (tuple((Vertex(m + dm, n + dn), c) for dm, dn, c in part)
+                         for part in _split(table(self.q, sign)[stratum(m, n)],
+                                            m, self.depth))
+        return CoeffRow(terms=terms, masked=masked)
+
+    def shells(self):
+        """The complex shell by shell, built per stratum and never per
+        vertex: for each m, the strata of shell m in n order, each as its
+        range of n, exact weight, stabilizer order and the steps (dm, dn, c)
+        of A+ and A- as (label, in range, masked), split as ``row`` splits
+        them."""
+        q, depth = self.q, self.depth
+        tables = [(label, table(q, sign))
+                  for sign, label in ((+1, "plus"), (-1, "minus"))]
+        for m in range(depth + 1):
+            strata = []
+            # n = 0, the interior 0 < n < m, n = m (the same vertex at m = 0)
+            for ns in filter(None, (range(1), range(1, m), range(max(m, 1), m + 1))):
+                n = ns[0]
+                rows = [(label, *_split(tab[stratum(m, n)], m, depth))
+                        for label, tab in tables]
+                strata.append((ns, vertex_weight(q, m, n),
+                               stabilizer_order(q, m, n), rows))
+            yield m, strata

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from a2quotient.eigen import (
-    NotInS, SpectralParam, Stratum, b_coefficients,
-    damped_grid, eigenfunction_grid, eigenfunction_value, eigenvalue_pair,
-    params_from_eigenvalue, recurrence_residual, solve_unit_cubic,
+    NotInS, SpectralParam, Stratum, b_coefficients, eigenfunction_grid,
+    eigenfunction_value, eigenvalue_pair, params_from_eigenvalue,
+    recurrence_residual, solve_unit_cubic,
 )
 from a2quotient import eigen, operator
 from a2quotient.operator import (
@@ -336,16 +336,12 @@ class TestEvaluator:
         p = SpectralParam.from_triple(2, *triple_root(0))
         with pytest.raises(ValueError, match="depth"):
             eigenfunction_grid(2, p, -1)
-        with pytest.raises(ValueError, match="depth"):
-            damped_grid(2, p, 0.1, -3)
 
 
-class TestPooledEvaluation:
-    """The closed forms, damping and residuals gather their term tables and
-    must reproduce the allocating oracles bit for bit, non-finite grids
-    included; nothing they return changes under later calls.  (Named for a
-    scratch pool the evaluators once shared; each call now makes its own
-    arrays, block-sized apart from what it returns.)"""
+class TestAgainstOracles:
+    """The closed forms and residuals gather their term tables and must
+    reproduce the allocating oracles bit for bit, non-finite grids
+    included; nothing they return changes under later calls."""
 
     @staticmethod
     def params(q):
@@ -376,10 +372,6 @@ class TestPooledEvaluation:
                     want = closed_form_ref(q, p, *_grid_mn(depth)).tobytes()
                     got = eigenfunction_grid(q, p, depth).values.tobytes()
                     assert got == want, (name, depth)
-                    for eps in (0.2, 0.025):
-                        got = damped_grid(q, p, eps, depth).values.tobytes()
-                        want = damped_ref(q, p, eps, depth).values.tobytes()
-                        assert got == want, (name, depth, eps)
                     if depth >= 2:
                         want = grid_residual_ref(q, p, damped_ref(q, p, 0.0, depth))
                         assert recurrence_residual(q, p, depth) == want, (name, depth)
@@ -408,7 +400,7 @@ class TestPooledEvaluation:
                 assert got == pytest.approx(want[:3], rel=1e-12), (p.s, eps)
                 assert (r.depth, r.truncation_fraction) == (None, 0.0)
 
-    def test_results_never_alias_the_pool(self):
+    def test_results_are_fresh_arrays(self):
         """Returned grids are fresh arrays: later calls leave them as they
         were."""
         q = 5
@@ -416,33 +408,29 @@ class TestPooledEvaluation:
         with np.errstate(all="ignore"):
             for name, p in self.params(q).items():
                 grid = eigenfunction_grid(q, p, 30)
-                damped = damped_grid(q, p, 0.1, 30)
-                kept[name] = (grid, grid.values.tobytes(), damped,
-                              damped.values.tobytes())
+                kept[name] = (grid, grid.values.tobytes())
             # later calls at other depths and strata
             for p in self.params(q).values():
                 for depth in (2, 61, 480):
-                    damped_grid(q, p, 0.05, depth)
                     recurrence_residual(q, p, depth)
             residual_sweep(2, self.params(2)["sigma1_cusp"], [0.2, 0.1])
             norm_divergence(3, self.params(3)["generic"], [10, 40])
-        for name, (grid, grid_bytes, damped, damped_bytes) in kept.items():
+        for name, (grid, grid_bytes) in kept.items():
             assert grid.values.tobytes() == grid_bytes, name
-            assert damped.values.tobytes() == damped_bytes, name
 
     def test_threads_keep_their_own_blocks(self):
         """Concurrent threads get the single-threaded results: numpy
         releases the interpreter lock inside take and the ufuncs, so
         intermediates shared between calls would be overwritten."""
         params = list(self.params(2).values())
-        want = [(damped_grid(2, p, 0.1, 61).values.tobytes(),
+        want = [(eigenfunction_grid(2, p, 61).values.tobytes(),
                  recurrence_residual(2, p, 61)) for p in params]
         errors = []
 
         def work(offset):
             for k in range(3 * len(params)):
                 i = (k + offset) % len(params)
-                got = (damped_grid(2, params[i], 0.1, 61).values.tobytes(),
+                got = (eigenfunction_grid(2, params[i], 61).values.tobytes(),
                        recurrence_residual(2, params[i], 61))
                 if got != want[i]:
                     errors.append(i)
@@ -462,7 +450,7 @@ class TestPooledEvaluation:
 
 
 class TestBlocks:
-    """The closed forms, damping and residuals at block sizes that end
+    """The closed forms and residuals at block sizes that end
     blocks inside every grid (see test_operator.TestBlocks), against the
     allocating oracles; NaN matches NaN (``same_bits``)."""
 
@@ -473,15 +461,12 @@ class TestBlocks:
 
     @pytest.mark.parametrize("q", [2, 3, 11])
     def test_grids_damping_and_residuals(self, block, q):
-        params = {**TestPooledEvaluation.params(q),
+        params = {**TestAgainstOracles.params(q),
                   "cube_root": SpectralParam.from_triple(q, *triple_root(2))}
         for name, p in params.items():
             for depth in (2, 23):
                 want = closed_form_ref(q, p, *_grid_mn(depth))
                 got = eigenfunction_grid(q, p, depth).values
-                assert same_bits(got, want), (name, depth)
-                got = damped_grid(q, p, 0.1, depth).values
-                want = damped_ref(q, p, 0.1, depth).values
                 assert same_bits(got, want), (name, depth)
                 want = grid_residual_ref(q, p, damped_ref(q, p, 0.0, depth))
                 assert recurrence_residual(q, p, depth) == want, (name, depth)
@@ -498,7 +483,7 @@ class TestBlocks:
         rng = np.random.default_rng(block)
         depth = 23
         space = L2Space(q, depth)
-        for name, p in TestPooledEvaluation.params(q).items():
+        for name, p in TestAgainstOracles.params(q).items():
             values = eigenfunction_grid(q, p, depth).values.copy()
             values[rng.integers(0, values.size, 9)] = [
                 np.nan, np.inf, -np.inf, 1j * np.inf, complex(np.nan, 1.0),
@@ -516,12 +501,10 @@ class TestBlocks:
         size = tri_size(depth)
         slack = 4 * 16 * block + 512 * depth
         assert slack < 8 * size
-        for name, p in TestPooledEvaluation.params(3).items():
+        for name, p in TestAgainstOracles.params(3).items():
             grid = traced_peak(lambda: eigenfunction_grid(3, p, depth))
-            damped = traced_peak(lambda: damped_grid(3, p, 0.1, depth))
             residual = traced_peak(lambda: recurrence_residual(3, p, depth))
             assert grid <= 16 * size + slack, name
-            assert damped <= 16 * size + slack, name
             assert residual <= 32 * size + slack, name
 
 
@@ -585,41 +568,21 @@ class TestStratumLimits:
 
 
 class TestDamped:
-    def test_pointwise_limit(self):
-        q = 2
-        p = SpectralParam.from_triple(q, *unimodular_double(1.3))
-        f = eigenfunction_grid(q, p, 12)
-        for eps in (0.2, 0.05, 0.01):
-            d = damped_grid(q, p, eps, 12)
-            assert abs(d[(5, 2)] - (1 - eps) ** 5 * f[(5, 2)]) < 1e-12
-
     def test_bound_by_b_sum(self):
         q = 2
         s = unimodular_generic(random.Random(43))
         p = SpectralParam.from_triple(q, *s)
-        eps = 0.1
         bsum = sum(abs(b) for b in b_coefficients(q, s).values())
-        d = damped_grid(q, p, eps, 25)
+        f = eigenfunction_grid(q, p, 25)
         m = np.concatenate([np.full(m + 1, m) for m in range(26)])
-        bound = (1 - eps) ** m * float(q) ** m * bsum
-        assert np.all(np.abs(d.values) <= bound * (1 + 1e-9))
+        bound = float(q) ** m * bsum
+        assert np.all(np.abs(f.values) <= bound * (1 + 1e-9))
 
     def test_norm_grows_as_eps_shrinks(self):
-        from a2quotient.operator import L2Space
         q = 2
         p = SpectralParam.from_triple(q, *unimodular_generic(random.Random(47)))
-        norms = []
-        for eps in (0.4, 0.2, 0.1, 0.05):
-            M = max(2, int(12 / eps))
-            norms.append(L2Space(q, M).norm(damped_grid(q, p, eps, M)))
+        norms = [r.norm for r in residual_sweep(q, p, (0.4, 0.2, 0.1, 0.05))]
         assert all(b > a for a, b in zip(norms, norms[1:]))
-
-    def test_eps_validation(self):
-        p = SpectralParam.from_triple(2, 1, 1, 1)
-        with pytest.raises(ValueError):
-            damped_grid(2, p, 0.7, 5)
-        with pytest.raises(ValueError):
-            damped_grid(2, p, -0.1, 5)
 
 
 class TestExactTrivial:

@@ -12,7 +12,7 @@ from a2quotient.operator import (
 )
 from a2quotient.quotient import Vertex, stratum, vertex_weight, weight_factors
 from oracles import (
-    Eisenstein, expected_rows, gather_ref, same_bits, traced_peak,
+    Eisenstein, damped_ref, expected_rows, gather_ref, same_bits, traced_peak,
     trivial_norm_sq_limit, weight_of,
 )
 
@@ -453,13 +453,13 @@ class TestRayleigh:
         assert space.rayleigh(+1, ones) == pytest.approx(7.0, rel=1e-10)
 
     def test_damped_triple_family_approaches_3q(self):
-        from a2quotient.eigen import SpectralParam, damped_grid
+        from a2quotient.eigen import SpectralParam
         q = 2
         p = SpectralParam.from_triple(q, 1, 1, 1)
         gaps = []
         for eps in (0.2, 0.1, 0.05):
             M = int(12 / eps)
-            rq = L2Space(q, M).rayleigh(+1, damped_grid(q, p, eps, M))
+            rq = L2Space(q, M).rayleigh(+1, damped_ref(q, p, eps, M))
             gaps.append(abs(rq - 3 * q))
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 0.2

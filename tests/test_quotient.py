@@ -206,6 +206,30 @@ class TestQuotientComplex:
         with pytest.raises(ValueError):
             cx.row(Vertex(5, 0), +1)
 
+    @pytest.mark.parametrize("q", QS)
+    @pytest.mark.parametrize("depth", [2, 3, 7])
+    def test_shells_agree_with_rows(self, q, depth):
+        # the stratum view lists every vertex once, in (m, n) order, with
+        # its weight, stabilizer order and both rows split as row() splits
+        # them; only the last shell has masked steps, in both directions
+        cx = QuotientComplex(q, depth)
+        seen = []
+        for m, strata in cx.shells():
+            for ns, w, order, rows in strata:
+                assert [label for label, _, _ in rows] == ["plus", "minus"]
+                for n in ns:
+                    v = Vertex(m, n)
+                    seen.append(v)
+                    assert w == vertex_weight(q, m, n)
+                    assert order == stabilizer_order(q, m, n)
+                    for (_, inside, masked), sign in zip(rows, (+1, -1)):
+                        row = cx.row(v, sign)
+                        for steps, want in ((inside, row.terms), (masked, row.masked)):
+                            got = [(Vertex(m + dm, n + dn), c) for dm, dn, c in steps]
+                            assert got == list(want), (v, sign)
+                        assert bool(masked) == (m == depth), (v, sign)
+        assert seen == cx.vertices()
+
     def test_vertex_listing(self):
         cx = QuotientComplex(3, 3)
         vs = cx.vertices()
