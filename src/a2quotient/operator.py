@@ -1,16 +1,19 @@
 """Matrix-free application of the weighted adjacency operators.
 
 The triangle {0 <= n <= m <= M} is packed into flat arrays indexed by
-m(m+1)/2 + n.  ``_kernel`` builds the operator of one direction from the
-one coefficient table ``quotient.table`` and the vertex-type switch
-``quotient.stratum``.  Away from the walls every row is the table's
-interior row, so the kernel keeps one integer per interior slot: a
-same-shell step (dm = 0) is a constant shift of the packed index, read as
-a slice of the values, and every other slot keeps one intp index array, 16
+m(m+1)/2 + n.  The operator of one direction comes from the one
+coefficient table ``quotient.table`` and the vertex-type switch
+``quotient.stratum``, in two halves.  The table's steps are the same for
+every q, so ``_shape(depth, sign)`` holds where each row reads, once for
+all primes; ``_kernel(q, depth, sign)`` holds the integer coefficients,
+O(M) of them.  Away from the walls every row is the table's interior row,
+so the kernel keeps one integer per interior slot: a same-shell step
+(dm = 0) is a constant shift of the packed index, read as a slice of the
+values, and every other slot keeps one intp index array in the shape, 16
 bytes per vertex in all.  The other rows (the origin, the bottom row, the
-diagonal and the last shell, about 3M of them) keep their full rows and
-read a compact copy of the values they touch followed by one zero, so an
-absent slot reads a true zero.  Rows that reference depth M+1 are flagged
+diagonal and the last shell, 3M of them) keep their full rows and read a
+compact copy of the values they touch followed by one zero, so an absent
+slot reads a true zero.  Rows that reference depth M+1 are flagged
 in a boundary mask and evaluate the missing neighbor as zero (the
 compression to the truncated space).  Those rows are exactly the last
 packed shell, so the complete rows are the prefix ``L2Space.interior`` =
@@ -79,6 +82,7 @@ def vertex_index(m, n):
 
 @lru_cache(maxsize=16)
 def _grid_mn(depth: int):
+    """The int64 m and n of every packed vertex: 16 T bytes an entry."""
     ms = np.concatenate([np.full(m + 1, m, dtype=np.int64)
                          for m in range(depth + 1)])
     ns = np.concatenate([np.arange(m + 1, dtype=np.int64)
@@ -104,7 +108,7 @@ def _check_space(q: int, depth: int):
     validate_q(q)
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    # _kernel's positions run to T, its mark for an absent slot of a fix
+    # _shape's positions run to T, its mark for an absent slot of a fix
     # row; they are intp, and the int32 bound stays the depth limit
     if tri_size(depth) + 1 > _INDEX_MAX:
         raise ValueError(
@@ -142,60 +146,74 @@ class GridFunction:
 @lru_cache(maxsize=16)
 def _last_shell(depth: int):
     """The boundary mask: the rows of the last shell, which reference
-    depth+1."""
+    depth+1.  T bytes an entry."""
     mask = np.zeros(tri_size(depth), dtype=bool)
     mask[vertex_index(depth, 0):] = True
     mask.setflags(write=False)
     return mask
 
 
-@lru_cache(maxsize=64)
-def _kernel(q: int, depth: int, sign: int):
-    """One direction's operator, filled from ``quotient.table``.
+@lru_cache(maxsize=16)
+def _shape(depth: int, sign: int):
+    """The q-free half of one direction's operator: where each row reads.
+    The steps of ``quotient.table`` are the same for every q, so they are
+    read at q = 2.
 
-    Returns (slots, fix, touch, local, coef).  slots is the interior row
-    in slot order, pairs (c, read) of an int coefficient and what the slot
-    reads: the shift dn of a same-shell step (dm = 0), read as a slice of
-    the values, else an intp index array over all T rows.  The first slot
-    of either row steps off the shell, so it covers every row.  The rows
-    that are not complete interior rows (the origin, the bottom row, the
-    diagonal and the last shell) are listed in fix and keep their own
-    rows: local (3, F) indexes the compact values[touch] followed by one
-    zero, which an absent slot reads with coefficient 0, and coef (3, F)
-    holds their int64 coefficients.
+    Returns (reads, fix, touch, local, strata).  reads is the interior row
+    in slot order: the shift dn of a same-shell step (dm = 0), read as a
+    slice of the values, else an intp index array over all T rows.  The
+    first slot of either row steps off the shell, so it covers every row.
+    The rows that are not complete interior rows (the origin, the bottom
+    row, the diagonal and the last shell; F = 3M of them) are listed in
+    fix and keep their own rows, of the types in strata: local (3, F)
+    indexes the compact values[touch] followed by one zero, which an
+    absent slot reads.
+
+    An entry holds 16 T bytes of index arrays and at most 192 M bytes of
+    fix rows (20.8 MB in all at M = 1600).  Its 16 entries hold every
+    (depth, sign) of a benchmark workload, five depths at most.
     """
     m, n = _grid_mn(depth)
-    rows = table(q, sign)
+    rows = table(2, sign)
     inner = (stratum(m, n) == 3) & (m < depth)
-    slots = []
-    for dm, dn, c in rows[3]:
-        if dm == 0:
-            slots.append((c, dn))
-            continue
-        # a fix row reads its own value here; its image is overwritten
-        read = np.arange(m.size, dtype=np.intp)
-        read[inner] = vertex_index(m[inner] + dm, n[inner] + dn)
-        read.setflags(write=False)
-        slots.append((c, read))
+    reads = [dn for _, dn, _ in rows[3]]
+    for slot, (dm, dn, _) in enumerate(rows[3]):
+        if dm:
+            # a fix row reads its own value here; its image is overwritten
+            reads[slot] = read = np.arange(m.size, dtype=np.intp)
+            read[inner] = vertex_index(m[inner] + dm, n[inner] + dn)
+            read.setflags(write=False)
 
     fix = np.flatnonzero(~inner)
     fm, fn = m[fix], n[fix]
     strata = stratum(fm, fn)
     pos = np.full((3, fix.size), m.size, dtype=np.intp)
-    coef = np.zeros((3, fix.size), dtype=np.int64)
     for s, row in enumerate(rows):
-        for slot, (dm, dn, c) in enumerate(row):
+        for slot, (dm, dn, _) in enumerate(row):
             # slots falling beyond the depth stay absent: position T
             hit = np.flatnonzero((strata == s) & (fm <= depth - dm))
             pos[slot, hit] = vertex_index(fm[hit] + dm, fn[hit] + dn)
-            coef[slot, hit] = c
-    # the origin's row has one slot, so T is present and sorts last: the
-    # compact zero
+    # the origin's one-slot row puts T in pos, last in touch: the compact zero
     touch, local = np.unique(pos, return_inverse=True)
     touch, local = touch[:-1], local.reshape(pos.shape)
-    for a in (fix, touch, local, coef):
+    for a in (fix, touch, local, strata):
         a.setflags(write=False)
-    return tuple(slots), fix, touch, local, coef
+    return tuple(reads), fix, touch, local, strata
+
+
+@lru_cache(maxsize=64)
+def _kernel(q: int, depth: int, sign: int):
+    """The q half of one direction's operator, beside ``_shape``, read
+    from ``quotient.table``: (cs, coef), the int coefficients of the
+    interior row in slot order and the int64 coefficients (3, F) of the
+    fix rows, each its stratum's row padded with 0 (an absent slot reads
+    the compact zero whatever its coefficient).  An entry holds
+    24 F = 72 M bytes (115 KB at M = 1600).
+    """
+    rows = [[c for *_, c in r] + [0] * (3 - len(r)) for r in table(q, sign)]
+    coef = np.array(rows, np.int64)[_shape(depth, sign)[4]].T
+    coef.setflags(write=False)
+    return tuple(rows[3]), coef
 
 
 def _blocks(size: int):
@@ -210,9 +228,10 @@ def _gather(q: int, depth: int, sign: int, values):
     v, absent slots reading zero.  Returns out, a fresh array of values'
     size and dtype."""
     out = np.empty_like(values)
-    slots, fix, touch, local, coef = _kernel(q, depth, sign)
+    reads, fix, touch, local, _ = _shape(depth, sign)
+    cs, coef = _kernel(q, depth, sign)
     for block in _blocks(values.size):
-        for k, (c, read) in enumerate(slots):
+        for k, (c, read) in enumerate(zip(cs, reads)):
             if isinstance(read, int):
                 rows = slice(max(block.start, -read),
                              min(block.stop, values.size - read))
@@ -236,6 +255,7 @@ def _gather(q: int, depth: int, sign: int, values):
 
 @lru_cache(maxsize=32)
 def _weights(q: int, depth: int):
+    """The float weight of every packed vertex: 8 T bytes an entry."""
     m, n = _grid_mn(depth)
     # per-stratum factor times q^(-2m), gathered from a table over m;
     # negative exponents underflow gracefully (and stay exact for q = 2)

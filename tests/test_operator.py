@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +11,9 @@ from a2quotient.operator import (
     DimensionMismatch, GridFunction, L2Space, ZeroFunction, apply_exact,
     inner_exact, tri_size, vertex_index,
 )
-from a2quotient.quotient import Vertex, stratum, vertex_weight, weight_factors
+from a2quotient.quotient import (
+    Vertex, stratum, table, vertex_weight, weight_factors,
+)
 from oracles import (
     Eisenstein, damped_ref, expected_rows, gather_ref, same_bits, traced_peak,
     trivial_norm_sq_limit, weight_of,
@@ -171,13 +174,67 @@ class TestGather:
         # slot, and full rows only for the O(depth) fix rows
         q, depth = 3, 400
         size = tri_size(depth)
-        slots, *fix_rows = operator._kernel(q, depth, sign)
-        arrays = [read for _, read in slots if isinstance(read, np.ndarray)]
-        arrays += fix_rows
-        assert [type(c) for c, _ in slots] == [int] * 3
-        assert sum(isinstance(read, int) for _, read in slots) == 1
+        reads, *fix_rows = operator._shape(depth, sign)
+        cs, coef = operator._kernel(q, depth, sign)
+        arrays = [read for read in reads if isinstance(read, np.ndarray)]
+        arrays += fix_rows + [coef]
+        assert [type(c) for c in cs] == [int] * 3
+        assert sum(isinstance(read, int) for read in reads) == 1
         assert all(a.shape != (3, size) for a in arrays)
         assert sum(a.nbytes for a in arrays) <= 16 * size + 256 * depth
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_primes_share_one_shape(self, sign):
+        # the index arrays are built once per (depth, sign): every prime
+        # gathers through the same objects
+        depth = 37
+        before = operator._shape.cache_info().misses
+        shapes = []
+        for q in (2, 3, 5):
+            L2Space(q, depth).apply(sign, GridFunction.zeros(depth))
+            shapes.append(operator._shape(depth, sign))
+        assert operator._shape.cache_info().misses - before <= 1
+        reads, *fix_rows = shapes[0]
+        for other_reads, *other_fix_rows in shapes[1:]:
+            assert all(a is b for a, b in zip(reads, other_reads))
+            assert all(a is b for a, b in zip(fix_rows, other_fix_rows))
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_second_prime_allocates_only_coefficients(self, sign):
+        # at a depth whose shape is built, a new prime's kernel is its
+        # (3, F) int64 coefficients, 72 depth bytes; the bound, with 8 KiB
+        # for small objects, is below the T bytes of a bool mask over the
+        # grid
+        depth = 400
+        operator._kernel(2, depth, sign)
+        operator._kernel.cache_clear()
+        bound = 72 * depth + 8192
+        assert bound < tri_size(depth)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            operator._kernel(3, depth, sign)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_table_steps_do_not_depend_on_q(self, sign):
+        steps = {q: [[(dm, dn) for dm, dn, _ in row] for row in table(q, sign)]
+                 for q in (2, 3, 5, 7, 11, 101)}
+        assert all(rows == steps[2] for rows in steps.values())
+
+    def test_shape_cache_holds_every_workload_depth(self):
+        # one entry per (depth, sign), whatever the primes: five depths and
+        # both signs, the most one benchmark workload uses, fit
+        operator._shape.cache_clear()
+        for depth in range(2, 7):
+            for sign in (+1, -1):
+                for q in (2, 3):
+                    L2Space(q, depth).apply(sign, GridFunction.zeros(depth))
+        info = operator._shape.cache_info()
+        assert (info.currsize, info.misses) == (10, 10)
 
     def test_three_negative_zero_products_sum_to_plus_zero(self):
         # c * (-0.0 + 1j) has real part -0.0 for every coefficient c
@@ -373,14 +430,14 @@ class TestAdjointness:
         real = operator._kernel
 
         def bent(q, depth, sign):
-            slots, fix, touch, local, coef = real(q, depth, sign)
+            cs, coef = real(q, depth, sign)
             if sign == +1 and bend == "interior":
-                (c, read), *rest = slots
-                slots = ((c + 1, read), *rest)
+                cs = (cs[0] + 1, *cs[1:])
             elif sign == +1:
+                fix = operator._shape(depth, sign)[1]
                 coef = coef.copy()
                 coef[0, np.searchsorted(fix, vertex_index(3, 3))] += 1
-            return slots, fix, touch, local, coef
+            return cs, coef
 
         real.cache_clear()
         monkeypatch.setattr(operator, "_kernel", bent)
