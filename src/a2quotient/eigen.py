@@ -35,21 +35,13 @@ The singular formulas were obtained as on-variety limits of the generic
 sum and verified symbolically against a forward solve of the recurrences;
 both are exercised against that oracle in the test suite.
 
-Every closed form is a table of terms over index arrays (m, n): a term is
-a product of factors table[index], each table over 0 .. max(m) with the
-scalar and per-m, per-n or per-(m-n) factors folded in as the formulas
-above multiply, so each value is the per-vertex one bit for bit.
-``_sum_of_products`` sums the terms of a stratum before its final q^m
-factor or divisor.  Generic: one term (B_ij s_i^k)[m] (s_j^k)[n] per B_ij
-that is not a structural zero.  Double: the three terms of the bracket.
-Triple: the bracket as A[m] + B[m] n + C[m] n^2, where
-    A = 2(q+1)(q^2+q+1) - 3(q-1)(q+1)^2 m + (q-1)^2 (q+1) m^2,
-    B = 2(q-1)^2 (q+1) m - (q-1)^3 m^2,    C = (q-1)^3 m - 2(q-1)^2 (q+1);
-entries, products and partial sums are integers below 2^53 wherever q^m
-is finite for q < 2000 (and to depth 20000 for q <= 11), so the summation
-order changes no bit.  The cube root of unity w of the triple and trivial
-strata is sum(s)/3 scaled to modulus 1, and w^(m+n) is read off the
-3-cycle (1, w, w^2), so it carries no rounding that grows with m+n.
+The grids and the residual sums read one expansion of these formulas,
+``_expansion``: f(v_mn) = q^m sum_t p_t(k, n) x_t^m y_t^n with k = m - n,
+a polynomial p_t per root pair.  ``_form`` evaluates its terms over index
+arrays (m, n) from tables over 0 .. max(m), a power x^m gathered from one
+table x^0 .. x^max(m).  The cube root of unity w of the triple and trivial
+strata is sum(s)/3 scaled to modulus 1, and its powers are read off the
+3-cycle (1, w, w^2), so they carry no rounding that grows with m+n.
 
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
@@ -244,15 +236,14 @@ def _cycle(s, top: int) -> np.ndarray:
 
 def _sum_of_products(terms) -> np.ndarray:
     """The sum, from the first term on, of the left-to-right products of
-    each term's factors table[index]."""
+    each term's factors, arrays of one shape with a fresh one first."""
     total = None
-    for (table, index), *factors in terms:
-        x = table[index]
-        for table, index in factors:
-            # not x * table[index]: from 256 KiB numpy elides the temporary
-            # and computes it as table[index] * x, written into it, and its
-            # complex product is not bitwise commutative
-            x = np.multiply(x, table[index])
+    for x, *factors in terms:
+        for factor in factors:
+            # not x * factor: from 256 KiB numpy elides a temporary factor
+            # and computes factor * x into it, and its complex product is
+            # not bitwise commutative
+            x = np.multiply(x, factor)
         if total is None:
             total = x
         else:
@@ -271,8 +262,13 @@ def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
 
 
 def _form(q: int, param: SpectralParam, top: int):
-    """The closed form of param on index arrays with entries in 0 .. top: the
-    stratum's tables, then its term table and its final factor."""
+    """The closed form of param on index arrays with entries in 0 .. top:
+    _expansion's terms x_t^m y_t^n p_t(k, n), k = m - n, as tables over
+    0 .. top, then the final factor q^m.  A constant p_t folds into x_t's
+    table, the part of p_t free of k into y_t's; the rest, sum_b K_b(k) n^b,
+    is summed per block, times y_t^n, before the k-free part joins it and
+    x_t^m multiplies both.  Trivial reads w^(m+n) off the 3-cycle: its term
+    q^m (w/q)^m is inf * 0 past m ~ 1023 at q=2."""
     s = param.s
     if param.stratum is Stratum.TRIVIAL:
         cycle = _cycle(s, 2 * top)
@@ -281,35 +277,36 @@ def _form(q: int, param: SpectralParam, top: int):
     k = np.arange(top + 1)
     kf = k.astype(np.float64)
     qk = np.power(float(q), k)
+    terms = _expansion(q, param)
+    triple = param.stratum is Stratum.TRIPLE  # w^k off the 3-cycle, as _expansion's w
+    powers = {z: _cycle(s, top) if triple else np.power(z, k)
+              for z in {z for _, x, y in terms for z in (x, y)}}
+    tables = []  # per term: x_t, y_t times p_t's k-free part, y_t, {b: K_b}
+    for p, x, y in terms:
+        if list(p) == [(0, 0)]:
+            tables.append((p[0, 0] * powers[x], powers[y], None, {}))
+            continue
+        free = sum(c * kf ** b for (a, b), c in p.items() if not a)
+        kpart = {b: sum(c * kf ** a for (a, b2), c in p.items() if a and b2 == b)
+                 for b in sorted({b for a, b in p if a})}
+        tables.append((powers[x], free * powers[y], powers[y], kpart))
 
-    if param.stratum is Stratum.TRIPLE:
-        scale = 2 * (q + 1) * (q * q + q + 1)
-        u, v = (q - 1) ** 2 * (q + 1), (q - 1) ** 3
-        a = scale - 3 * (q - 1) * (q + 1) ** 2 * kf + u * kf * kf
-        b, c, kk = 2 * u * kf - v * kf * kf, v * kf - 2 * u, kf * kf
-        cycle = _cycle(s, 2 * top)
-        return lambda m, n: np.divide(np.multiply(
-            np.multiply(cycle[m + n], qk[m]),
-            _sum_of_products([[(a, m)], [(b, m), (kf, n)], [(c, m), (kk, n)]])),
-            scale)
+    def summed(m, n):
+        total = None
+        for x, free, y, kpart in tables:
+            if kpart:
+                diff, nf = m - n, kf[n] if any(kpart) else None
+                term = np.multiply(y[n], _sum_of_products(
+                    [table[diff]] + [nf] * b for b, table in kpart.items()))
+                term += free[n]
+            term = np.multiply(x[m], term if kpart else free[n])
+            total = term if total is None else np.add(total, term, out=total)
+        return total
 
-    if param.stratum is Stratum.DOUBLE:
-        s1, s2 = _split_double(s)
-        den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
-        p1, p2 = np.power(s1, k), np.power(s2, k)
-        lin = (1 - q) * kf + (q + 1)
-        c1, c2 = (s1 - q * s2) ** 2 * lin, (s2 - q * s1) ** 2 * lin
-        c3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * kf
-              + (q + 1) * (q * (s1 * s1 + s2 * s2)
-                           - 2 * (q * q - q + 1) * s1 * s2))
-        return lambda m, n: np.divide(np.multiply(qk[m], _sum_of_products([
-            [(c1, n), (p1, m), (p2, n)], [(c2, m - n), (p2, m), (p2, n)],
-            [(c3, m), (p1, n), (p2, m)]])), den)
-
-    powers = {z: np.power(z, k) for z in s}  # the terms' x and y are roots
-    tables = [(p[0, 0] * powers[x], powers[y]) for p, x, y in _expansion(q, param)]
+    # numpy's warnings echo this line into the CLI's stderr, which is
+    # compared byte for byte across versions
     return lambda m, n: np.multiply(
-        qk[m], _sum_of_products([[(x, m), (y, n)] for x, y in tables]))
+        qk[m], summed(m, n))
 
 
 def _expansion(q: int, param: SpectralParam) -> list[tuple[dict, complex, complex]]:
@@ -318,7 +315,8 @@ def _expansion(q: int, param: SpectralParam) -> list[tuple[dict, complex, comple
     closed under lowering a or b (so shifts keep them): generic B_ij at (s_i, s_j)
     without structural zeros, NaN kept; trivial (1, w/q, w); double at (s1, s2),
     (s2, s2), (s2, s1); triple at (w, w), with m^2 + 2mn - 2n^2 = k^2 + 4kn + n^2
-    and m^2 n - m n^2 = k^2 n + k n^2 (m = k + n)."""
+    and m^2 n - m n^2 = k^2 n + k n^2 (m = k + n).  The grids (``_form``)
+    and the residual sums (``spectra``) both read these terms."""
     s = param.s
     if param.stratum in (Stratum.TRIVIAL, Stratum.TRIPLE):
         w = complex(_cycle(s, 1)[-1])

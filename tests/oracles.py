@@ -19,8 +19,12 @@ w^(k(m+n)) in it, so the trivial eigenvalues (q^2+q+1) w^k are checked
 exactly through ``apply_exact`` and ``forward_solve``.
 ``closed_form_ref`` is an allocating closed-form evaluator written per
 formula, with its two power rules: the package's term-table evaluator must
-reproduce it bit for bit, NaN and inf included.  It shares only the coefficient helpers (``b_coefficients``,
-``_split_double``, ``_B_ZERO``) with the package.  ``damped_ref``,
+reproduce it bit for bit, NaN and inf included.  Its double and triple
+branches write the formulas of the eigen module docstring out by hand in
+k = m - n and n, in the evaluator's arithmetic order: per term x^m times
+(P(n) y^n + y^n K(k, n)), P the part free of k.  It shares only the
+coefficient helpers (``b_coefficients``, ``_split_double``, ``_B_ZERO``)
+with the package.  ``damped_ref``,
 ``grid_residual_ref`` and ``damped_report_ref`` are the allocating damping,
 recurrence residual and sweep report on its grids, computed through the
 public ``L2Space.apply`` and ``L2Space.norm``.
@@ -496,23 +500,38 @@ def closed_form_ref(q, param, m, n):
     qm = _powers(float(q), m)
 
     if param.stratum is Stratum.TRIPLE:
-        poly = (2 * (q + 1) * (q * q + q + 1)
-                - 3 * mf * (q - 1) * (q + 1) ** 2
-                + (q - 1) ** 2 * (q + 1) * (mf * mf + 2 * mf * nf - 2 * nf * nf)
-                - (q - 1) ** 3 * (mf * mf * nf - mf * nf * nf))
-        return _cycle_powers(s, m + n) * qm * poly / (2 * (q + 1) * (q * q + q + 1))
+        # m^2 + 2mn - 2n^2 = k^2 + 4kn + n^2, m^2 n - m n^2 = k^2 n + k n^2
+        scale = 2 * (q + 1) * (q * q + q + 1)
+        lin = -3 * (q - 1) * (q + 1) ** 2 / scale
+        u, v = (q - 1) ** 2 * (q + 1) / scale, -(q - 1) ** 3 / scale
+        kf = mf - nf
+        k0, k1, k2 = lin * kf + u * kf ** 2, 4 * u * kf + v * kf ** 2, v * kf
+        wm, wn = _cycle_powers(s, m), _cycle_powers(s, n)
+        kpart = k0 + k1 * nf + k2 * nf * nf
+        inner = (1.0 + lin * nf + u * nf ** 2) * wn + wn * kpart
+        total = wm * inner
+        return qm * total
 
     if param.stratum is Stratum.DOUBLE:
         s1, s2 = _split_double(s)
         den = (s1 - s2) ** 2 * (q + 1) * (q * q + q + 1)
+        a1, a2 = (s1 - q * s2) ** 2 / den, (s2 - q * s1) ** 2 / den
+        c1 = (q - 1) * (s1 - q * s2) * (s2 - q * s1) / den
+        c0 = (q + 1) * (q * (s1 * s1 + s2 * s2) - 2 * (q * q - q + 1) * s1 * s2) / den
         p1m, p2m = _powers(s1, m), _powers(s2, m)
         p1n, p2n = _powers(s1, n), _powers(s2, n)
-        t1 = (s1 - q * s2) ** 2 * ((1 - q) * nf + (q + 1)) * p1m * p2n
-        t2 = (s2 - q * s1) ** 2 * ((1 - q) * (mf - nf) + (q + 1)) * p2m * p2n
-        t3 = ((q - 1) * (s1 - q * s2) * (s2 - q * s1) * mf
-              + (q + 1) * (q * (s1 * s1 + s2 * s2)
-                           - 2 * (q * q - q + 1) * s1 * s2)) * p1n * p2m
-        return qm * (t1 + t2 + t3) / den
+        kf = mf - nf
+        # terms (s1, s2), (s2, s2), (s2, s1), each x^m (P(n) y^n + y^n K(k))
+        # with P its part free of k; named operands, as numpy elides a
+        # temporary right operand and multiplies it first
+        kpart2, kpart3 = (1 - q) * a2 * kf, c1 * kf
+        inner1 = ((q + 1) * a1 + (1 - q) * a1 * nf) * p2n
+        inner2 = (q + 1) * a2 * p2n + p2n * kpart2
+        inner3 = (c0 + c1 * nf) * p1n + p1n * kpart3
+        total = p1m * inner1
+        total += p2m * inner2
+        total += p2m * inner3
+        return qm * total
 
     bs = b_coefficients(q, s)
     cutoff = _B_ZERO * sum(abs(b) for b in bs.values())

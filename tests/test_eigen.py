@@ -196,14 +196,27 @@ class TestClosedFormsAgainstRecurrence:
                 self.check(q, unimodular_generic(rng))
 
     def test_double(self):
-        for q in (2, 3):
+        for q in (2, 3, 5, 7, 11, 13):
             for th in (0.4, 1.1, 2.7):
                 self.check(q, unimodular_double(th))
 
     def test_triple(self):
-        for q in (2, 3, 5):
+        for q in (2, 3, 5, 7, 11, 13):
             for k in range(3):
                 self.check(q, triple_root(k))
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_triple_against_the_exact_solve(self, q):
+        # w = 1: lambda+ = lambda- = 3q, solved in Fractions; the float
+        # coefficients of the expansion leave each shell within 1e-13 of
+        # its largest exact value
+        depth = 12
+        grid = eigenfunction_grid(q, SpectralParam.from_triple(q, 1, 1, 1), depth)
+        oracle = forward_solve(q, Fraction(3 * q), Fraction(3 * q), depth)
+        for m in range(depth + 1):
+            top = max(abs(oracle[(m, n)]) for n in range(m + 1))
+            for n in range(m + 1):
+                assert abs(grid[(m, n)] - oracle[(m, n)]) <= 1e-13 * top, (q, m, n)
 
     def test_sigma1_family(self):
         for th in (0.0, 0.7, 2.1):
@@ -355,7 +368,8 @@ class TestAgainstOracles:
     @pytest.mark.parametrize("q", [2, 3, 5, 11])
     def test_grids_match_the_allocating_oracle(self, q):
         with np.errstate(all="ignore"):
-            # the triple bracket's tables stay exact integers that deep
+            # the triple's tables and w^m from the 3-cycle, to the last
+            # depth at which q^m is finite
             depth = self.DEEPEST[q]
             finite = np.isfinite(np.power(float(q), [depth, depth + 1]))
             assert finite.tolist() == [True, False]
