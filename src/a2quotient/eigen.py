@@ -37,11 +37,11 @@ both are exercised against that oracle in the test suite.
 
 The grids and the residual sums read one expansion of these formulas,
 ``_expansion``: f(v_mn) = q^m sum_t p_t(k, n) x_t^m y_t^n with k = m - n,
-a polynomial p_t per root pair.  ``_form`` evaluates its terms over index
-arrays (m, n) from tables over 0 .. max(m), a power x^m gathered from one
-table x^0 .. x^max(m).  The cube root of unity w of the triple and trivial
-strata is sum(s)/3 scaled to modulus 1, and its powers are read off the
-3-cycle (1, w, w^2), so they carry no rounding that grows with m+n.
+a polynomial p_t per root pair.  ``_closed_form`` evaluates its terms over
+index arrays (m, n) from tables over 0 .. max(m), a power x^m gathered from
+one table x^0 .. x^max(m).  The cube root of unity w of the triple and
+trivial strata is sum(s)/3 scaled to modulus 1, and its powers are read off
+the 3-cycle (1, w, w^2), so they carry no rounding that grows with m+n.
 
 Stability note: coefficients B_ij with |B_ij| below 1e-12 of the total are
 treated as structural zeros.  On the cusped-curve parameter family
@@ -234,45 +234,22 @@ def _cycle(s, top: int) -> np.ndarray:
     return np.resize(np.array([1, w, w * w]), top + 1)
 
 
-def _sum_of_products(terms) -> np.ndarray:
-    """The sum, from the first term on, of the left-to-right products of
-    each term's factors, arrays of one shape with a fresh one first."""
-    total = None
-    for x, *factors in terms:
-        for factor in factors:
-            # not x * factor: from 256 KiB numpy elides a temporary factor
-            # and computes factor * x into it, and its complex product is
-            # not bitwise commutative
-            x = np.multiply(x, factor)
-        if total is None:
-            total = x
-        else:
-            total += x
-    return total
-
-
 def _closed_form(q: int, param: SpectralParam, m: np.ndarray,
                  n: np.ndarray) -> np.ndarray:
-    """f(v_mn) at each index pair of the arrays m, n, block by block."""
-    form = _form(q, param, int(m.max()))
-    out = np.empty(m.shape, dtype=np.complex128)
-    for b in _blocks(m.size):
-        out[b] = form(m[b], n[b])
-    return out
-
-
-def _form(q: int, param: SpectralParam, top: int):
-    """The closed form of param on index arrays with entries in 0 .. top:
-    _expansion's terms x_t^m y_t^n p_t(k, n), k = m - n, as tables over
-    0 .. top, then the final factor q^m.  A constant p_t folds into x_t's
+    """f(v_mn) at each index pair of the arrays m, n, block by block:
+    _expansion's terms x_t^m y_t^n p_t(k, n), k = m - n, from tables over
+    0 .. max(m), then the final factor q^m.  A constant p_t folds into x_t's
     table, the part of p_t free of k into y_t's; the rest, sum_b K_b(k) n^b,
     is summed per block, times y_t^n, before the k-free part joins it and
     x_t^m multiplies both.  Trivial reads w^(m+n) off the 3-cycle: its term
     q^m (w/q)^m is inf * 0 past m ~ 1023 at q=2."""
-    s = param.s
+    s, top = param.s, int(m.max())
+    out = np.empty(m.shape, dtype=np.complex128)
     if param.stratum is Stratum.TRIVIAL:
         cycle = _cycle(s, 2 * top)
-        return lambda m, n: cycle[m + n]
+        for b in _blocks(m.size):
+            out[b] = cycle[m[b] + n[b]]
+        return out
 
     k = np.arange(top + 1)
     kf = k.astype(np.float64)
@@ -291,22 +268,27 @@ def _form(q: int, param: SpectralParam, top: int):
                  for b in sorted({b for a, b in p if a})}
         tables.append((powers[x], free * powers[y], powers[y], kpart))
 
-    def summed(m, n):
+    for b in _blocks(m.size):
+        mb, nb = m[b], n[b]
         total = None
         for x, free, y, kpart in tables:
             if kpart:
-                diff, nf = m - n, kf[n] if any(kpart) else None
-                term = np.multiply(y[n], _sum_of_products(
-                    [table[diff]] + [nf] * b for b, table in kpart.items()))
-                term += free[n]
-            term = np.multiply(x[m], term if kpart else free[n])
+                diff, nf = mb - nb, kf[nb] if any(kpart) else None
+                ksum = None
+                for power, table in kpart.items():
+                    product = table[diff]
+                    for _ in range(power):
+                        # not product * nf: from 256 KiB numpy elides a
+                        # temporary nf and computes nf * product into it,
+                        # and its complex product is not bitwise commutative
+                        product = np.multiply(product, nf)
+                    ksum = product if ksum is None else np.add(ksum, product, out=ksum)
+                term = np.multiply(y[nb], ksum)
+                term += free[nb]
+            term = np.multiply(x[mb], term if kpart else free[nb])
             total = term if total is None else np.add(total, term, out=total)
-        return total
-
-    # numpy's warnings echo this line into the CLI's stderr, which is
-    # compared byte for byte across versions
-    return lambda m, n: np.multiply(
-        qk[m], summed(m, n))
+        out[b] = np.multiply(qk[mb], total)
+    return out
 
 
 def _expansion(q: int, param: SpectralParam) -> list[tuple[dict, complex, complex]]:
@@ -315,8 +297,9 @@ def _expansion(q: int, param: SpectralParam) -> list[tuple[dict, complex, comple
     closed under lowering a or b (so shifts keep them): generic B_ij at (s_i, s_j)
     without structural zeros, NaN kept; trivial (1, w/q, w); double at (s1, s2),
     (s2, s2), (s2, s1); triple at (w, w), with m^2 + 2mn - 2n^2 = k^2 + 4kn + n^2
-    and m^2 n - m n^2 = k^2 n + k n^2 (m = k + n).  The grids (``_form``)
-    and the residual sums (``spectra``) both read these terms."""
+    and m^2 n - m n^2 = k^2 n + k n^2 (m = k + n).  The grids
+    (``_closed_form``) and the residual sums (``spectra``) both read these
+    terms."""
     s = param.s
     if param.stratum in (Stratum.TRIVIAL, Stratum.TRIPLE):
         w = complex(_cycle(s, 1)[-1])

@@ -298,6 +298,10 @@ def sigma1_cusp(q: int) -> SpectralParam:
     return SpectralParam.from_triple(q, r, 1.0, 1.0 / r)
 
 
+# the witness holds only if the last ratio of its sweep falls below this
+WITNESS_LAST_RATIO = 0.5
+
+
 @dataclass(frozen=True)
 class WitnessReport:
     q: int
@@ -306,6 +310,14 @@ class WitnessReport:
     margin: float
     sweep: list
     decreasing: bool
+
+    @property
+    def holds(self) -> bool:
+        """The verdict: outside sigma2 by a positive margin, a decreasing
+        sweep, and its last ratio below WITNESS_LAST_RATIO."""
+        last = self.sweep[-1]
+        return (not self.in_sigma2 and self.margin > 0 and self.decreasing
+                and max(last.residual_plus, last.residual_minus) < WITNESS_LAST_RATIO)
 
 
 def default_ladder(q: int) -> tuple[float, ...]:

@@ -375,6 +375,19 @@ class TestEigenCommand:
         assert np.array_equal(rows[:, 2], grid.values.real, equal_nan=True)
         assert np.array_equal(rows[:, 3], grid.values.imag, equal_nan=True)
 
+    def test_warnings_name_the_category_not_a_source_line(self, capsys, tmp_path):
+        # the sigma1 cusp at q=11 overflows at this depth (a known defect);
+        # a second run in the same process reports the same warnings
+        r = 11 ** 0.5
+        argv = ("--q", "11", "--depth", "300", "--out", str(tmp_path), "eigen",
+                f"--s={r!r},1,{1 / r!r}", "--check")
+        errs = [run_cli(capsys, *argv)[2] for _ in range(2)]
+        assert errs[0] == errs[1]
+        lines = errs[0].splitlines()
+        assert lines and len(set(lines)) == len(lines)
+        assert all(ln.startswith("warning: RuntimeWarning: ") for ln in lines)
+        assert not any(".py" in ln or "np." in ln for ln in lines)
+
     def test_requires_exactly_one(self, capsys):
         code, _, err = run_cli(capsys, "--q", "2", "eigen")
         assert code == 1
@@ -542,6 +555,17 @@ class TestWitnessCommand:
         assert witness["decreasing"] is True
         assert (max(last["residual_plus"], last["residual_minus"]) < 0.5) == (code == 0)
         assert got == code
+
+    @pytest.mark.parametrize("q, eps, holds", [
+        *((q, None, True) for q in (2, 3, 5, 7, 11, 101)),
+        (11, (0.2, 0.1, 0.05), False),  # last ratio 1.16
+    ])
+    def test_exit_is_the_verdict(self, capsys, q, eps, holds):
+        rep = spectra.non_ramanujan_witness(q, eps)
+        assert rep.holds is holds
+        flags = ("--eps", ",".join(map(str, eps))) if eps else ()
+        code, _, _ = run_cli(capsys, "--q", str(q), "witness", *flags)
+        assert code == (0 if holds else 2)
 
     def test_witness_q2(self, capsys):
         code, out, _ = run_cli(capsys, "--q", "2", "witness",
