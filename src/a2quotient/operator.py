@@ -17,7 +17,10 @@ slot reads a true zero.  Rows that reference depth M+1 are flagged
 in a boundary mask and evaluate the missing neighbor as zero (the
 compression to the truncated space).  Those rows are exactly the last
 packed shell, so the complete rows are the prefix ``L2Space.interior`` =
-slice(0, tri_size(M-1)).
+slice(0, tri_size(M-1)).  The shape and the weights are built from these
+3M wall rows (``_walls``), with no per-vertex stratum pass: the rest of
+the triangle is a per-shell constant.  ``_grid_mn``, the coordinates of
+every vertex, is read only by the closed forms in ``eigen``.
 
 One gather, ``_gather``, runs both operators in two arithmetics:
 ``L2Space.apply`` on complex128 grid functions, ``apply_exact`` on object
@@ -82,14 +85,37 @@ def vertex_index(m, n):
 
 @lru_cache(maxsize=16)
 def _grid_mn(depth: int):
-    """The int64 m and n of every packed vertex: 16 T bytes an entry."""
-    ms = np.concatenate([np.full(m + 1, m, dtype=np.int64)
-                         for m in range(depth + 1)])
-    ns = np.concatenate([np.arange(m + 1, dtype=np.int64)
-                         for m in range(depth + 1)])
+    """The int64 m and n of every packed vertex: 16 T bytes an entry.  The
+    operator reads none of them; the closed forms in ``eigen`` do."""
+    shells = np.arange(depth + 1, dtype=np.int64)
+    ms = np.repeat(shells, shells + 1)
+    ns = np.arange(tri_size(depth), dtype=np.int64)
+    ns -= np.repeat(vertex_index(shells, 0), shells + 1)
     ms.setflags(write=False)
     ns.setflags(write=False)
     return ms, ns
+
+
+def _walls(depth: int):
+    """The wall rows, the rows that are not complete interior rows: the
+    origin, (m, 0) and (m, m) on every shell 0 < m < M, and the last shell,
+    3M in all.  Returns their int64 packed positions, increasing, and their
+    m and n."""
+    ms = np.arange(1, depth, dtype=np.int64)
+    fm = np.concatenate(([0], np.repeat(ms, 2), np.full(depth + 1, depth)))
+    fn = np.concatenate(([0], np.stack((0 * ms, ms), 1).ravel(),
+                         np.arange(depth + 1)))
+    return vertex_index(fm, fn), fm, fn
+
+
+def _by_stratum(depth: int, factor, shell):
+    """factor[stratum(m, n)] * shell[m] at every packed vertex: the
+    interior factor repeated over each shell, the 3M wall rows then
+    overwritten with their own."""
+    fix, fm, fn = _walls(depth)
+    out = np.repeat(factor[3] * shell, np.arange(1, depth + 2))
+    out[fix] = factor[stratum(fm, fn)] * shell[fm]
+    return out
 
 
 def _packed(depth: int, values, dtype):
@@ -161,33 +187,35 @@ def _shape(depth: int, sign: int):
 
     Returns (reads, fix, touch, local, strata).  reads is the interior row
     in slot order: the shift dn of a same-shell step (dm = 0), read as a
-    slice of the values, else an intp index array over all T rows.  The
-    first slot of either row steps off the shell, so it covers every row.
-    The rows that are not complete interior rows (the origin, the bottom
-    row, the diagonal and the last shell; F = 3M of them) are listed in
-    fix and keep their own rows, of the types in strata: local (3, F)
-    indexes the compact values[touch] followed by one zero, which an
-    absent slot reads.
+    slice of the values, else an intp index array over all T rows, the
+    packed index v plus a per-shell shift: v + m + 1 + dn (dm = +1) or
+    v - m + dn (dm = -1).  The first slot of either row steps off the
+    shell, so it covers every row.  The wall rows (``_walls``: the origin,
+    the bottom row, the diagonal and the last shell; F = 3M of them) are
+    listed in fix and keep their own rows, of the types in strata: local
+    (3, F) indexes the compact values[touch] followed by one zero, which
+    an absent slot reads.
 
     An entry holds 16 T bytes of index arrays and at most 192 M bytes of
-    fix rows (20.8 MB in all at M = 1600).  Its 16 entries hold every
-    (depth, sign) of a benchmark workload, five depths at most.
+    fix rows (20.8 MB in all at M = 1600); its build holds one T-length
+    temporary beyond that.  Its 16 entries hold every (depth, sign) of a
+    benchmark workload, five depths at most.
     """
-    m, n = _grid_mn(depth)
+    fix, fm, fn = _walls(depth)
+    size, shells = tri_size(depth), np.arange(depth + 1, dtype=np.intp)
     rows = table(2, sign)
-    inner = (stratum(m, n) == 3) & (m < depth)
     reads = [dn for _, dn, _ in rows[3]]
     for slot, (dm, dn, _) in enumerate(rows[3]):
         if dm:
             # a fix row reads its own value here; its image is overwritten
-            reads[slot] = read = np.arange(m.size, dtype=np.intp)
-            read[inner] = vertex_index(m[inner] + dm, n[inner] + dn)
+            step = shells + 1 + dn if dm > 0 else dn - shells
+            reads[slot] = read = np.repeat(step, shells + 1)
+            read += np.arange(size, dtype=np.intp)
+            read[fix] = fix
             read.setflags(write=False)
 
-    fix = np.flatnonzero(~inner)
-    fm, fn = m[fix], n[fix]
     strata = stratum(fm, fn)
-    pos = np.full((3, fix.size), m.size, dtype=np.intp)
+    pos = np.full((3, fix.size), size, dtype=np.intp)
     for s, row in enumerate(rows):
         for slot, (dm, dn, _) in enumerate(row):
             # slots falling beyond the depth stay absent: position T
@@ -255,13 +283,13 @@ def _gather(q: int, depth: int, sign: int, values):
 
 @lru_cache(maxsize=32)
 def _weights(q: int, depth: int):
-    """The float weight of every packed vertex: 8 T bytes an entry."""
-    m, n = _grid_mn(depth)
-    # per-stratum factor times q^(-2m), gathered from a table over m;
-    # negative exponents underflow gracefully (and stay exact for q = 2)
+    """The float weight of every packed vertex, from the wall rows (see
+    ``_by_stratum``): 8 T bytes an entry."""
+    # per-stratum factor times q^(-2m) from a table over m; negative
+    # exponents underflow gracefully (and stay exact for q = 2)
     factor = np.array([float(c) for c in weight_factors(q)])
     shell = np.power(float(q), -2.0 * np.arange(depth + 1))
-    w = factor[stratum(m, n)] * shell[m]
+    w = _by_stratum(depth, factor, shell)
     w.setflags(write=False)
     return w
 
@@ -422,8 +450,8 @@ def inner_exact(q: int, depth: int, f, g):
     f, g = _packed(depth, f, object), _packed(depth, g, object)
     k = q * q + q + 1
     scale = np.array([int(k * c) for c in weight_factors(q)])
-    m, n = _grid_mn(depth)
-    terms = scale[stratum(m, n)] * f * np.conjugate(g)
+    scale = _by_stratum(depth, scale, np.ones(depth + 1, dtype=np.int64))
+    terms = scale * f * np.conjugate(g)
     total = 0
     for shell in np.add.reduceat(terms, vertex_index(np.arange(depth + 1), 0)):
         total = total * q * q + shell

@@ -13,6 +13,10 @@ their own RatFunc entry lists and take determinants with ``det_ref``.
 it, independently of the companion cubic that classifies points.
 ``gather_ref`` applies an operator row-major from ``expected_rows``, the
 layout and summation the package's gather must reproduce bit for bit.
+``shape_ref`` is the operator's index layout built vertex by vertex from
+the coordinates of every vertex; unlike the oracles above it reads the
+package's ``table`` steps and ``stratum``, since it checks where rows read,
+not what the table says (``expected_rows`` checks that).
 ``Eisenstein`` is exact arithmetic in Q(w), w a primitive cube root of
 unity, and ``trivial_eigenfunction_exact`` packs the trivial eigenfunctions
 w^(k(m+n)) in it, so the trivial eigenvalues (q^2+q+1) w^k are checked
@@ -59,8 +63,10 @@ from a2quotient.algebra import DegenerateInput, Poly, RatFunc
 from a2quotient.eigen import (
     _B_ZERO, Stratum, _split_double, b_coefficients, eigenvalue_pair,
 )
-from a2quotient.operator import GridFunction, L2Space, _grid_mn
-from a2quotient.quotient import Vertex, coeffs, stabilizer_order, vertex_weight
+from a2quotient.operator import GridFunction, L2Space, _grid_mn, vertex_index
+from a2quotient.quotient import (
+    Vertex, coeffs, stabilizer_order, stratum, table, vertex_weight,
+)
 
 _Vertex = namedtuple("_Vertex", "m n")
 
@@ -142,6 +148,38 @@ def gather_ref(q, depth, sign, values):
     padded = np.asarray(values)[pos]
     padded[pos < 0] = 0
     return (coef * padded).sum(axis=1)
+
+
+def shape_ref(depth, sign):
+    """``operator._shape`` built vertex by vertex: the interior rows found
+    by ``stratum`` over the coordinates of all T vertices, their reads by
+    ``vertex_index`` on those rows, and the fix rows as the rest."""
+    m, n = _grid_mn(depth)
+    rows = table(2, sign)
+    inner = (stratum(m, n) == 3) & (m < depth)
+    reads = [dn for _, dn, _ in rows[3]]
+    for slot, (dm, dn, _) in enumerate(rows[3]):
+        if dm:
+            # a fix row reads its own value here; its image is overwritten
+            reads[slot] = read = np.arange(m.size, dtype=np.intp)
+            read[inner] = vertex_index(m[inner] + dm, n[inner] + dn)
+            read.setflags(write=False)
+
+    fix = np.flatnonzero(~inner)
+    fm, fn = m[fix], n[fix]
+    strata = stratum(fm, fn)
+    pos = np.full((3, fix.size), m.size, dtype=np.intp)
+    for s, row in enumerate(rows):
+        for slot, (dm, dn, _) in enumerate(row):
+            # slots falling beyond the depth stay absent: position T
+            hit = np.flatnonzero((strata == s) & (fm <= depth - dm))
+            pos[slot, hit] = vertex_index(fm[hit] + dm, fn[hit] + dn)
+    # the origin's one-slot row puts T in pos, last in touch: the compact zero
+    touch, local = np.unique(pos, return_inverse=True)
+    touch, local = touch[:-1], local.reshape(pos.shape)
+    for a in (fix, touch, local, strata):
+        a.setflags(write=False)
+    return tuple(reads), fix, touch, local, strata
 
 
 def complex_files_ref(q, depth, seed):

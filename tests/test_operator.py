@@ -15,8 +15,8 @@ from a2quotient.quotient import (
     Vertex, stratum, table, vertex_weight, weight_factors,
 )
 from oracles import (
-    Eisenstein, damped_ref, expected_rows, gather_ref, same_bits, traced_peak,
-    trivial_norm_sq_limit, weight_of,
+    Eisenstein, damped_ref, expected_rows, gather_ref, same_bits, shape_ref,
+    traced_peak, trivial_norm_sq_limit, weight_of,
 )
 
 
@@ -31,6 +31,17 @@ class TestGridFunction:
     def test_depth_check(self):
         with pytest.raises(DimensionMismatch):
             GridFunction(3, np.zeros(5))
+
+    @pytest.mark.parametrize("depth", [2, 3, 10, 400])
+    def test_grid_mn_matches_a_per_shell_loop(self, depth):
+        ms, ns = operator._grid_mn(depth)
+        want_m = np.concatenate([np.full(m + 1, m, dtype=np.int64)
+                                 for m in range(depth + 1)])
+        want_n = np.concatenate([np.arange(m + 1, dtype=np.int64)
+                                 for m in range(depth + 1)])
+        for got, want in ((ms, want_m), (ns, want_n)):
+            assert got.dtype == np.int64 and not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
 
     def test_packing_order(self):
         assert vertex_index(0, 0) == 0
@@ -225,6 +236,58 @@ class TestGather:
                  for q in (2, 3, 5, 7, 11, 101)}
         assert all(rows == steps[2] for rows in steps.values())
 
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_shape_matches_the_per_vertex_reference(self, sign):
+        # the shape built from the wall rows equals the one built from the
+        # coordinates and stratum of every vertex, array for array
+        for depth in [*range(2, 41), 120, 400]:
+            got, want = operator._shape(depth, sign), shape_ref(depth, sign)
+            assert len(got[0]) == len(want[0]) == 3
+            for a, b in zip([*got[0], *got[1:]], [*want[0], *want[1:]]):
+                if isinstance(b, int):
+                    assert type(a) is int and a == b, depth
+                    continue
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), depth
+                assert not a.flags.writeable and not b.flags.writeable
+                assert np.array_equal(a, b), depth
+
+    @pytest.mark.parametrize("depth", [400, 1600])
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_cold_shape_allocates_one_index_array_beyond_its_own(self, depth,
+                                                                 sign):
+        # beside the arrays it keeps, a build holds at most one T-length
+        # intp temporary and O(depth) for the wall rows; a pass over the
+        # coordinates of all T vertices holds 16 T bytes more
+        operator._shape.cache_clear()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reads, *fix_rows = operator._shape(depth, sign)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = sum(a.nbytes for a in [*reads, *fix_rows]
+                   if isinstance(a, np.ndarray))
+        assert peak <= kept + 8 * tri_size(depth) + 512 * depth
+
+    def test_operator_builds_no_coordinates(self, monkeypatch):
+        def no_grid(depth):
+            raise AssertionError(f"grid of depth {depth} allocated")
+
+        for cache in (operator._shape, operator._kernel, operator._weights):
+            cache.cache_clear()
+        monkeypatch.setattr(operator, "_grid_mn", no_grid)
+        q, depth = 3, 400
+        space = L2Space(q, depth)
+        f = GridFunction(depth, np.ones(tri_size(depth)))
+        for sign in (+1, -1):
+            g, _ = space.apply(sign, f)
+            assert np.isfinite(g.values).all()
+        assert space.inner(f, f).real > 0 and space.norm(f) > 0
+        ones = np.ones(tri_size(depth), dtype=object)
+        assert inner_exact(q, depth, ones, ones) > 0
+        assert 0 < space.norm_estimate(2) <= (q * q + q + 1) * (1 + 1e-9)
+
     def test_shape_cache_holds_every_workload_depth(self):
         # one entry per (depth, sign), whatever the primes: five depths and
         # both signs, the most one benchmark workload uses, fit
@@ -363,14 +426,17 @@ class TestInner:
                         float(weight_of(q, m, n)), rel=1e-14)
                     assert weight_of(q, m, n) == vertex_weight(q, m, n)
 
-    @pytest.mark.parametrize("q", [2, 3, 7, 101])
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 101])
     def test_weights_gather_the_per_vertex_powers(self, q):
-        # q^(-2m) from a table over m, bit for bit, into the subnormals
-        depth = 480
-        m, n = operator._grid_mn(depth)
+        # q^(-2m) from a table over m and the factor of the wall rows
+        # written over the interior one, bit for bit, into the subnormals
         factor = np.array([float(c) for c in weight_factors(q)])
-        want = factor[stratum(m, n)] * np.power(float(q), -2.0 * m)
-        assert L2Space(q, depth).weights.tobytes() == want.tobytes()
+        for depth in (480, 1600):
+            m, n = operator._grid_mn(depth)
+            want = factor[stratum(m, n)] * np.power(float(q), -2.0 * m)
+            got = L2Space(q, depth).weights
+            assert not got.flags.writeable
+            assert got.tobytes() == want.tobytes()
 
     def test_constant_norm_limit(self):
         # total mass of the constant function tends to 8/7 at q=2
