@@ -23,20 +23,18 @@ for name, z in [("origin", 0j), ("region cusp 3q", complex(3 * q)),
           f"tag: {tag}")
 
 print("\n== residual sweeps: the region's center, boundary and cusp ==")
-print("  (one route for every stratum: sums over the whole triangle, no grid,")
-print("  hence no depth; eps from default_ladder(q))")
+print("  (one route for every stratum: sums over the whole triangle, no grid;")
+print("  eps from default_ladder(q))")
 w = cmath.exp(2j * cmath.pi / 3)
 param = SpectralParam.from_triple(q, 1.0, w, w * w)
-print(f"  {'q':>4} {'stratum':>8} {'eps':>9} {'depth':>6} {'residual+':>10} "
-      f"{'residual-':>10}")
+print(f"  {'q':>4} {'stratum':>8} {'eps':>9} {'residual+':>10} {'residual-':>10}")
 for q_s in (q, 101):
     for s in ((1.0, w, w * w),                       # lambda = 0, the center
               (cmath.exp(1.4j), cmath.exp(-0.7j), cmath.exp(-0.7j)),  # boundary
               (w, w, w)):                            # a cusp, lambda = 3 q w
         p = SpectralParam.from_triple(q_s, *s)
         for r in residual_sweep(q_s, p, default_ladder(q_s)):
-            depth = "-" if r.depth is None else r.depth
-            print(f"  {q_s:>4} {p.stratum.value:>8} {r.epsilon:>9.4g} {depth:>6} "
+            print(f"  {q_s:>4} {p.stratum.value:>8} {r.epsilon:>9.4g} "
                   f"{r.residual_plus:>10.3e} {r.residual_minus:>10.3e}")
 
 print("\n== norm dichotomy ==")

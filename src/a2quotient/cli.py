@@ -270,10 +270,8 @@ def _witness_payload(rep) -> dict:
         "margin": rep.margin,
         "margin_exact_check": not rep.in_sigma2,
         "sweep": [{
-            "epsilon": r.epsilon, "depth": r.depth,
-            "residual_plus": r.residual_plus,
-            "residual_minus": r.residual_minus,
-            "norm": r.norm, "truncation_fraction": r.truncation_fraction,
+            "epsilon": r.epsilon, "residual_plus": r.residual_plus,
+            "residual_minus": r.residual_minus, "norm": r.norm,
         } for r in rep.sweep],
         "decreasing": rep.decreasing,
     }
@@ -313,14 +311,11 @@ def cmd_spectra(args) -> tuple[int, dict]:
                             residual_sweep(args.q, sigma1_cusp(args.q), eps_list)),
         }
         with _csv(args, "spectra_sweep.csv",
-                  "family,epsilon,depth,residual_plus,residual_minus,"
-                  "norm,truncation_fraction") as fh:
+                  "family,epsilon,residual_plus,residual_minus,norm") as fh:
             for name, reports in sweeps.items():
                 for r in reports:
-                    # an empty depth cell: the sums run without truncation
-                    fh.write(f"{name},{r.epsilon!r},,"
-                             f"{r.residual_plus!r},{r.residual_minus!r},"
-                             f"{r.norm!r},{r.truncation_fraction!r}\n")
+                    fh.write(f"{name},{r.epsilon!r},{r.residual_plus!r},"
+                             f"{r.residual_minus!r},{r.norm!r}\n")
         outputs.append(fh.name)
         summary["sweep_csv"] = fh.name
         summary["sweep_decreasing"] = all(map(is_decreasing, sweeps.values()))

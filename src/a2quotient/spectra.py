@@ -40,14 +40,14 @@ from enum import Enum
 
 from .algebra import validate_q
 from .eigen import (
-    SpectralParam, Stratum, _expansion, companion_roots, eigenfunction_grid,
+    TOL_SING, SpectralParam, Stratum, _expansion, companion_roots,
+    eigenfunction_grid,
 )
 from .operator import L2Space, tri_size
 from .quotient import table, weight_factors
 
 
 TOL_POINT = 1e-6      # sigma1 root moduli and the sigma0 distance of a point
-TOL_BOUNDARY = 1e-4   # root gap that tags a sigma2 point Boundary
 TOL_DELTOID = 1e-9    # largest discriminant D(lambda/q) of a sigma2 point
 
 
@@ -128,12 +128,13 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
     1/(q-1) to (q+1)/(q-1)^2 times the distance from the curve, so the bound
     1e-6 tags points up to 3e-7..1e-6 from it at q=2 and 8e-6..1e-5 at q=11.
     Sigma2 means sigma2_contains, D(lambda/q) <= TOL_DELTOID = 1e-9, and
-    Boundary that two roots lie within TOL_BOUNDARY.  On sigma2's boundary
-    D is at most about 1e-13 in floats, while moving 0.1% out raises it to
-    3.8e-8 or more even beside a cusp (where D vanishes to third order), so
-    any bound in [1e-12, 1e-9] separates the two; a root-modulus test
-    cannot, as beside a cusp the three roots coalesce and each modulus
-    drifts by more than TOL_POINT.
+    Boundary that two roots lie within eigen.TOL_SING, the gap below which
+    the parameter's stratum is double or triple: on sigma2 two roots
+    coincide exactly on its boundary.  There D is at most about 1e-13 in
+    floats, while moving 0.1% out raises it to 3.8e-8 or more even beside a
+    cusp (where D vanishes to third order), so any bound in [1e-12, 1e-9]
+    separates the two; a root-modulus test cannot, as beside a cusp the
+    three roots coalesce and each modulus drifts by more than TOL_POINT.
     """
     la = complex(la)
     if min(abs(la - p) for p in sigma0(q)) <= TOL_POINT:
@@ -145,7 +146,7 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
         return SpectrumPoint(la, SetTag.SIGMA1)
     if sigma2_contains(q, la):
         a, b, c = roots
-        near = min(abs(a - b), abs(a - c), abs(b - c)) <= TOL_BOUNDARY
+        near = min(abs(a - b), abs(a - c), abs(b - c)) <= TOL_SING
         return SpectrumPoint(la, SetTag.SIGMA2_BOUNDARY if near
                              else SetTag.SIGMA2_INTERIOR)
     return SpectrumPoint(la, SetTag.OUTSIDE)
@@ -157,10 +158,10 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """One damped residual experiment; depth is None, truncation_fraction 0.0."""
-    s: tuple[complex, complex, complex]
+    """One damped residual experiment.  truncation_fraction is always 0.0,
+    as every sweep sums over the whole triangle; perfbench's check_sweep
+    still reads it."""
     epsilon: float
-    depth: int | None
     residual_plus: float
     residual_minus: float
     norm: float
@@ -227,8 +228,7 @@ def _closed_masses(q: int, terms, r: float, residuals=()) -> list[float]:
     return [acc.real for acc in sums]
 
 
-def _closed_report(q: int, param: SpectralParam, terms, steps,
-                   eps: float) -> ResidualReport:
+def _closed_report(q: int, terms, steps, eps: float) -> ResidualReport:
     """The report at eps; no steps (residuals 0.0) for an exact trivial s."""
     r = 1.0 - eps
     up, down = r - 1, r ** -1 - 1
@@ -236,9 +236,9 @@ def _closed_report(q: int, param: SpectralParam, terms, steps,
         [[tuple(up * a + down * b for a, b in strata) for strata in term]
          for term in table_steps] for table_steps in steps])
     ratios = [math.sqrt(sq / mass) for sq in squares] or [0.0, 0.0]
-    return ResidualReport(s=param.s, epsilon=eps, depth=None,
-                          residual_plus=ratios[0], residual_minus=ratios[1],
-                          norm=math.sqrt(mass), truncation_fraction=0.0)
+    return ResidualReport(epsilon=eps, residual_plus=ratios[0],
+                          residual_minus=ratios[1], norm=math.sqrt(mass),
+                          truncation_fraction=0.0)
 
 
 def validate_eps(eps_list) -> tuple[float, ...]:
@@ -260,9 +260,9 @@ def residual_sweep(q: int, param: SpectralParam, eps_list) -> list[ResidualRepor
     eps_list = validate_eps(eps_list)
     terms = _expansion(q, param)
     if param.stratum is Stratum.TRIVIAL:
-        return [_closed_report(q, param, terms, (), 0.0)] * len(eps_list)
+        return [_closed_report(q, terms, (), 0.0)] * len(eps_list)
     steps = [_residual_steps(q, terms, sign) for sign in (+1, -1)]
-    return [_closed_report(q, param, terms, steps, eps) for eps in eps_list]
+    return [_closed_report(q, terms, steps, eps) for eps in eps_list]
 
 
 def is_decreasing(reports, slack: float = 1.05) -> bool:

@@ -219,7 +219,6 @@ def test_criterion_7_containment_evidence():
     for name, param in families:
         reports = residual_sweep(q, param, EPS_SWEEP)
         # every family is generic: the sums run without truncation
-        assert [r.depth for r in reports] == [None] * 4, name
         assert all(r.truncation_fraction == 0.0 for r in reports), name
         assert is_decreasing(reports, slack=1.05), name
         # regression bound pinned after the first verified run (observed

@@ -16,6 +16,8 @@ from oracles import complex_files_ref
 
 
 ROOT = Path(__file__).resolve().parent.parent
+# the keys of a witness sweep entry, in order (schema version 2)
+SWEEP_KEYS = ["epsilon", "residual_plus", "residual_minus", "norm"]
 
 
 def run_module(*argv):
@@ -437,17 +439,20 @@ class TestSpectraCommand:
         assert payload["sweep_decreasing"] is True
         assert (tmp_path / "spectra_sweep.csv").exists()
 
-    def test_sweep_csv_leaves_depth_empty(self, capsys, tmp_path):
+    def test_sweep_csv_v2_columns(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "--q", "5", "--out", str(tmp_path),
-                               "spectra", "--samples", "8", "--sweep")
+                               "spectra", "--samples", "8", "--sweep", "--witness")
         assert code == 0
-        text = (tmp_path / "spectra_sweep.csv").read_text()
-        assert "None" not in text
-        rows = [r.split(",") for r in text.splitlines()[2:]]
+        sweep = json.loads(out)["witness"]["sweep"]
+        assert all(list(r) == SWEEP_KEYS for r in sweep)
+        lines = (tmp_path / "spectra_sweep.csv").read_text().splitlines()
+        assert lines[:2] == ["# seed=0 q=5 depth=20",
+                             "family,epsilon,residual_plus,residual_minus,norm"]
+        rows = [r.split(",") for r in lines[2:]]
         ladder = [repr(e) for e in spectra.default_ladder(5)]
         assert [r[0] for r in rows] == ["sigma2_center"] * 4 + ["sigma1_cusp"] * 4
         assert [r[1] for r in rows] == ladder * 2
-        assert all(r[2] == "" and r[6] == "0.0" for r in rows)
+        assert all(len(r) == 5 and all(float(x) > 0 for x in r[1:]) for r in rows)
 
     def test_svg_samples(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "--q", "2", "--emit", "svg",
@@ -584,8 +589,7 @@ class TestWitnessCommand:
         assert code == 0
         sweep = json.loads(out)["sweep"]
         assert [r["epsilon"] for r in sweep] == list(spectra.default_ladder(q))
-        assert all(r["depth"] is None and r["truncation_fraction"] == 0.0
-                   for r in sweep)
+        assert all(list(r) == SWEEP_KEYS for r in sweep)
         assert max(sweep[-1]["residual_plus"], sweep[-1]["residual_minus"]) < 0.5
 
     def test_config_file(self, capsys, tmp_path):

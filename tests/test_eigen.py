@@ -412,7 +412,7 @@ class TestAgainstOracles:
                 assert not isinstance(want, float), (p.s, eps)  # not truncated
                 got = (r.residual_plus, r.residual_minus, r.norm)
                 assert got == pytest.approx(want[:3], rel=1e-12), (p.s, eps)
-                assert (r.depth, r.truncation_fraction) == (None, 0.0)
+                assert r.truncation_fraction == 0.0
 
     def test_results_are_fresh_arrays(self):
         """Returned grids are fresh arrays: later calls leave them as they

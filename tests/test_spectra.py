@@ -131,6 +131,24 @@ class TestClassify:
                         assert got is tag, (cusp, k, sign, scale)
                     assert sigma2_contains(q, z) and not sigma2_contains(q, 1.001 * z)
 
+    @pytest.mark.parametrize("q", [2, 3, 5, 11])
+    def test_boundary_tag_is_the_double_and_triple_strata(self, q):
+        # both rules read the smallest root gap against eigen.TOL_SING:
+        # a sigma2 point is Boundary exactly where its parameter is not generic
+        boundary = 0
+        for k in range(400):
+            z = sigma2_boundary_point(q, 2 * math.pi * k / 400)
+            for delta in (0, 1e-12, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5,
+                          1e-3, 1e-2):
+                lam = z * (1 - delta)
+                tag = classify_point(q, lam).set_tag
+                stratum = eigen.params_from_eigenvalue(q, lam).stratum
+                assert tag in (SetTag.SIGMA2_BOUNDARY, SetTag.SIGMA2_INTERIOR)
+                assert (tag is SetTag.SIGMA2_BOUNDARY) == (
+                    stratum in (Stratum.DOUBLE, Stratum.TRIPLE)), (k, delta)
+                boundary += tag is SetTag.SIGMA2_BOUNDARY
+        assert 400 <= boundary < 4000  # both tags occur
+
     @pytest.mark.parametrize("q", [2, 3, 5, 7, 11])
     def test_sigma1_curve_points(self, q):
         r = math.sqrt(q)
@@ -198,7 +216,6 @@ class TestResidualSweep:
         w = cmath.exp(2j * cmath.pi / 3)
         param = SpectralParam.from_triple(q, 1.0, w, w * w)  # eigenvalue 0
         reports = residual_sweep(q, param, (0.2, 0.1, 0.05))
-        assert [r.depth for r in reports] == [None] * 3  # no truncation
         assert all(r.truncation_fraction == 0.0 for r in reports)
         assert is_decreasing(reports)
         ratios = [r.residual_plus for r in reports]
@@ -258,9 +275,9 @@ class TestResidualSweep:
 
     def test_growing_minus_ratio_alone_is_not_decreasing(self):
         def report(plus, minus):
-            return ResidualReport(s=(1, 1, 1), epsilon=0.1, depth=120,
-                                  residual_plus=plus, residual_minus=minus,
-                                  norm=1.0, truncation_fraction=0.0)
+            return ResidualReport(epsilon=0.1, residual_plus=plus,
+                                  residual_minus=minus, norm=1.0,
+                                  truncation_fraction=0.0)
 
         assert is_decreasing([report(0.5, 0.5), report(0.2, 0.52)])  # within 5%
         assert not is_decreasing([report(0.5, 0.5), report(0.2, 0.6)])
@@ -310,26 +327,27 @@ class TestClosedForm:
                 got = (r.residual_plus, r.residual_minus, r.norm)
                 for g, w, tol in zip(got, want, (ratio_tol, ratio_tol, norm_tol)):
                     assert g == pytest.approx(w, rel=tol), (name, eps)
-                assert (r.epsilon, r.depth, r.truncation_fraction) == (eps, None, 0.0)
+                assert (r.epsilon, r.truncation_fraction) == (eps, 0.0)
 
     @pytest.mark.parametrize("q", [2, 3, 5, 11])
     def test_trivial_norm_is_the_exact_limit(self, q):
         param = SpectralParam.from_triple(q, q * ROT, ROT, ROT / q)
         assert param.stratum is Stratum.TRIVIAL
         for r in residual_sweep(q, param, (0.2, 0.025)):
-            assert (r.epsilon, r.depth, r.truncation_fraction) == (0.0, None, 0.0)
+            assert (r.epsilon, r.truncation_fraction) == (0.0, 0.0)
             assert (r.residual_plus, r.residual_minus) == (0.0, 0.0)
             assert r.norm ** 2 == pytest.approx(float(trivial_norm_sq_limit(q)),
                                                 rel=1e-14)
 
     def test_route_per_stratum(self, monkeypatch):
-        # one route: the sums, one report per eps (one undamped for trivial)
+        # one route: the sums, one report per eps with the residual steps of
+        # both signs (one undamped, without steps, for trivial)
         routes = []
         real = spectra._closed_report
 
-        def counted(*a):
-            routes.append(a[1].stratum)
-            return real(*a)
+        def counted(q, terms, steps, eps):
+            routes.append((len(steps), eps))
+            return real(q, terms, steps, eps)
 
         monkeypatch.setattr(spectra, "_closed_report", counted)
         params = {
@@ -343,10 +361,10 @@ class TestClosedForm:
             assert p.stratum is stratum
             routes.clear()
             reports = residual_sweep(2, p, (0.2, 0.1))
-            calls = 1 if stratum is Stratum.TRIVIAL else 2
-            assert routes == [stratum] * calls, stratum
-            assert [(r.depth, r.truncation_fraction) for r in reports] == [
-                (None, 0.0)] * 2, stratum
+            calls = ([(0, 0.0)] if stratum is Stratum.TRIVIAL
+                     else [(2, 0.2), (2, 0.1)])
+            assert routes == calls, stratum
+            assert [r.truncation_fraction for r in reports] == [0.0] * 2, stratum
 
     def test_divergent_pair_raises(self):
         # a generic point off sigma1 whose largest root has modulus 1.8:
@@ -381,7 +399,6 @@ class TestClosedForm:
         for p in params:
             assert p.stratum in (Stratum.DOUBLE, Stratum.TRIPLE), p.s
             reports = residual_sweep(q, p, spectra.default_ladder(q))
-            assert all(r.depth is None for r in reports), p.s
             ratios = [(r.residual_plus, r.residual_minus) for r in reports]
             assert all(math.isfinite(x) for r in reports
                        for x in (r.residual_plus, r.residual_minus, r.norm)), p.s
