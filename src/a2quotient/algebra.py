@@ -391,23 +391,24 @@ class RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# text syntax:  "t^3+2*t+1",  "(t^2+1)/(t)",  coefficients are decimal digits
-# and must be < q; '-' is the field negation.
+# text syntax (the grammar is in the README, "Matrix entries"): "t^3+2*t+1",
+# "(t^2+1)/(t)"; coefficients are decimal digits and must be < q, '-' is the
+# field negation and a '*' only joins a coefficient to t.
 # ---------------------------------------------------------------------------
 
-_TERM = re.compile(r"^(?:(\d+)\*?)?(t(?:\^(\d+))?)?$")
+_TERM = re.compile(r"^(?:(\d+)(?:\*(?=t))?)?(t(?:\^(\d+))?)?$")
 
 
 def parse_poly(q: int, text: str) -> Poly:
     s = text.replace(" ", "")
-    if s.startswith("(") and s.endswith(")") and _balanced(s[1:-1]):
+    if s.startswith("(") and s.endswith(")"):
         s = s[1:-1]
     if not s:
         raise ValueError("empty polynomial")
     coeffs: dict[int, int] = {}
     for sign, body in _signed_terms(s):
         m = _TERM.match(body)
-        if not m or (m.group(1) is None and m.group(2) is None):
+        if not m:
             raise ValueError(f"cannot parse term {body!r}")
         c = int(m.group(1)) if m.group(1) is not None else 1
         if c >= q:
@@ -416,43 +417,18 @@ def parse_poly(q: int, text: str) -> Poly:
         if m.group(2):
             k = int(m.group(3)) if m.group(3) else 1
         coeffs[k] = (coeffs.get(k, 0) + sign * c) % q
-    deg = max(coeffs) if coeffs else 0
+    deg = max(coeffs)
     return Poly(q, [coeffs.get(i, 0) for i in range(deg + 1)])
 
 
 def parse_ratfunc(q: int, text: str) -> RatFunc:
-    s = text.replace(" ", "")
-    cut = _top_level_slash(s)
-    if cut is None:
-        return RatFunc(parse_poly(q, s))
-    den = parse_poly(q, s[cut + 1:])
+    top, slash, bottom = text.replace(" ", "").partition("/")
+    if not slash:
+        return RatFunc(parse_poly(q, top))
+    den = parse_poly(q, bottom)
     if den.is_zero:
         raise ValueError(f"zero denominator in {text!r}")
-    return RatFunc(parse_poly(q, s[:cut])) / RatFunc(den)
-
-
-def _balanced(s: str) -> bool:
-    depth = 0
-    for ch in s:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                return False
-    return depth == 0
-
-
-def _top_level_slash(s: str) -> int | None:
-    depth = 0
-    for i, ch in enumerate(s):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            return i
-    return None
+    return RatFunc(parse_poly(q, top)) / RatFunc(den)
 
 
 def _signed_terms(s: str):

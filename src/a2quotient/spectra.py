@@ -70,7 +70,7 @@ class SetTag(Enum):
 
 @dataclass(frozen=True)
 class SpectrumPoint:
-    lam: complex
+    """A point's tag; a wrapper while perfbench's ``_classify_op`` reads it."""
     set_tag: SetTag
 
 
@@ -138,18 +138,18 @@ def classify_point(q: int, la: complex) -> SpectrumPoint:
     """
     la = complex(la)
     if min(abs(la - p) for p in sigma0(q)) <= TOL_POINT:
-        return SpectrumPoint(la, SetTag.SIGMA0)
+        return SpectrumPoint(SetTag.SIGMA0)
     roots = companion_roots(q, la)
     moduli = [abs(z) for z in roots]
     r = math.sqrt(q)
     if all(abs(m - t) <= TOL_POINT for m, t in zip(moduli, (r, 1.0, 1.0 / r))):
-        return SpectrumPoint(la, SetTag.SIGMA1)
+        return SpectrumPoint(SetTag.SIGMA1)
     if sigma2_contains(q, la):
         a, b, c = roots
         near = min(abs(a - b), abs(a - c), abs(b - c)) <= TOL_SING
-        return SpectrumPoint(la, SetTag.SIGMA2_BOUNDARY if near
+        return SpectrumPoint(SetTag.SIGMA2_BOUNDARY if near
                              else SetTag.SIGMA2_INTERIOR)
-    return SpectrumPoint(la, SetTag.OUTSIDE)
+    return SpectrumPoint(SetTag.OUTSIDE)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,6 @@ WITNESS_LAST_RATIO = 0.5
 
 @dataclass(frozen=True)
 class WitnessReport:
-    q: int
     lambda_star: float
     in_sigma2: bool
     margin: float
@@ -340,7 +339,7 @@ def non_ramanujan_witness(q: int, eps_list=None) -> WitnessReport:
     if eps_list is None:
         eps_list = default_ladder(q)
     sweep = residual_sweep(q, sigma1_cusp(q), eps_list)
-    return WitnessReport(q=q, lambda_star=lam,
+    return WitnessReport(lambda_star=lam,
                          in_sigma2=sigma2_contains(q, lam),
                          margin=margin, sweep=sweep,
                          decreasing=is_decreasing(sweep))

@@ -39,6 +39,9 @@ schoolbook from the top term), with no ``Poly`` in them, for checking every
 way ``ProjMat.of`` took it before it started its content gcd at the
 lowest-degree entry: a sequential gcd over the entries in row-major order,
 from the zero polynomial, stopped at the first constant.
+``entry_ref`` reads a matrix entry by the grammar the README states, as
+one regular expression over the whole text, and evaluates its terms
+itself, for checking ``parse_ratfunc``.
 ``same_bits`` compares float or complex arrays bit for bit, except that any
 NaN matches any NaN.
 ``traced_peak`` is the peak of the memory a call allocates, numpy arrays
@@ -53,6 +56,7 @@ layout of the shell-by-shell writer, while ``expected_rows`` and
 import cmath
 import json
 import math
+import re
 import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
@@ -347,6 +351,40 @@ def gcd_ref(q, a, b):
     while b:
         a, b = b, divmod_ref(q, a, b)[1]
     return monic_ref(q, a) if a else a
+
+
+_TERM_REF = r"(?:\d+\*?t(?:\^\d+)?|\d+|t(?:\^\d+)?)"
+_BODY_REF = rf"[+-]?{_TERM_REF}(?:[+-]{_TERM_REF})*"
+_POLY_REF = rf"(?:\({_BODY_REF}\)|{_BODY_REF})"
+ENTRY_REF = re.compile(rf"({_POLY_REF})(?:/({_POLY_REF}))?")
+
+
+def entry_ref(q, text):
+    """A matrix entry as (numerator, denominator) coefficient tuples, or
+    None if the grammar rejects it, a coefficient is not below q or the
+    denominator is zero mod q.  Spaces are ignored."""
+    m = ENTRY_REF.fullmatch(text.replace(" ", ""))
+    if m is None:
+        return None
+    num, den = (_poly_ref(q, side) for side in (m.group(1), m.group(2) or "1"))
+    if num is None or not den:
+        return None
+    return num, den
+
+
+def _poly_ref(q, text):
+    """A side the grammar accepted: signed terms c*t^k summed mod q; None if
+    a coefficient is not below q."""
+    out = {}
+    for sign, c, t, k in re.findall(r"([+-]?)(\d*)\*?(t?)\^?(\d*)", text.strip("()")):
+        if not (c or t):
+            continue  # the empty match at the end
+        c = int(c) if c else 1
+        if c >= q:
+            return None
+        k = int(k) if k else int(bool(t))
+        out[k] = out.get(k, 0) + (-c if sign == "-" else c)
+    return _canon_ref(q, [out.get(i, 0) for i in range(max(out) + 1)])
 
 
 def projmat_of_ref(P):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -10,8 +11,8 @@ from a2quotient.algebra import (
     validate_q,
 )
 from oracles import (
-    add_ref, brute_expand_power, divmod_ref, monic_ref, mul_ref, neg_ref,
-    nth_root, scale_ref, shifted_ref, sub_ref,
+    add_ref, brute_expand_power, divmod_ref, entry_ref, monic_ref, mul_ref,
+    neg_ref, nth_root, scale_ref, shifted_ref, sub_ref,
 )
 
 QS = [2, 3, 5]
@@ -292,3 +293,28 @@ class TestParsing:
                 parse_ratfunc(3, bad)
         assert parse_ratfunc(3, "-t") == parse_ratfunc(3, "2*t")
         assert parse_ratfunc(3, "+t") == parse_ratfunc(3, "t")
+        # a '*' only joins a coefficient to t
+        for bad in ("2*", "1*+t", "(2*)/(t)"):
+            with pytest.raises(ValueError, match=r"cannot parse term '\d\*'"):
+                parse_ratfunc(3, bad)
+
+    @pytest.mark.parametrize("q, accepted", [(2, 277), (3, 678)])
+    def test_grammar_matches_the_oracle(self, q, accepted):
+        # every string of up to 5 characters over the grammar's alphabet:
+        # the parser accepts exactly what the README grammar accepts, with
+        # the same value
+        seen = 0
+        for k in range(1, 6):
+            for chars in itertools.product("t12^*+-()/", repeat=k):
+                text = "".join(chars)
+                want = entry_ref(q, text)
+                try:
+                    f = parse_ratfunc(q, text)
+                except ValueError:
+                    assert want is None, text
+                    continue
+                assert want is not None, text
+                num, den = want
+                assert mul_ref(q, num, f.den.coeffs) == mul_ref(q, f.num.coeffs, den), text
+                seen += 1
+        assert seen == accepted
