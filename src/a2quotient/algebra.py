@@ -393,10 +393,14 @@ class RatFunc:
 # ---------------------------------------------------------------------------
 # text syntax (the grammar is in the README, "Matrix entries"): "t^3+2*t+1",
 # "(t^2+1)/(t)"; coefficients are decimal digits and must be < q, '-' is the
-# field negation and a '*' only joins a coefficient to t.
+# field negation and a '*' only joins a coefficient to t.  A body splits at
+# its signs; every sign needs a term after it, and all but the first one before.
 # ---------------------------------------------------------------------------
 
+MAX_EXPONENT = 10_000   # the largest exponent of t an entry may hold
+
 _TERM = re.compile(r"^(?:(\d+)(?:\*(?=t))?)?(t(?:\^(\d+))?)?$")
+_SIGNS = re.compile(r"([+-])")
 
 
 def parse_poly(q: int, text: str) -> Poly:
@@ -405,8 +409,15 @@ def parse_poly(q: int, text: str) -> Poly:
         s = s[1:-1]
     if not s:
         raise ValueError("empty polynomial")
+    parts = _SIGNS.split(s)  # bodies at even places, each after its sign
+    if "" in parts[2:-1:2]:
+        raise ValueError(f"dangling operator in {s!r}")
+    if not parts[-1]:
+        raise ValueError(f"trailing operator in {s!r}")
     coeffs: dict[int, int] = {}
-    for sign, body in _signed_terms(s):
+    for sign, body in zip(["+", *parts[1::2]], parts[::2]):
+        if not body:  # an empty first body: one leading sign
+            continue
         m = _TERM.match(body)
         if not m:
             raise ValueError(f"cannot parse term {body!r}")
@@ -416,7 +427,10 @@ def parse_poly(q: int, text: str) -> Poly:
         k = 0
         if m.group(2):
             k = int(m.group(3)) if m.group(3) else 1
-        coeffs[k] = (coeffs.get(k, 0) + sign * c) % q
+            if k > MAX_EXPONENT:
+                raise ValueError(f"exponent in term {body!r} is above "
+                                 f"{MAX_EXPONENT}")
+        coeffs[k] = (coeffs.get(k, 0) + (c if sign == "+" else -c)) % q
     deg = max(coeffs)
     return Poly(q, [coeffs.get(i, 0) for i in range(deg + 1)])
 
@@ -428,26 +442,7 @@ def parse_ratfunc(q: int, text: str) -> RatFunc:
     den = parse_poly(q, bottom)
     if den.is_zero:
         raise ValueError(f"zero denominator in {text!r}")
-    return RatFunc(parse_poly(q, top)) / RatFunc(den)
-
-
-def _signed_terms(s: str):
-    out = []
-    sign, buf = 1, []
-    for i, ch in enumerate(s):
-        if ch in "+-":
-            if buf:
-                out.append((sign, "".join(buf)))
-                buf = []
-            elif i:  # the character before was a sign too
-                raise ValueError(f"dangling operator in {s!r}")
-            sign = 1 if ch == "+" else -1
-        else:
-            buf.append(ch)
-    if not buf:
-        raise ValueError(f"trailing operator in {s!r}")
-    out.append((sign, "".join(buf)))
-    return out
+    return RatFunc(parse_poly(q, top), den)
 
 
 def fraction_str(x: Fraction) -> dict:

@@ -96,9 +96,6 @@ class SpectralParam:
         _check_membership(s)
         return cls(s=s, stratum=classify_stratum(q, s))
 
-    def __iter__(self):
-        return iter(self.s)
-
 
 def _check_membership(s) -> None:
     for k, z in enumerate(s, 1):

@@ -238,8 +238,7 @@ def verify_witness(result: ReductionResult, g: ProjMat) -> bool:
     if not (in_modular_group(gamma) and in_maximal_compact(w)):
         return False
     low = min(powers)  # diag(t^k) is taken modulo scalars
-    diag = [Poly.monomial(g.q, k - low) for k in powers]
-    tw = [[t * p for p in row] for t, row in zip(diag, w.rows)]
+    tw = [[p.shifted(k - low) for p in row] for k, row in zip(powers, w.rows)]
     return ProjMat.of(_matmul(gamma.rows, tw)) == g
 
 

@@ -7,12 +7,12 @@ from fractions import Fraction
 import pytest
 
 from a2quotient.algebra import (
-    DegenerateInput, Poly, RatFunc, parse_poly, parse_ratfunc, poly_gcd,
-    validate_q,
+    MAX_EXPONENT, DegenerateInput, Poly, RatFunc, parse_poly, parse_ratfunc,
+    poly_gcd, validate_q,
 )
 from oracles import (
     add_ref, brute_expand_power, divmod_ref, entry_ref, monic_ref, mul_ref,
-    neg_ref, nth_root, scale_ref, shifted_ref, sub_ref,
+    neg_ref, nth_root, scale_ref, shifted_ref, sub_ref, traced_peak,
 )
 
 QS = [2, 3, 5]
@@ -297,6 +297,19 @@ class TestParsing:
         for bad in ("2*", "1*+t", "(2*)/(t)"):
             with pytest.raises(ValueError, match=r"cannot parse term '\d\*'"):
                 parse_ratfunc(3, bad)
+
+    def test_exponent_bound(self):
+        assert parse_poly(2, f"t^{MAX_EXPONENT}") == Poly.monomial(2, MAX_EXPONENT)
+        for text in (f"t+t^{MAX_EXPONENT + 1}", "t^9999999999"):
+            with pytest.raises(ValueError, match=rf"exponent in term 't\^\d+' "
+                                                 rf"is above {MAX_EXPONENT}"):
+                parse_ratfunc(2, text)
+
+        # rejected before a coefficient list of that length exists
+        def ten_digit():
+            with pytest.raises(ValueError):
+                parse_ratfunc(2, "t^9999999999")
+        assert traced_peak(ten_digit) < 2 ** 20
 
     @pytest.mark.parametrize("q, accepted", [(2, 277), (3, 678)])
     def test_grammar_matches_the_oracle(self, q, accepted):

@@ -247,6 +247,28 @@ class TestValidation:
         assert f"config file {cfgfile}: {key} = " in err
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--depth", "1", "witness"], "depth must be >= 2"),
+        (["eigen", "--lambda", "abc"], "cannot parse complex number 'abc'"),
+        (["eigen", "--s", "1,1"], "--s needs three comma-separated complex numbers"),
+    ], ids=["depth", "lambda", "s"])
+    def test_bad_value_named(self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, "--q", "2", "--out", str(tmp_path), *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text, code, err", [
+        ("# depth\n\nq = 3  # a prime\n", 0, ""),
+        ("# a comment\n\nq = 3\ndepth\n", 1, "error: bad config line 'depth'\n"),
+    ], ids=["skipped", "line-without-equals"])
+    def test_config_comments_and_blank_lines(self, capsys, tmp_path, text, code, err):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        got = run_cli(capsys, "--config", str(cfgfile), "reduce", "--matrix", "1,0;0,1")
+        assert (got[0], got[2]) == (code, err)
+        assert code or json.loads(got[1])["q"] == 3
+
+
 class TestComplexCommand:
     def test_csv_files(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "--q", "2", "--depth", "4",
@@ -438,6 +460,14 @@ class TestSpectraCommand:
         payload = json.loads(out)
         assert payload["sweep_decreasing"] is True
         assert (tmp_path / "spectra_sweep.csv").exists()
+        # a ladder whose damping grows: the residuals grow too, and without
+        # --witness the sweep alone sets exit 2
+        outdir = tmp_path / "growing"
+        code, out, _ = run_cli(capsys, "--q", "2", "--out", str(outdir), "spectra",
+                               "--sweep", "--eps", "0.05,0.2")
+        assert code == 2
+        assert json.loads(out)["sweep_decreasing"] is False
+        assert (outdir / "spectra_sweep.csv").exists()
 
     def test_sweep_csv_v2_columns(self, capsys, tmp_path):
         code, out, _ = run_cli(capsys, "--q", "5", "--out", str(tmp_path),
