@@ -287,8 +287,9 @@ class TestParsing:
         for bad in ("", "t^", "x+1", "1++t", "t/1/t", "1/0", "t/(t+2*t)"):
             with pytest.raises(ValueError):
                 parse_ratfunc(3, bad)
-        # a run of signs is rejected wherever it stands; one leading sign is fine
-        for bad in ("-+t", "--t", "+-t", "t+-1", "t/--t"):
+        # a run of signs is rejected wherever it stands, also at the end;
+        # one leading sign is fine
+        for bad in ("-+t", "--t", "+-t", "t+-1", "t/--t", "t+-"):
             with pytest.raises(ValueError, match="dangling operator"):
                 parse_ratfunc(3, bad)
         assert parse_ratfunc(3, "-t") == parse_ratfunc(3, "2*t")
