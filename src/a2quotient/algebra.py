@@ -6,9 +6,9 @@ convention).  Rational functions are kept canonical: denominator monic,
 fraction in lowest terms, so equality and hashing are structural.
 
 Every coefficient is a residue: a Python int in [0, q).  The public
-``Poly(q, coeffs)`` (and ``zero``, ``one``, ``const``, ``t``, ``monomial``,
-which call it) is where outside values enter, so it checks them: q must be
-a prime (``validate_q``, else ValueError) and each coefficient an integer
+``Poly(q, coeffs)`` (and ``zero``, ``one``, ``const``, ``monomial``, which
+call it) is where outside values enter, so it checks them: q must be a
+prime (``validate_q``, else ValueError) and each coefficient an integer
 (else TypeError); it reduces them mod q and trims.  ``scale`` and
 ``shifted`` check their multiplier the same way.  Arithmetic results are
 built by the private ``_poly``, which takes residues already in [0, q) and
@@ -100,10 +100,6 @@ class Poly:
         return cls(q, (c,))
 
     @classmethod
-    def t(cls, q: int) -> "Poly":
-        return cls(q, (0, 1))
-
-    @classmethod
     def monomial(cls, q: int, k: int, c: int = 1) -> "Poly":
         if k < 0:
             raise ValueError("monomial exponent must be >= 0")
@@ -125,10 +121,6 @@ class Poly:
     def lc(self) -> int:
         """Leading coefficient (0 only for the zero polynomial)."""
         return self.coeffs[-1] if self.coeffs else 0
-
-    @property
-    def is_monic(self) -> bool:
-        return self.lc() == 1
 
     def monic(self) -> "Poly":
         if self.is_zero:
@@ -194,18 +186,6 @@ class Poly:
             return _poly(q, [])
         cs = self.coeffs if c == 1 else [c * a % q for a in self.coeffs]
         return _poly(q, [0] * k + list(cs))
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = _poly(self.q, [1])
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
 
     def __divmod__(self, other: "Poly"):
         self._check(other)
@@ -300,18 +280,6 @@ class RatFunc:
 
     # -- constructors ---------------------------------------------------
     @classmethod
-    def zero(cls, q: int) -> "RatFunc":
-        return cls(Poly.zero(q))
-
-    @classmethod
-    def one(cls, q: int) -> "RatFunc":
-        return cls(Poly.one(q))
-
-    @classmethod
-    def const(cls, q: int, c: int) -> "RatFunc":
-        return cls(Poly.const(q, c))
-
-    @classmethod
     def t_power(cls, q: int, k: int) -> "RatFunc":
         """t^k for any integer k."""
         if k >= 0:
@@ -330,10 +298,6 @@ class RatFunc:
     @property
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
-
-    @property
-    def is_constant(self) -> bool:
-        return self.den.degree == 0 and self.num.degree <= 0
 
     def valuation(self):
         """deg(den) - deg(num); +inf (float sentinel) for 0."""
@@ -366,9 +330,6 @@ class RatFunc:
         if other.is_zero:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def inverse(self) -> "RatFunc":
-        return RatFunc.one(self.q) / self
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RatFunc) and self.num == other.num
@@ -421,15 +382,17 @@ def parse_poly(q: int, text: str) -> Poly:
         m = _TERM.match(body)
         if not m:
             raise ValueError(f"cannot parse term {body!r}")
-        c = int(m.group(1)) if m.group(1) is not None else 1
+        coef, t, exp = m.groups()
+        # a digit run is read after its leading zeros; one with more digits
+        # than its bound is over that bound, and never goes to int()
+        run = (coef or "1").lstrip("0")
+        c = int(run or "0") if len(run) <= len(str(q)) else q
         if c >= q:
-            raise ValueError(f"coefficient {c} not reduced mod q={q}")
-        k = 0
-        if m.group(2):
-            k = int(m.group(3)) if m.group(3) else 1
-            if k > MAX_EXPONENT:
-                raise ValueError(f"exponent in term {body!r} is above "
-                                 f"{MAX_EXPONENT}")
+            raise ValueError(f"coefficient {run} not reduced mod q={q}")
+        run = (exp or "1").lstrip("0") if t else ""
+        k = int(run or "0") if len(run) <= len(str(MAX_EXPONENT)) else MAX_EXPONENT + 1
+        if k > MAX_EXPONENT:
+            raise ValueError(f"exponent in term {body!r} is above {MAX_EXPONENT}")
         coeffs[k] = (coeffs.get(k, 0) + (c if sign == "+" else -c)) % q
     deg = max(coeffs)
     return Poly(q, [coeffs.get(i, 0) for i in range(deg + 1)])

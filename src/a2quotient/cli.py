@@ -37,8 +37,9 @@ from .operator import L2Space, tri_size, vertex_index
 from .quotient import QuotientComplex
 from .reduction import ProjMat, reduce_matrix, verify_witness
 from .spectra import (
-    SetTag, curve_samples, default_ladder, is_decreasing, non_ramanujan_witness,
-    render_spectra, residual_sweep, sigma0, sigma1_cusp, validate_eps,
+    WITNESS_LAST_RATIO, SetTag, curve_samples, default_ladder, is_decreasing,
+    non_ramanujan_witness, render_spectra, residual_sweep, sigma0, sigma1_cusp,
+    validate_eps,
 )
 
 ENV_OUTDIR = "A2QUOTIENT_OUTDIR"
@@ -65,7 +66,8 @@ OPTIONS = {
     "samples": (256, "points on each curve"),
     "sweep": (False, "also run residual sweeps (exit 2 if not decreasing)"),
     "witness": (False, "include the non-Ramanujan witness in the summary "
-                       "(exit 2 unless its last residual ratio is below 0.5)"),
+                       "(exit 2 unless its last residual ratio is below "
+                       f"{WITNESS_LAST_RATIO})"),
     "eps": (None, "comma-separated damping values for the sweep and the "
                   "witness (default spectra.default_ladder(q): "
                   "0.2*2^-k*min(1, (3/q)^1.5), k = 0..3)"),

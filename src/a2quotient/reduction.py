@@ -167,11 +167,6 @@ class ReductionResult:
     gamma: ProjMat
     w: ProjMat
 
-    def normal_form(self, q: int) -> ProjMat:
-        if self.n is None:
-            return ProjMat.diagonal(q, [self.m, 0])
-        return ProjMat.diagonal(q, [self.m, self.n, 0])
-
 
 # ---------------------------------------------------------------------------
 # group membership tests

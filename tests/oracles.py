@@ -56,10 +56,12 @@ layout of the shell-by-shell writer, while ``expected_rows`` and
 import cmath
 import json
 import math
+import operator
 import re
 import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -249,7 +251,7 @@ def nth_root(a, r):
     (Frobenius), so the root is read off directly from every r-th slot.
     The candidate is always verified by one exact multiplication.
     """
-    if a.is_zero or not a.is_monic:
+    if a.is_zero or a.lc() != 1:
         raise DegenerateInput("nth_root expects a monic nonzero polynomial")
     if r < 1:
         raise ValueError("root order must be >= 1")
@@ -267,11 +269,11 @@ def nth_root(a, r):
         bc = [0] * (k + 1)
         bc[k] = 1
         for j in range(1, k + 1):
-            cur = Poly(q, bc) ** r
+            cur = reduce(operator.mul, [Poly(q, bc)] * r)
             delta = (a.coeff(r * k - j) - cur.coeff(r * k - j)) % q
             bc[k - j] = (delta * rinv) % q
         b = Poly(q, bc)
-    return b if b ** r == a else None
+    return b if reduce(operator.mul, [b] * r) == a else None
 
 
 def det_ref(E):
@@ -279,7 +281,7 @@ def det_ref(E):
     expansion along the first row."""
     if len(E) == 1:
         return E[0][0]
-    out = RatFunc.zero(E[0][0].q)
+    out = RatFunc(Poly.zero(E[0][0].q))
     for j, e in enumerate(E[0]):
         minor = det_ref([row[:j] + row[j + 1:] for row in E[1:]])
         out = out - e * minor if j % 2 else out + e * minor
@@ -426,7 +428,7 @@ def in_modular_group_ref(g):
     if any(not e.is_polynomial for row in h for e in row):
         return False
     det = det_ref(h)
-    return det.is_constant and not det.is_zero
+    return det.is_polynomial and det.num.degree == 0
 
 
 def in_maximal_compact_ref(g):

@@ -720,5 +720,7 @@ class TestEntryPoint:
                              ("--sweep", "spectra"), ("--witness", "spectra"),
                              ("--eps", "spectra, witness")]:
             assert re.search(rf"^  {flag}( [A-Z]+)? +\[{takers}\]", out, re.M)
+        # the witness ratio is read from its constant (whitespace as wrapped)
+        assert f"below {spectra.WITNESS_LAST_RATIO})" in " ".join(out.split())
         # after a subcommand, --help prints the same combined help
         assert run_cli(capsys, "eigen", "--help") == (code, out, "")

@@ -60,6 +60,11 @@ class TestMembershipAndStrata:
         with pytest.raises(NotInS):
             # product is 1 but the conjugate-symmetry constraint fails
             SpectralParam.from_triple(2, 1.1j, 1.0, 1 / 1.1j)
+        with pytest.raises(NotInS, match="zero component"):
+            SpectralParam.from_triple(2, 0, 1, 1)
+        p = SpectralParam.from_triple(2, 1.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match=r"need 0 <= n <= m"):
+            eigenfunction_value(2, p, 1, 2)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_nonfinite_component_named(self, k):

@@ -644,3 +644,10 @@ class TestExactHelpers:
             inner_exact(2, 5, f, f)
         with pytest.raises(DimensionMismatch):
             inner_exact(2, 4, f, f[:-1])
+        with pytest.raises(ValueError, match="depth must be >= 2"):
+            L2Space(2, 1)
+        space = L2Space(2, 4)
+        with pytest.raises(ValueError, match="at least one trial"):
+            space.adjoint_defect(0)
+        with pytest.raises(ValueError, match="at least one iteration"):
+            space.norm_estimate(0)

@@ -7,7 +7,7 @@ import pytest
 from a2quotient.quotient import (
     CoeffRow, NotAdjacent, QuotientComplex, Vertex, coeffs, color,
     edge_coeff_from_stabilizers, is_adjacent, neighbors, stabilizer_order,
-    stabilizer_order_counted, stratum, vertex_weight, weight_factors,
+    stabilizer_order_counted, stratum, table, vertex_weight, weight_factors,
 )
 
 QS = [2, 3, 5]
@@ -205,6 +205,8 @@ class TestQuotientComplex:
         cx = QuotientComplex(2, 3)
         with pytest.raises(ValueError):
             cx.row(Vertex(5, 0), +1)
+        with pytest.raises(ValueError, match="sign must be"):
+            table(2, 0)
 
     @pytest.mark.parametrize("q", QS)
     @pytest.mark.parametrize("depth", [2, 3, 7])

@@ -78,7 +78,7 @@ class TestCanonicalForm:
     def check(g, lam):
         flat = [p for row in g.rows for p in row]
         assert reduce(poly_gcd, flat) == Poly.one(g.q)
-        assert next(p for p in flat if p).is_monic
+        assert next(p for p in flat if p).lc() == 1
         scaled(g, lam)
         assert ProjMat.from_strings(g.q, [c.split(",") for c in str(g).split(";")]) == g
 
@@ -107,7 +107,7 @@ class TestCanonicalForm:
     def test_zero_matrix_is_singular(self):
         # the gcd of all-zero entries is 0: the zero matrix is kept as it is
         for d in (2, 3):
-            z = ProjMat.from_rows([[RatFunc.zero(2)] * d] * d)
+            z = ProjMat.from_rows([[RatFunc(Poly.zero(2))] * d] * d)
             assert not in_modular_group(z) and not in_maximal_compact(z)
             with pytest.raises(Singular):
                 reduce_matrix(z)
@@ -125,7 +125,7 @@ class TestContentGcd:
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_shapes(self, q):
         rng = random.Random(61 * q)
-        z, t = Poly.zero(q), Poly.t(q)
+        z, t = Poly.zero(q), Poly.monomial(q, 1)
         cubic = Poly(q, [1, 0, 1, q - 1])
         for d in (2, 3):
             self.check([[z] * d for _ in range(d)])  # the zero matrix
@@ -145,6 +145,9 @@ class TestContentGcd:
                                 for row in P])  # content of higher degree
                     c = rng.randrange(1, q)
                     self.check([[p.scale(c) for p in row] for row in P])  # scalar multiples
+        for P in ([[z] * 4] * 4, [[z] * 3] * 2):
+            with pytest.raises(ValueError, match="2x2 or 3x3"):
+                ProjMat.of(P)
 
     @pytest.mark.parametrize("q", [2, 3, 5])
     def test_products_print_as_the_oracle(self, q):
@@ -213,8 +216,8 @@ class TestReduce2:
 
     def test_singular(self):
         q = 2
-        z = RatFunc.zero(q)
-        one = RatFunc.one(q)
+        z = RatFunc(Poly.zero(q))
+        one = RatFunc(Poly.one(q))
         with pytest.raises(Singular):
             reduce_matrix(ProjMat.from_rows([[one, one], [one, one]]))
         with pytest.raises(Singular):
@@ -258,7 +261,7 @@ class TestReduce3:
 
     def test_singular(self):
         q = 2
-        one = RatFunc.one(q)
+        one = RatFunc(Poly.one(q))
         with pytest.raises(Singular):
             reduce_matrix(ProjMat.from_rows([[one] * 3, [one] * 3, [one] * 3]))
         # rank 2 (row 2 = row 0 + t * row 1) with no zero row
@@ -350,7 +353,7 @@ class TestFuzzArbitraryMatrices:
             if det_ref(g.entries).is_zero:
                 continue
             r = reduce_matrix(g)
-            again = reduce_matrix(r.gamma @ r.normal_form(q) @ r.w)
+            again = reduce_matrix(r.gamma @ ProjMat.diagonal(q, [r.m, r.n, 0]) @ r.w)
             assert (again.m, again.n) == (r.m, r.n)
 
 
@@ -362,7 +365,7 @@ class TestVerifyWitness:
         r = reduce_matrix(g)
         assert verify_witness(r, g)
         rows = [list(row) for row in r.gamma.entries]
-        rows[0][1] = rows[0][1] + RatFunc.one(q)  # perturb one entry
+        rows[0][1] = rows[0][1] + RatFunc(Poly.one(q))  # perturb one entry
         bad = type(r)(m=r.m, n=r.n, gamma=ProjMat.from_rows(rows), w=r.w)
         assert not verify_witness(bad, g)
 
@@ -422,6 +425,6 @@ class TestVerifyWitness:
 
         for a, gamma_ok, w_ok in (("1/t", False, True), ("t^3", True, False)):
             gamma = r.gamma @ unipotent(a)
-            w = n_inv @ unipotent("-" + a) @ r.normal_form(q) @ r.w
+            w = n_inv @ unipotent("-" + a) @ ProjMat.diagonal(q, [r.m, r.n, 0]) @ r.w
             assert (in_modular_group(gamma), in_maximal_compact(w)) == (gamma_ok, w_ok)
             assert not verify_witness(type(r)(m=r.m, n=r.n, gamma=gamma, w=w), g)
